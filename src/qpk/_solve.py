@@ -1,11 +1,20 @@
-"""Scalar root finding and one-dimensional maximization helpers."""
+"""Root finding and one-dimensional maximization helpers.
+
+Grid scans take an array objective and evaluate the whole grid in one
+call; root finding and golden-section refinement take scalar functions.
+"""
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NoRootError
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = sys.float_info.epsilon
+_GOLDEN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -50,17 +59,28 @@ def bisect_decreasing(f, lo: float, hi: float, target: float = 0.0,
     return 0.5 * (lo + hi)
 
 
+def _arg_tol(tol_arg: float, lo: float, hi: float) -> float:
+    """Effective argument tolerance on [lo, hi]: tol_arg, widened to a few
+    ulps of the bracket's magnitude so that large rates still converge."""
+    return max(tol_arg, 4.0 * _EPS * max(abs(lo), abs(hi)))
+
+
 def golden_max(f, lo: float, hi: float, tol_arg: float = 1e-9):
-    """Golden-section maximization of f on [lo, hi].
+    """Golden-section maximization of the scalar function f on [lo, hi].
 
     Returns (x, f(x)). Assumes a single interior maximum on the bracket;
-    callers provide brackets from a prior grid scan.
+    callers provide brackets from a prior grid scan. Stops once the
+    bracket is no wider than :func:`_arg_tol`, or after _GOLDEN_MAX_ITER
+    steps, which shrink a bracket by a factor of 1e41.
     """
+    tol = _arg_tol(tol_arg, lo, hi)
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol_arg:
+    for _ in range(_GOLDEN_MAX_ITER):
+        if (b - a) <= tol:
+            break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -73,62 +93,50 @@ def golden_max(f, lo: float, hi: float, tol_arg: float = 1e-9):
     return x, f(x)
 
 
+def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n uniformly spaced points from lo to exactly hi."""
+    xs = lo + np.arange(n) * ((hi - lo) / (n - 1))
+    xs[-1] = hi
+    return xs
+
+
 def grid_argmax(f, lo: float, hi: float, n: int):
     """Scan f on an n-point uniform grid of [lo, hi].
 
-    Returns (xs, fs, i_best) with the lowest-index tie-break so results
-    are deterministic.
+    f is an array objective: it takes the whole grid as one numpy array
+    and returns the array of values. Returns (xs, fs, i_best), two arrays
+    and an int, with the lowest-index tie-break so results are
+    deterministic.
     """
     if n < 2:
         raise ValueError("grid_argmax needs n >= 2")
-    step = (hi - lo) / (n - 1)
-    xs = [lo + i * step for i in range(n)]
-    xs[-1] = hi
-    fs = [f(x) for x in xs]
-    i_best = 0
-    best = fs[0]
-    for i in range(1, n):
-        if fs[i] > best:
-            best = fs[i]
-            i_best = i
-    return xs, fs, i_best
+    xs = uniform_grid(lo, hi, n)
+    fs = np.asarray(f(xs), dtype=float)
+    return xs, fs, int(np.argmax(fs))
 
 
-def maximize_scan(f, lo: float, hi: float, n: int, tol_arg: float = 1e-9):
-    """Grid scan plus golden refinement around the best grid point.
-
-    Returns (x_star, f_star). No unimodality is assumed for the scan; the
-    refinement only trusts the local bracket around the winning point.
-    """
-    xs, fs, i = grid_argmax(f, lo, hi, n)
-    bracket_lo = xs[i - 1] if i > 0 else xs[0]
-    bracket_hi = xs[i + 1] if i < len(xs) - 1 else xs[-1]
-    x_ref, f_ref = golden_max(f, bracket_lo, bracket_hi, tol_arg)
-    if f_ref >= fs[i]:
-        return x_ref, f_ref
-    return xs[i], fs[i]
-
-
-def local_maxima_scan(f, lo: float, hi: float, n: int, tol_arg: float = 1e-9):
+def local_maxima_scan(f_grid, f, lo: float, hi: float, n: int,
+                      tol_arg: float = 1e-9):
     """All interior local maxima of f on [lo, hi], each refined by golden
     section on its grid bracket.
 
+    f_grid is the array form of f, used for the grid scan (see
+    :func:`grid_argmax`); f is the scalar form, used for refinement.
     Returns a list of (x, f(x)) sorted by x; grid endpoints count as local
     maxima when the function falls away from them.
     """
-    xs, fs, _ = grid_argmax(f, lo, hi, n)
+    xs, fs, _ = grid_argmax(f_grid, lo, hi, n)
+    peak = np.ones(n, dtype=bool)
+    peak[1:] &= fs[1:] > fs[:-1]
+    peak[:-1] &= fs[:-1] >= fs[1:]
     out = []
-    for i in range(len(xs)):
-        left_ok = i == 0 or fs[i] > fs[i - 1]
-        right_ok = i == len(xs) - 1 or fs[i] >= fs[i + 1]
-        if not (left_ok and right_ok):
-            continue
-        b_lo = xs[i - 1] if i > 0 else xs[0]
-        b_hi = xs[i + 1] if i < len(xs) - 1 else xs[-1]
+    for i in np.flatnonzero(peak).tolist():
+        b_lo = float(xs[max(i - 1, 0)])
+        b_hi = float(xs[min(i + 1, n - 1)])
         x_ref, f_ref = golden_max(f, b_lo, b_hi, tol_arg)
         if f_ref < fs[i]:
-            x_ref, f_ref = xs[i], fs[i]
-        if out and abs(x_ref - out[-1][0]) < 10.0 * tol_arg:
+            x_ref, f_ref = float(xs[i]), float(fs[i])
+        if out and abs(x_ref - out[-1][0]) < 10.0 * _arg_tol(tol_arg, b_lo, b_hi):
             if f_ref > out[-1][1]:
                 out[-1] = (x_ref, f_ref)
             continue

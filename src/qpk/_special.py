@@ -5,9 +5,17 @@ regularized lower incomplete gamma uses the power series for x < k + 1
 and a modified Lentz continued fraction for the upper tail otherwise.
 Double-precision accurate to ~1e-14 relative on the parameter ranges the
 sensitivity distributions use.
+
+``gamma_p_array`` and ``gamma_p_inverse_array`` run the same algorithms
+elementwise over a numpy array for one shape k: whole-grid scans and
+sampling call them once instead of once per point. Each iteration drops
+the elements that have met their stopping rule, so every element takes
+the iterates and the stopping point its scalar counterpart would.
 """
 
 import math
+
+import numpy as np
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
@@ -25,6 +33,11 @@ _LANCZOS_COEF = (
 _EPS = 1e-16
 _TINY = 1e-300
 _MAX_ITER = 500
+# numpy keeps freed buffers under 1 KiB cached by exact size; array loops
+# keep their arrays at multiples of this many elements, so that few small
+# sizes ever occur
+_SIZE_STEP = 64
+_BLOCK = 4096
 
 
 def log_gamma(x: float) -> float:
@@ -134,26 +147,215 @@ def gamma_p_inverse(k: float, p: float) -> float:
     return x
 
 
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile (Acklam's rational approximation)."""
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+def _active_loop(inputs, state, max_iter, step):
+    """Iterate ``step`` on the elements that have not yet stopped.
+
+    ``inputs`` and ``state`` are tuples of equal-length arrays: the step
+    only reads the inputs, and the loop updates the state arrays, which
+    the caller owns, in place. ``step(i, *inputs, *state)`` gets the
+    active elements, advances their state by iteration i in place, and
+    returns a boolean mask of those that stop after it. On return every
+    state element holds its value from the iteration where it stopped, or
+    from ``max_iter``.
+
+    Stopped elements are masked out of the result and dropped from the
+    arrays once the rest fit in half of them; the arrays keep a multiple
+    of _SIZE_STEP elements, padded with stopped ones.
+    """
+    ins, active = inputs, state
+    idx = live = None  # idx: positions of the active elements; live: mask
+    for i in range(1, max_iter + 1):
+        if active[0].size == 0:
+            break
+        done = step(i, *ins, *active)
+        if live is not None:
+            done &= live
+        if not done.any():
+            continue
+        if idx is None:  # the state arrays are the active ones: done in place
+            idx = np.arange(state[0].size)
+        else:
+            for a, s in zip(state, active):
+                a[idx[done]] = s[done]
+        keep = ~done if live is None else live & ~done
+        n_keep = np.count_nonzero(keep)
+        if n_keep == 0:
+            return state
+        n_sel = min(keep.size, -(-n_keep // _SIZE_STEP) * _SIZE_STEP)
+        if 2 * n_sel > keep.size and active is not state:
+            live = keep
+            continue
+        sel = keep.copy()
+        sel[(~keep).nonzero()[0][:n_sel - n_keep]] = True
+        sel = sel.nonzero()[0]
+        idx, live = idx[sel], keep[sel]
+        ins = tuple(s[sel] for s in ins)
+        active = tuple(s[sel] for s in active)
+    if idx is not None:
+        for a, s in zip(state, active):
+            a[idx[live]] = s[live]
+    return state
+
+
+def _front_factor(k: float, x: np.ndarray) -> np.ndarray:
+    return np.exp(-x + k * np.log(x) - log_gamma(k))
+
+
+def _gamma_p_series_array(k: float, x: np.ndarray) -> np.ndarray:
+    """_gamma_p_series elementwise."""
+    ap = k
+
+    def step(i, x, term, total):
+        nonlocal ap
+        ap += 1.0
+        term *= x / ap
+        total += term
+        return term < total * _EPS  # x > 0 here, so both are positive
+
+    term = np.full(x.shape, 1.0 / k)
+    _, total = _active_loop((x,), (term, term.copy()), _MAX_ITER, step)
+    return total * _front_factor(k, x)
+
+
+def _gamma_q_contfrac_array(k: float, x: np.ndarray) -> np.ndarray:
+    """_gamma_q_contfrac elementwise."""
+    def step(i, b, c, d, h):
+        an = -i * (i - k)
+        b += 2.0
+        d *= an
+        d += b
+        d[np.abs(d) < _TINY] = _TINY
+        c[:] = b + an / c
+        c[np.abs(c) < _TINY] = _TINY
+        np.divide(1.0, d, out=d)
+        delta = d * c
+        h *= delta
+        return np.abs(delta - 1.0) < _EPS
+
+    b = x + 1.0 - k
+    d = 1.0 / b
+    c = np.full(x.shape, 1.0 / _TINY)
+    h = _active_loop((), (b, c, d, d.copy()), _MAX_ITER - 1, step)[3]
+    return h * _front_factor(k, x)
+
+
+def gamma_p_array(k: float, x) -> np.ndarray:
+    """gamma_p elementwise over an array x >= 0, for one shape k > 0."""
+    if k <= 0.0:
+        raise ValueError(f"gamma_p requires k > 0, got {k}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError("gamma_p requires x >= 0")
+    out = np.zeros(x.shape)
+    series = (x > 0.0) & (x < k + 1.0)
+    upper = x >= k + 1.0
+    out[series] = _gamma_p_series_array(k, x[series])
+    out[upper] = 1.0 - _gamma_q_contfrac_array(k, x[upper])
+    return out
+
+
+def _wilson_hilferty_array(k: float, p: np.ndarray) -> np.ndarray:
+    """gamma_p_inverse's starting point, elementwise."""
+    z = _normal_quantile_array(p)
+    t = 1.0 - 1.0 / (9.0 * k) + z * math.sqrt(1.0 / (9.0 * k))
+    with np.errstate(over="ignore"):
+        x = np.where(t > 0.0, k * t * t * t, k * np.exp((z - 3.0) / math.sqrt(k)))
+    return np.maximum(x, 1e-300)
+
+
+def gamma_p_inverse_array(k: float, p) -> np.ndarray:
+    """gamma_p_inverse elementwise over an array p in (0, 1), for one k.
+
+    The same Wilson-Hilferty start, bracket expansion and safeguarded
+    Newton iteration, so each element lands where the scalar call would.
+    The iteration holds about 16 arrays of its input's size, so it runs
+    on at most _BLOCK elements at a time.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValueError("gamma_p_inverse requires 0 < p < 1")
+    flat = p.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _BLOCK):
+        out[start:start + _BLOCK] = _gamma_p_inverse_block(k, flat[start:start + _BLOCK])
+    return out.reshape(p.shape)
+
+
+def _gamma_p_inverse_block(k: float, p: np.ndarray) -> np.ndarray:
+    def expand(i, p, lo, hi):
+        below = gamma_p_array(k, hi) < p
+        lo[below] = hi[below]
+        hi[below] *= 2.0
+        if np.any(hi > 1e300):
+            raise ArithmeticError("gamma_p_inverse bracket expansion failed")
+        return ~below
+
+    x = _wilson_hilferty_array(k, p)
+    lo, hi = _active_loop((p,), (np.zeros(p.shape), x.copy()), 2048, expand)
+
+    log_gamma_k = log_gamma(k)
+
+    def newton(i, p, x, lo, hi):
+        f = gamma_p_array(k, x) - p
+        converged = np.abs(f) < 1e-13
+        above = f > 0.0
+        hi[above] = x[above]
+        lo[~above] = x[~above]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dens = np.exp((k - 1.0) * np.log(x) - x - log_gamma_k)
+            step_ok = (dens > 0.0) & np.isfinite(dens)
+            x_new = np.where(step_ok, x - f / dens, 0.5 * (lo + hi))
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        x[~converged] = x_new[~converged]
+        return converged | (hi - lo < 1e-15 * hi)
+
+    # hi > lo always holds here, as hi starts at x >= 1e-300 > lo = 0
+    x = np.minimum(np.maximum(x, lo + 0.25 * (hi - lo)), hi)
+    return _active_loop((p,), (x, lo, hi), 200, newton)[0]
+
+
+_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
          6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
+_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01,
          2.445134137142996e+00, 3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
+_NQ_P_LOW = 0.02425
+
+
+def _normal_tail(q):
+    """Acklam's tail rational in q = sqrt(-2 log p); float or array."""
+    c, d = _NQ_C, _NQ_D
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+
+
+def _normal_central(q):
+    """Acklam's central rational in q = p - 0.5; float or array."""
+    a, b = _NQ_A, _NQ_B
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile (Acklam's rational approximation)."""
+    if p < _NQ_P_LOW:
+        return _normal_tail(math.sqrt(-2.0 * math.log(p)))
+    if p > 1.0 - _NQ_P_LOW:
+        return -_normal_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
+    return _normal_central(p - 0.5)
+
+
+def _normal_quantile_array(p: np.ndarray) -> np.ndarray:
+    """_normal_quantile elementwise, with the same three regions."""
+    out = np.empty_like(p)
+    low = p < _NQ_P_LOW
+    high = p > 1.0 - _NQ_P_LOW
+    mid = ~(low | high)
+    out[low] = _normal_tail(np.sqrt(-2.0 * np.log(p[low])))
+    out[high] = -_normal_tail(np.sqrt(-2.0 * np.log(1.0 - p[high])))
+    out[mid] = _normal_central(p[mid] - 0.5)
+    return out

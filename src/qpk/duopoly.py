@@ -14,8 +14,9 @@ from enum import Enum
 from ._solve import local_maxima_scan
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig, validate_config
-from .wardrop import (PriceVector, balanced_load, price_gap_1, price_gap_1_deriv,
-                      price_gap_2, price_gap_2_deriv, rate_cap_1, rate_cap_2)
+from .wardrop import (PriceVector, balanced_load, price_gap_1, price_gap_1_array,
+                      price_gap_1_deriv, price_gap_2, price_gap_2_array,
+                      price_gap_2_deriv, rate_cap_1, rate_cap_2)
 
 DEFAULT_GRID = 4096
 #: Relative revenue slack under which two local maxima count as tied;
@@ -52,9 +53,10 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     """Revenue-maximizing rate and price for one server, rival price fixed.
 
     Scans (g_j(gamma) + other_price) * gamma on a dense grid of
-    (0, rate_cap_j), refines every local maximum by golden section, and
-    takes the best; equal-revenue ties go to the smaller rate. All
-    stationary candidates are reported so multimodal cases are auditable.
+    (0, rate_cap_j) in one array pass, refines every local maximum by
+    golden section on the scalar g_j, and takes the best; equal-revenue
+    ties go to the smaller rate. All stationary candidates are reported so
+    multimodal cases are auditable.
     """
     validate_config(cfg)
     if server not in (1, 2):
@@ -64,15 +66,16 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
 
     if server == 1:
         cap = rate_cap_1(cfg, other_price)
-        gap = lambda g: price_gap_1(cfg, g)
+        gap, gaps = price_gap_1, price_gap_1_array
     else:
         cap = rate_cap_2(cfg, other_price)
-        gap = lambda g: price_gap_2(cfg, g)
-    revenue = lambda g: (gap(g) + other_price) * g
+        gap, gaps = price_gap_2, price_gap_2_array
 
     lo = cfg.lam * P_MIN
     hi = cap * (1.0 - P_MIN)
-    candidates = local_maxima_scan(revenue, lo, hi, grid_size, tol_arg=1e-9)
+    candidates = local_maxima_scan(lambda g: (gaps(cfg, g) + other_price) * g,
+                                   lambda g: (gap(cfg, g) + other_price) * g,
+                                   lo, hi, grid_size, tol_arg=1e-9)
     g_star, r_star = candidates[0]
     for g, r in candidates[1:]:
         if r > r_star * (1.0 + TIE_REL) + TIE_REL:
@@ -81,7 +84,7 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
         server=server,
         given_price=other_price,
         gamma_star=g_star,
-        price_star=gap(g_star) + other_price,
+        price_star=gap(cfg, g_star) + other_price,
         revenue_star=r_star,
         stationary_points=tuple(g for g, _ in candidates),
     )

@@ -160,13 +160,8 @@ def _fcfs_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
 
 
 def _sample_sensitivities(dist, u: np.ndarray) -> np.ndarray:
-    if isinstance(dist, models.Uniform):
-        return dist.a + u * (dist.b - dist.a)
-    if isinstance(dist, models.Exponential):
-        return -dist.tau * np.log1p(-u)
-    if isinstance(dist, models.Power):
-        return dist.b * u ** (1.0 / dist.n)
-    return np.array([models.quantile(dist, float(p)) for p in u])
+    """Inverse-transform samples of the sensitivity law at uniforms u."""
+    return models.quantile_array(dist, u)
 
 
 class DesOracle:

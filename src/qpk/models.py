@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import _special
 from .errors import DomainError, ValidationError
 
@@ -67,6 +69,22 @@ def delay_eval(model: DelayModel, gamma: float, saturation: bool = False) -> flo
     return 1.0 / (model.mu - gamma)
 
 
+def delay_eval_array(model: DelayModel, gamma, saturation: bool = False) -> np.ndarray:
+    """delay_eval elementwise over an array of rates, with the same domain
+    rules; a DomainError if any rate breaks them."""
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma < 0.0):
+        raise DomainError("arrival rates must be nonnegative")
+    if model.family is DelayFamily.LINEAR:
+        return gamma / model.mu
+    if np.any(gamma > model.mu) or (not saturation and np.any(gamma == model.mu)):
+        raise DomainError(
+            f"mm1 delay undefined at a rate >= mu={model.mu}"
+            + ("" if saturation else " (outside saturation mode)"))
+    with np.errstate(divide="ignore"):
+        return 1.0 / (model.mu - gamma)
+
+
 def delay_deriv(model: DelayModel, gamma: float, saturation: bool = False) -> float:
     """Derivative of the mean delay; strictly positive on the domain."""
     if gamma < 0.0:
@@ -87,9 +105,12 @@ class SensitivityDistribution:
     """Law of the per-customer delay-cost coefficient.
 
     Subclasses implement ``_cdf``/``_quantile``/``_density`` on the support
-    interior; use the module-level :func:`cdf`, :func:`quantile` and
-    :func:`density` entry points, which own the domain checks and the
-    quantile clamp for unbounded families.
+    interior; use the module-level :func:`cdf`, :func:`quantile`,
+    :func:`quantile_array` and :func:`density` entry points, which own the
+    domain checks and the quantile clamp for unbounded families.
+    ``_quantile_array`` is the elementwise quantile on a numpy array; it
+    defaults to ``_quantile``, which serves as is wherever the scalar
+    formula is plain arithmetic.
     """
 
     @property
@@ -105,6 +126,9 @@ class SensitivityDistribution:
 
     def _quantile(self, p: float) -> float:
         raise NotImplementedError
+
+    def _quantile_array(self, p: np.ndarray) -> np.ndarray:
+        return self._quantile(p)
 
     def _density(self, x: float) -> float:
         raise NotImplementedError
@@ -155,6 +179,9 @@ class Exponential(SensitivityDistribution):
     def _quantile(self, p):
         return -self.tau * math.log1p(-p)
 
+    def _quantile_array(self, p):
+        return -self.tau * np.log1p(-p)
+
     def _density(self, x):
         return math.exp(-x / self.tau) / self.tau
 
@@ -181,6 +208,9 @@ class Gamma(SensitivityDistribution):
 
     def _quantile(self, p):
         return _special.gamma_p_inverse(self.k, p) * self.theta
+
+    def _quantile_array(self, p):
+        return _special.gamma_p_inverse_array(self.k, p) * self.theta
 
     def _density(self, x):
         if x == 0.0:
@@ -231,18 +261,34 @@ def cdf(dist: SensitivityDistribution, x: float) -> float:
 
 
 def quantile(dist: SensitivityDistribution, p: float) -> float:
-    """F^{-1}(p) for p in [0, 1].
+    """F^{-1}(p) for one p in [0, 1].
 
     Exact inverse for the uniform, exponential and power families; monotone
     root-finding on the regularized incomplete gamma for the gamma family,
     accurate to 1e-10 in probability. For unbounded-support families p is
-    clamped to [P_MIN, 1 - P_MIN] so the result stays finite.
+    clamped to [P_MIN, 1 - P_MIN] so the result stays finite. Point solves
+    use this; grid scans and sampling use :func:`quantile_array`, which
+    applies the same check and clamp to a whole array at once.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"quantile probability must lie in [0, 1], got {p}")
     if not dist.bounded:
         p = min(max(p, P_MIN), 1.0 - P_MIN)
     return dist._quantile(p)
+
+
+def quantile_array(dist: SensitivityDistribution, p) -> np.ndarray:
+    """F^{-1}(p) elementwise over an array of p in [0, 1].
+
+    Agrees with :func:`quantile` point by point up to rounding: numpy's
+    log1p, pow, exp and log can differ from math's in the last bit.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise DomainError("quantile probabilities must lie in [0, 1]")
+    if not dist.bounded:
+        p = np.clip(p, P_MIN, 1.0 - P_MIN)
+    return dist._quantile_array(p)
 
 
 def density(dist: SensitivityDistribution, x: float) -> float:

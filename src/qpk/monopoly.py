@@ -2,15 +2,17 @@
 
 Works in rate space: total revenue is c2*lam + g1(gamma1)*gamma1, so the
 solver maximizes h(gamma) = g1(gamma)*gamma over [0, gamma+], which is
-where any revenue-improving rate must lie.
+where any revenue-improving rate must lie. The grid scan evaluates h on
+the whole grid in one array pass (price_gap_1_array); the golden-section
+refinement and the reported price use the scalar price_gap_1.
 """
 
 from dataclasses import dataclass
 
-from ._solve import golden_max, grid_argmax
+from ._solve import golden_max, grid_argmax, uniform_grid
 from .errors import DomainError
 from .models import P_MIN, SystemConfig, validate_config
-from .wardrop import balanced_load, price_gap_1
+from .wardrop import balanced_load, price_gap_1, price_gap_1_array
 
 DEFAULT_GRID = 4096
 
@@ -45,15 +47,14 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
 
     gp = balanced_load(cfg)
     lo = cfg.lam * P_MIN
-    h = lambda g: _gap_revenue(cfg, g)
-    xs, hs, i = grid_argmax(h, lo, gp, grid_size)
-    b_lo = xs[i - 1] if i > 0 else xs[0]
-    b_hi = xs[i + 1] if i < len(xs) - 1 else xs[-1]
-    g_star, h_star = golden_max(h, b_lo, b_hi, tol_arg=1e-9)
+    xs, hs, i = grid_argmax(lambda g: price_gap_1_array(cfg, g) * g, lo, gp, grid_size)
+    b_lo = float(xs[max(i - 1, 0)])
+    b_hi = float(xs[min(i + 1, grid_size - 1)])
+    g_star, h_star = golden_max(lambda g: _gap_revenue(cfg, g), b_lo, b_hi, tol_arg=1e-9)
     if hs[i] > h_star:
-        g_star, h_star = xs[i], hs[i]
+        g_star, h_star = float(xs[i]), float(hs[i])
 
-    curve = tuple(zip(xs, (c2 * cfg.lam + v for v in hs))) if with_curve else None
+    curve = tuple(zip(xs.tolist(), (c2 * cfg.lam + hs).tolist())) if with_curve else None
     return MonopolyResult(
         gamma1_star=g_star,
         c1_star=c2 + price_gap_1(cfg, g_star),
@@ -71,11 +72,6 @@ def revenue_curve(cfg: SystemConfig, c2: float, n: int) -> tuple:
     validate_config(cfg)
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    gp = balanced_load(cfg)
-    lo = cfg.lam * P_MIN
-    step = (gp - lo) / (n - 1)
-    out = []
-    for i in range(n):
-        g = gp if i == n - 1 else lo + i * step
-        out.append((g, c2 * cfg.lam + _gap_revenue(cfg, g)))
-    return tuple(out)
+    xs = uniform_grid(cfg.lam * P_MIN, balanced_load(cfg), n)
+    rt = c2 * cfg.lam + price_gap_1_array(cfg, xs) * xs
+    return tuple(zip(xs.tolist(), rt.tolist()))

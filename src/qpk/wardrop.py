@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from ._solve import DEFAULT_TOL, Tolerances, bisect_decreasing
 from .errors import DomainError
-from .models import P_MIN, SystemConfig, density, quantile, validate_config
+from .models import (P_MIN, SystemConfig, delay_eval_array, density, quantile,
+                     quantile_array, validate_config)
 
 
 class Regime(Enum):
@@ -116,6 +119,30 @@ def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
     if gamma1 == 0.0 or gamma1 == cfg.lam:
         return cfg.dist.support[1] * delta_d
     return threshold_of_rate(cfg, gamma1) * delta_d
+
+
+def price_gap_1_array(cfg: SystemConfig, gamma1) -> np.ndarray:
+    """g1 elementwise over an array of rates in [0, lam].
+
+    The same branches, tie at gamma+ and endpoint values as
+    :func:`price_gap_1`, in one pass over the array; grid scans use this,
+    point solves the scalar function.
+    """
+    g = np.asarray(gamma1, dtype=float)
+    if not np.all((g >= 0.0) & (g <= cfg.lam)):
+        raise DomainError(f"gamma1 must lie in [0, {cfg.lam}]")
+    beta = quantile_array(
+        cfg.dist, np.where(g <= balanced_load(cfg), (cfg.lam - g) / cfg.lam, g / cfg.lam))
+    beta[(g == 0.0) | (g == cfg.lam)] = cfg.dist.support[1]
+    sat = cfg.saturation_ok
+    beta *= delay_eval_array(cfg.d2, cfg.lam - g, sat) - delay_eval_array(cfg.d1, g, sat)
+    return beta
+
+
+def price_gap_2_array(cfg: SystemConfig, gamma2) -> np.ndarray:
+    """g2 elementwise over an array of rates, through the mirror
+    g2(x) = -g1(lam - x)."""
+    return -price_gap_1_array(cfg, cfg.lam - np.asarray(gamma2, dtype=float))
 
 
 def price_gap_2(cfg: SystemConfig, gamma2: float) -> float:

@@ -1,0 +1,327 @@
+"""The array kernel behind the grid scans, checked against the scalar path.
+
+Every array entry point must agree with its scalar counterpart point by
+point, and each scan must pick the grid point that a point-by-point scan
+of the scalar objective picks. References: the scalar functions, and
+scipy.special for the incomplete gamma (tests only; skipped when scipy is
+absent).
+"""
+
+import math
+import signal
+import time
+
+import numpy as np
+import pytest
+
+from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform,
+                 balanced_load, best_response, optimize_monopoly, rate_cap_1,
+                 rate_cap_2, revenue_curve)
+from qpk import _special, estimation, models, wardrop
+from qpk._solve import golden_max, grid_argmax
+from qpk.models import P_MIN
+
+RTOL = 1e-13
+# the gamma inverse stops once |P(x) - p| < 1e-13; a last-bit difference
+# between numpy's and math's exp or log can move that stop by an iterate,
+# which moves x by up to a few 1e-13 relative
+GAMMA_RTOL = 1e-12
+LAWS = [Uniform(2.0, 6.0), Exponential(4.0), Gamma(2.0, 2.0), Gamma(0.7, 1.5),
+        Power(2.0, 4.0)]
+SCAN_CONFIGS = ["ex1_uniform", "ex1_expo", "ex1_gamma", "ex2_uniform", "ex2_expo",
+                "ex2_gamma", "ex3", "ex4", "sat_power"]
+
+
+def _scalar(fn, xs):
+    return np.array([fn(float(x)) for x in xs])
+
+
+def _assert_matches(got, want):
+    # near a zero crossing both sides carry the rounding of the delay gap's
+    # cancellation, so the absolute slack follows the size of the curve
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    scale = np.max(np.abs(want[finite]))
+    np.testing.assert_allclose(got[finite], want[finite], rtol=RTOL, atol=RTOL * scale)
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=repr)
+def test_quantile_array_matches_scalar(dist):
+    p = np.concatenate([[0.0, 1e-13, P_MIN, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - P_MIN, 1.0],
+                        np.linspace(0.0, 1.0, 257)])
+    got = models.quantile_array(dist, p)
+    want = _scalar(lambda q: models.quantile(dist, q), p)
+    rtol = GAMMA_RTOL if isinstance(dist, Gamma) else RTOL
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+    assert got.shape == p.shape
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=repr)
+def test_des_sampler_is_the_array_quantile(dist):
+    u = np.random.default_rng(3).random(2000)
+    got = estimation._sample_sensitivities(dist, u)
+    want = _scalar(lambda q: models.quantile(dist, q), u)
+    rtol = GAMMA_RTOL if isinstance(dist, Gamma) else RTOL
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+def test_quantile_array_rejects_probabilities_outside_unit_interval():
+    with pytest.raises(models.DomainError):
+        models.quantile_array(Exponential(1.0), np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("family", ["linear", "mm1"])
+def test_delay_eval_array_matches_scalar(family):
+    model = DelayModel(models.DelayFamily(family), 5.0)
+    g = np.linspace(0.0, 5.0, 101)
+    got = models.delay_eval_array(model, g, saturation=True)
+    want = _scalar(lambda x: models.delay_eval(model, x, saturation=True), g)
+    assert got[-1] == want[-1]  # +inf at mu for mm1
+    np.testing.assert_allclose(got[:-1], want[:-1], rtol=RTOL, atol=0.0)
+    if family == "mm1":
+        with pytest.raises(models.DomainError):
+            models.delay_eval_array(model, g, saturation=False)
+
+
+def _rate_points(cfg):
+    """Both branches of g1 and g2, their ties, and grid-like interiors."""
+    lam, gp = cfg.lam, balanced_load(cfg)
+    ties = [gp, lam - gp, np.nextafter(gp, 0.0), np.nextafter(gp, lam),
+            np.nextafter(lam - gp, 0.0), np.nextafter(lam - gp, lam)]
+    lo, hi = (0.0, lam) if cfg.dist.bounded and not cfg.saturation_ok \
+        else (lam * P_MIN, lam * (1.0 - P_MIN))
+    return np.concatenate([ties, np.linspace(lo, hi, 301)])
+
+
+@pytest.mark.parametrize("name", SCAN_CONFIGS + ["fig_threshold"])
+def test_price_gaps_array_match_scalar(name, request):
+    cfg = request.getfixturevalue(name)
+    xs = _rate_points(cfg)
+    gp = balanced_load(cfg)
+    assert np.any(xs < gp) and np.any(xs > gp)
+    _assert_matches(wardrop.price_gap_1_array(cfg, xs),
+                    _scalar(lambda x: wardrop.price_gap_1(cfg, x), xs))
+    _assert_matches(wardrop.price_gap_2_array(cfg, xs),
+                    _scalar(lambda x: wardrop.price_gap_2(cfg, x), xs))
+
+
+def test_price_gap_1_array_tie_takes_the_low_branch(fig_threshold):
+    # the threshold jumps at gamma+ for non-identical servers; the tie must
+    # take the low-rate branch exactly as the scalar function does
+    cfg = fig_threshold
+    gp = balanced_load(cfg)
+    got = wardrop.price_gap_1_array(cfg, np.array([gp]))[0]
+    assert got == wardrop.price_gap_1(cfg, gp)
+
+
+def test_price_gaps_array_at_bounded_endpoints(ex1_uniform):
+    cfg = ex1_uniform
+    ends = np.array([0.0, cfg.lam])
+    for arr, scalar in ((wardrop.price_gap_1_array, wardrop.price_gap_1),
+                        (wardrop.price_gap_2_array, wardrop.price_gap_2)):
+        np.testing.assert_allclose(arr(cfg, ends), _scalar(lambda x: scalar(cfg, x), ends),
+                                   rtol=RTOL, atol=0.0)
+
+
+def test_price_gap_array_rejects_rates_outside_domain(ex1_uniform):
+    with pytest.raises(models.DomainError):
+        wardrop.price_gap_1_array(ex1_uniform, np.array([1.0, 3.5]))
+
+
+@pytest.mark.parametrize("k", [0.7, 1.0, 1.7, 2.0, 3.1, 4.0])
+def test_gamma_p_array_matches_scipy(k):
+    sp = pytest.importorskip("scipy.special")
+    x = np.concatenate([[0.0, k + 1.0], np.geomspace(1e-8, 60.0, 400)])
+    np.testing.assert_allclose(_special.gamma_p_array(k, x), sp.gammainc(k, x),
+                               rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [0.7, 1.0, 1.7, 2.0, 3.1, 4.0])
+def test_gamma_p_inverse_array_matches_scipy(k):
+    sp = pytest.importorskip("scipy.special")
+    tail = np.geomspace(1e-12, 0.5, 200)
+    p = np.concatenate([tail, 1.0 - tail, np.linspace(0.01, 0.99, 99)])
+    x = _special.gamma_p_inverse_array(k, p)
+    x_ref = sp.gammaincinv(k, p)
+    # the inverse is accurate in probability: its error in x, weighed by
+    # the density there, stays below the scalar's 1e-13 stopping rule
+    pdf = np.exp((k - 1.0) * np.log(x_ref) - x_ref - math.lgamma(k))
+    assert np.max(np.abs(x - x_ref) * pdf) < 2e-13
+    np.testing.assert_allclose(sp.gammainc(k, x), p, rtol=0.0, atol=2e-13)
+
+
+@pytest.mark.parametrize("k", [0.7, 2.0, 3.8])
+def test_gamma_array_functions_match_scalar(k):
+    rng = np.random.default_rng(int(k * 10))
+    # more than one block, so the inverse runs block by block
+    p = rng.random(_special._BLOCK + 7)
+    np.testing.assert_allclose(_special.gamma_p_inverse_array(k, p),
+                               _scalar(lambda q: _special.gamma_p_inverse(k, q), p),
+                               rtol=GAMMA_RTOL, atol=0.0)
+    x = rng.uniform(0.0, 4.0 * k + 6.0, 3000)
+    np.testing.assert_allclose(_special.gamma_p_array(k, x),
+                               _scalar(lambda v: _special.gamma_p(k, v), x),
+                               rtol=RTOL, atol=1e-300)
+
+
+def test_gamma_array_functions_keep_shape_and_check_domain():
+    p = np.full((3, 4), 0.25)
+    assert _special.gamma_p_inverse_array(2.0, p).shape == (3, 4)
+    assert _special.gamma_p_inverse_array(2.0, np.array([])).shape == (0,)
+    with pytest.raises(ValueError):
+        _special.gamma_p_inverse_array(2.0, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        _special.gamma_p_array(2.0, np.array([-1.0]))
+    with pytest.raises(ValueError):
+        _special.gamma_p_array(0.0, np.array([1.0]))
+
+
+def _scalar_scan_index(f, lo, hi, n):
+    """The grid index the point-by-point scan picks: first strict maximum."""
+    step = (hi - lo) / (n - 1)
+    xs = [hi if i == n - 1 else lo + i * step for i in range(n)]
+    best, i_best = f(xs[0]), 0
+    for i in range(1, n):
+        v = f(xs[i])
+        if v > best:
+            best, i_best = v, i
+    return i_best
+
+
+@pytest.mark.parametrize("name", SCAN_CONFIGS)
+def test_monopoly_scan_picks_the_scalar_grid_point(name, request):
+    cfg = request.getfixturevalue(name)
+    lo, gp, n = cfg.lam * P_MIN, balanced_load(cfg), 4096
+    _, _, i = grid_argmax(lambda g: wardrop.price_gap_1_array(cfg, g) * g, lo, gp, n)
+    assert i == _scalar_scan_index(lambda g: wardrop.price_gap_1(cfg, g) * g, lo, gp, n)
+
+
+@pytest.mark.parametrize("name", SCAN_CONFIGS)
+@pytest.mark.parametrize("server", [1, 2])
+def test_best_response_scan_picks_the_scalar_grid_point(name, server, request):
+    cfg = request.getfixturevalue(name)
+    c = 1.5
+    if server == 1:
+        cap, gap, gaps = rate_cap_1(cfg, c), wardrop.price_gap_1, wardrop.price_gap_1_array
+    else:
+        cap, gap, gaps = rate_cap_2(cfg, c), wardrop.price_gap_2, wardrop.price_gap_2_array
+    lo, hi, n = cfg.lam * P_MIN, cap * (1.0 - P_MIN), 4096
+    _, _, i = grid_argmax(lambda g: (gaps(cfg, g) + c) * g, lo, hi, n)
+    assert i == _scalar_scan_index(lambda g: (gap(cfg, g) + c) * g, lo, hi, n)
+
+
+def _all_floats(values):
+    return all(type(v) is float for v in values)
+
+
+def test_results_hold_python_floats(ex1_gamma):
+    res = optimize_monopoly(ex1_gamma, 1.0, with_curve=True)
+    assert _all_floats([res.gamma1_star, res.c1_star, res.rt_star])
+    assert _all_floats([v for point in res.curve for v in point])
+    for server in (1, 2):
+        br = best_response(ex1_gamma, server, 1.0)
+        assert _all_floats([br.given_price, br.gamma_star, br.price_star,
+                            br.revenue_star, *br.stationary_points])
+    assert _all_floats([v for point in revenue_curve(ex1_gamma, 1.0, 17) for v in point])
+
+
+def test_grid_point_results_hold_python_floats(sat_power):
+    # here revenue peaks at the grid floor lam * P_MIN, so the grid point
+    # itself, not the golden-section refinement, becomes the result
+    res = optimize_monopoly(sat_power, 1.0)
+    assert res.gamma1_star == sat_power.lam * P_MIN
+    assert _all_floats([res.gamma1_star, res.c1_star, res.rt_star])
+    br = best_response(sat_power, 1, 0.5)
+    assert br.gamma_star == sat_power.lam * P_MIN
+    assert _all_floats([br.gamma_star, br.price_star, br.revenue_star, *br.stationary_points])
+
+
+def test_grid_argmax_ties_go_to_the_lowest_index():
+    _, _, i = grid_argmax(lambda x: np.minimum(x, 0.5), 0.0, 1.0, 11)
+    assert i == 5
+
+
+def test_active_loop_freezes_each_element_where_it_stopped():
+    # element j stops after iteration stop[j]; 0 marks one that never stops
+    rng = np.random.default_rng(7)
+    n, max_iter = 3 * _special._SIZE_STEP + 5, 40
+    stop = rng.integers(0, max_iter + 1, n)
+    sizes = []
+
+    def step(i, stop, count):
+        sizes.append(count.size)
+        count += 1.0
+        return stop == i
+
+    count = _special._active_loop((stop,), (np.zeros(n),), max_iter, step)[0]
+    np.testing.assert_array_equal(count, np.where(stop == 0, max_iter, stop))
+    assert all(m == n or m % _special._SIZE_STEP == 0 for m in sizes)
+    assert min(sizes) < n
+
+
+def test_golden_max_stops_on_the_relative_tolerance_at_large_arguments():
+    # at 1e8 adjacent doubles lie 1.5e-8 apart, wider than tol_arg = 1e-9;
+    # the bracket must still close by its tolerance, well before the cap
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -(x - 1.00000123e8) ** 2
+    x, _ = golden_max(f, 1e8, 1e8 + 2e4, tol_arg=1e-9)
+    assert x == pytest.approx(1.00000123e8, rel=1e-14)
+    assert len(calls) < 100
+
+
+def test_gamma_monopoly_scan_makes_no_per_point_quantile_calls(ex1_gamma, monkeypatch):
+    # tooling guard: the scan must stay on the array path. A per-point
+    # scan makes 4,128 scalar gamma_p_inverse calls here; the golden-section
+    # refinement and the reported price make about 32.
+    calls = []
+    scalar = _special.gamma_p_inverse
+
+    def counted(k, p):
+        calls.append(p)
+        return scalar(k, p)
+    monkeypatch.setattr(_special, "gamma_p_inverse", counted)
+    balanced_load.cache_clear()
+    optimize_monopoly(ex1_gamma, 1.0)
+    assert 0 < len(calls) <= 200
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _raise_timeout(signum, frame):
+    raise _Timeout
+
+
+def _scaled(s):
+    return SystemConfig(s, DelayModel.linear(s), DelayModel.linear(2.0 * s), Uniform(0.0, 1.0))
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_large_rates_finish_and_scale():
+    # with linear delays, scaling lam and both mu together leaves every
+    # price and every rate share unchanged; at lam = 1e8 adjacent doubles
+    # lie further apart than tol_arg = 1e-9, so that tolerance alone never
+    # closes a golden-section bracket
+    small, big = _scaled(1.0), _scaled(1e8)
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(20)
+    try:
+        start = time.perf_counter()
+        res = optimize_monopoly(big, 0.0)
+        elapsed = time.perf_counter() - start
+        brs = [best_response(big, server, 0.5) for server in (1, 2)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 2.0
+    ref = optimize_monopoly(small, 0.0)
+    assert res.gamma1_star / big.lam == pytest.approx(ref.gamma1_star, abs=1e-6)
+    assert res.c1_star == pytest.approx(ref.c1_star, abs=1e-6)
+    for server, br in zip((1, 2), brs):
+        ref_br = best_response(small, server, 0.5)
+        assert br.gamma_star / big.lam == pytest.approx(ref_br.gamma_star, abs=1e-6)
+        assert br.price_star == pytest.approx(ref_br.price_star, abs=1e-6)
