@@ -115,10 +115,24 @@ def grid_argmax(f, lo: float, hi: float, n: int):
     return xs, fs, int(np.argmax(fs))
 
 
+def refine_peak(f, xs, fs, i: int, tol_arg: float = 1e-9):
+    """Refine grid point i of a scan (xs, fs) by golden section on f over
+    the bracket of its grid neighbours; the grid point itself is kept when
+    it is strictly better. Returns (x, f(x), tol), floats, where tol is
+    the argument tolerance the refinement closed to (see :func:`_arg_tol`).
+    """
+    b_lo = float(xs[max(i - 1, 0)])
+    b_hi = float(xs[min(i + 1, len(xs) - 1)])
+    x, fx = golden_max(f, b_lo, b_hi, tol_arg)
+    if fs[i] > fx:
+        x, fx = float(xs[i]), float(fs[i])
+    return x, fx, _arg_tol(tol_arg, b_lo, b_hi)
+
+
 def local_maxima_scan(f_grid, f, lo: float, hi: float, n: int,
                       tol_arg: float = 1e-9):
-    """All interior local maxima of f on [lo, hi], each refined by golden
-    section on its grid bracket.
+    """All interior local maxima of f on [lo, hi], each refined by
+    :func:`refine_peak`.
 
     f_grid is the array form of f, used for the grid scan (see
     :func:`grid_argmax`); f is the scalar form, used for refinement.
@@ -131,12 +145,8 @@ def local_maxima_scan(f_grid, f, lo: float, hi: float, n: int,
     peak[:-1] &= fs[:-1] >= fs[1:]
     out = []
     for i in np.flatnonzero(peak).tolist():
-        b_lo = float(xs[max(i - 1, 0)])
-        b_hi = float(xs[min(i + 1, n - 1)])
-        x_ref, f_ref = golden_max(f, b_lo, b_hi, tol_arg)
-        if f_ref < fs[i]:
-            x_ref, f_ref = float(xs[i]), float(fs[i])
-        if out and abs(x_ref - out[-1][0]) < 10.0 * _arg_tol(tol_arg, b_lo, b_hi):
+        x_ref, f_ref, tol = refine_peak(f, xs, fs, i, tol_arg)
+        if out and abs(x_ref - out[-1][0]) < 10.0 * tol:
             if f_ref > out[-1][1]:
                 out[-1] = (x_ref, f_ref)
             continue

@@ -3,19 +3,20 @@
 Reads a JSON system config, dispatches to the solvers and estimators, and
 emits either a human-readable summary (4 significant digits) or a
 machine-readable CSV/JSON artifact (full double precision, '.' decimal,
-LF line endings). Identical invocations with identical seeds produce
-byte-identical machine output. Exit codes: 0 success, 2 config/validation
-problems, 3 runtime failures (degenerate measurements, missing roots,
-unstable simulations).
+LF line endings). Each handler returns a :class:`Result` and :func:`run`
+writes it in the requested format; a command's ``--format`` choices are
+the formats it can produce. Identical invocations with identical seeds
+produce byte-identical machine output. Exit codes: 0 success, 2
+config/validation problems and usage errors, 3 runtime failures
+(degenerate measurements, missing roots, unstable simulations).
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
-from . import estimation, models, monopoly, wardrop
+from . import _solve, estimation, models, monopoly, wardrop
 from . import duopoly as duopoly_mod
 from .errors import DomainError, QpkError, ValidationError
 from .models import P_MIN
@@ -31,20 +32,17 @@ class RunSpec:
     fmt: str = SUMMARY
     output: str = None  # None = stdout
     seed: int = 0
-    threads: int = 1
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("QPK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError([f"QPK_THREADS must be an integer, got {raw!r}"]) from exc
-    if n < 1:
-        raise ValidationError([f"QPK_THREADS must be at least 1, got {n}"])
-    return n
+@dataclass
+class Result:
+    """What a command produced, in each form it has: the JSON document,
+    the (key, value) pairs of the summary, and the CSV text. A form the
+    command lacks stays None."""
+
+    doc: object = None
+    pairs: list = None
+    csv: str = None
 
 
 def _load_config(path: str) -> models.SystemConfig:
@@ -99,56 +97,43 @@ def _make_oracle(spec: RunSpec, cfg):
 # --- command handlers --------------------------------------------------------
 
 
-def _cmd_equilibrium(spec: RunSpec) -> None:
+def _cmd_equilibrium(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     prices = wardrop.PriceVector(spec.params["c1"], spec.params["c2"])
     split = wardrop.solve_equilibrium(cfg, prices)
     r1, r2, rt = wardrop.revenue_rates(split, prices)
     doc = {"gamma1": split.gamma1, "gamma2": split.gamma2, "beta1": split.beta1,
            "regime": split.regime.name, "r1": r1, "r2": r2, "rt": rt}
-    if spec.fmt == JSON_FMT:
-        _emit(spec, _json_doc(doc))
-    elif spec.fmt == CSV_FMT:
-        keys = sorted(k for k in doc if k != "regime")
-        _emit(spec, _csv(keys, [[doc[k] for k in keys]]))
-    else:
-        _emit(spec, _summary(sorted(doc.items())))
+    keys = sorted(k for k in doc if k != "regime")
+    return Result(doc, sorted(doc.items()), _csv(keys, [[doc[k] for k in keys]]))
 
 
-def _cmd_monopoly(spec: RunSpec) -> None:
+def _cmd_monopoly(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     res = monopoly.optimize_monopoly(cfg, spec.params["c2"],
                                      grid_size=spec.params.get("grid", monopoly.DEFAULT_GRID))
     doc = {"gamma1_star": res.gamma1_star, "c1_star": res.c1_star,
            "rt_star": res.rt_star}
-    if spec.fmt == JSON_FMT:
-        _emit(spec, _json_doc(doc))
-    elif spec.fmt == CSV_FMT:
-        keys = sorted(doc)
-        _emit(spec, _csv(keys, [[doc[k] for k in keys]]))
-    else:
-        _emit(spec, _summary(sorted(doc.items())))
+    keys = sorted(doc)
+    return Result(doc, sorted(doc.items()), _csv(keys, [[doc[k] for k in keys]]))
 
 
-def _cmd_best_response(spec: RunSpec) -> None:
+def _cmd_best_response(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     br = duopoly_mod.best_response(cfg, spec.params["server"], spec.params["other_price"])
     doc = {"server": br.server, "given_price": br.given_price,
            "gamma_star": br.gamma_star, "price_star": br.price_star,
            "revenue_star": br.revenue_star,
            "stationary_points": list(br.stationary_points)}
-    if spec.fmt == JSON_FMT:
-        _emit(spec, _json_doc(doc))
-    else:
-        _emit(spec, _summary([
-            ("server", str(br.server)), ("given_price", br.given_price),
-            ("gamma_star", br.gamma_star), ("price_star", br.price_star),
-            ("revenue_star", br.revenue_star),
-            ("stationary_points", " ".join(_fmt4(p) for p in br.stationary_points)),
-        ]))
+    return Result(doc, [
+        ("server", str(br.server)), ("given_price", br.given_price),
+        ("gamma_star", br.gamma_star), ("price_star", br.price_star),
+        ("revenue_star", br.revenue_star),
+        ("stationary_points", " ".join(_fmt4(p) for p in br.stationary_points)),
+    ])
 
 
-def _cmd_nash(spec: RunSpec) -> None:
+def _cmd_nash(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     init = wardrop.PriceVector(spec.params.get("c1_init", 1.0),
                                spec.params.get("c2_init", 1.0))
@@ -158,56 +143,40 @@ def _cmd_nash(spec: RunSpec) -> None:
     doc = {"c1": out.prices.c1, "c2": out.prices.c2, "converged": out.converged,
            "iterations": out.iterations, "residual": out.residual,
            "symmetric_alpha": out.symmetric_alpha}
-    if spec.fmt == JSON_FMT:
-        _emit(spec, _json_doc(doc))
-    else:
-        _emit(spec, _summary([
-            ("c1", out.prices.c1), ("c2", out.prices.c2),
-            ("converged", str(out.converged).lower()),
-            ("iterations", str(out.iterations)), ("residual", out.residual),
-        ]))
+    return Result(doc, [
+        ("c1", out.prices.c1), ("c2", out.prices.c2),
+        ("converged", str(out.converged).lower()),
+        ("iterations", str(out.iterations)), ("residual", out.residual),
+    ])
 
 
-def _cmd_symmetric(spec: RunSpec) -> None:
+def _cmd_symmetric(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     a1, a2 = duopoly_mod.symmetric_alpha(cfg)
     verdict = duopoly_mod.check_symmetric_nash(cfg, tol=spec.params.get("tol", 1e-6))
     doc = {"alpha1": a1, "alpha2": a2, "verdict": verdict.value}
-    if spec.fmt == JSON_FMT:
-        _emit(spec, _json_doc(doc))
-    else:
-        _emit(spec, _summary([("alpha1", a1), ("alpha2", a2),
-                              ("verdict", verdict.value)]))
+    return Result(doc, [("alpha1", a1), ("alpha2", a2), ("verdict", verdict.value)])
 
 
-def _cmd_estimate_exp(spec: RunSpec) -> None:
+def _cmd_estimate_exp(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     oracle = _make_oracle(spec, cfg)
     fit = estimation.estimate_exponential(oracle, spec.params["c1"],
                                           spec.params["c2"], spec.params["delta"])
     doc = {"tau": fit.tau, "rate": fit.rate}
-    if spec.fmt == JSON_FMT:
-        _emit(spec, _json_doc(doc))
-    else:
-        _emit(spec, _summary(sorted(doc.items())))
+    return Result(doc, sorted(doc.items()))
 
 
-def _cmd_estimate_param(spec: RunSpec) -> None:
+def _cmd_estimate_param(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     oracle = _make_oracle(spec, cfg)
     fit = estimation.estimate_parametric(oracle, spec.params["family"],
                                          spec.params["c2"], spec.params["prices"])
-    doc = {"family": fit.family,
-           "params": dict(zip(estimation._FAMILY_PARAMS[fit.family], fit.params)),
+    params = list(zip(models.FAMILIES[fit.family].param_names(), fit.params))
+    doc = {"family": fit.family, "params": dict(params),
            "residual_norm": fit.residual_norm, "converged": fit.converged}
-    if spec.fmt == JSON_FMT:
-        _emit(spec, _json_doc(doc))
-    else:
-        pairs = [("family", fit.family)]
-        pairs += list(zip(estimation._FAMILY_PARAMS[fit.family], fit.params))
-        pairs += [("residual_norm", fit.residual_norm),
-                  ("converged", str(fit.converged).lower())]
-        _emit(spec, _summary(pairs))
+    return Result(doc, [("family", fit.family)] + params + [
+        ("residual_norm", fit.residual_norm), ("converged", str(fit.converged).lower())])
 
 
 class _LoggingOracle:
@@ -223,7 +192,7 @@ class _LoggingOracle:
         return m
 
 
-def _cmd_estimate_density(spec: RunSpec) -> None:
+def _cmd_estimate_density(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     oracle = _make_oracle(spec, cfg)
     log_path = spec.params.get("measurements")
@@ -235,19 +204,13 @@ def _cmd_estimate_density(spec: RunSpec) -> None:
     if log_path:
         with open(log_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(estimation.measurements_to_csv(oracle.log))
-    if spec.fmt == JSON_FMT:
-        _emit(spec, _json_doc({
-            "bins": [{"beta_lo": lo, "beta_hi": hi, "z": z} for lo, hi, z in est.bins],
-            "covered_mass": est.covered_mass,
-            "gaps": [{"c1_lo": a, "c1_hi": b} for a, b in est.gaps],
-        }))
-    elif spec.fmt == SUMMARY:
-        pairs = [("bins", str(len(est.bins))), ("covered_mass", est.covered_mass),
-                 ("z_min", min(z for _, _, z in est.bins)),
-                 ("z_max", max(z for _, _, z in est.bins))]
-        _emit(spec, _summary(pairs))
-    else:
-        _emit(spec, estimation.density_to_csv(est))
+    doc = {"bins": [{"beta_lo": lo, "beta_hi": hi, "z": z} for lo, hi, z in est.bins],
+           "covered_mass": est.covered_mass,
+           "gaps": [{"c1_lo": a, "c1_hi": b} for a, b in est.gaps]}
+    pairs = [("bins", str(len(est.bins))), ("covered_mass", est.covered_mass),
+             ("z_min", min(z for _, _, z in est.bins)),
+             ("z_max", max(z for _, _, z in est.bins))]
+    return Result(doc, pairs, estimation.density_to_csv(est))
 
 
 def _parse_classes(raw: str):
@@ -258,7 +221,7 @@ def _parse_classes(raw: str):
     return out
 
 
-def _cmd_discover_classes(spec: RunSpec) -> None:
+def _cmd_discover_classes(spec: RunSpec) -> Result:
     # The config supplies the two delay models; its sensitivity law is
     # replaced by the discrete classes under discovery, and the total rate
     # is the sum of the class rates.
@@ -268,30 +231,17 @@ def _cmd_discover_classes(spec: RunSpec) -> None:
     dc = estimation.discover_classes(
         oracle, lam=oracle.lam, delta=spec.params["delta"],
         eps=spec.params["eps"], c1_init=spec.params["c1_init"])
-    doc = estimation.classes_to_dict(dc)
-    if spec.fmt == SUMMARY:
-        pairs = [(f"class_{i + 1}", f"beta={_fmt4(b)} rate={_fmt4(r)}")
-                 for i, (b, r) in enumerate(dc.classes)]
-        pairs += [("complete", str(dc.complete).lower()),
-                  ("residual_rate", dc.residual_rate)]
-        _emit(spec, _summary(pairs))
-    else:
-        _emit(spec, _json_doc(doc))
+    pairs = [(f"class_{i + 1}", f"beta={_fmt4(b)} rate={_fmt4(r)}")
+             for i, (b, r) in enumerate(dc.classes)]
+    pairs += [("complete", str(dc.complete).lower()),
+              ("residual_rate", dc.residual_rate)]
+    return Result(estimation.classes_to_dict(dc), pairs)
 
 
 _CURVES = ("beta1", "g1", "g2", "revenue", "r1-and-c1")
 
 
-def _gamma_grid(cfg, n):
-    if cfg.dist.bounded and not cfg.saturation_ok:
-        lo, hi = 0.0, cfg.lam
-    else:
-        lo, hi = cfg.lam * P_MIN, cfg.lam * (1.0 - P_MIN)
-    step = (hi - lo) / (n - 1)
-    return [hi if i == n - 1 else lo + i * step for i in range(n)]
-
-
-def _cmd_sweep(spec: RunSpec) -> None:
+def _cmd_sweep(spec: RunSpec) -> Result:
     cfg = _load_config(spec.config_path)
     what = spec.params["what"]
     n = spec.params["n"]
@@ -300,50 +250,55 @@ def _cmd_sweep(spec: RunSpec) -> None:
     if what not in _CURVES:
         raise DomainError(f"unknown curve {what!r}; expected one of {_CURVES}")
 
-    if what == "beta1":
-        rows = [(g, wardrop.threshold_of_rate(cfg, g)) for g in _gamma_grid(cfg, n)]
-        _emit(spec, _csv(("gamma1", "beta1"), rows))
-    elif what == "g1":
-        rows = [(g, wardrop.price_gap_1(cfg, g)) for g in _gamma_grid(cfg, n)]
-        _emit(spec, _csv(("gamma1", "g1"), rows))
-    elif what == "g2":
-        rows = [(g, wardrop.price_gap_2(cfg, g)) for g in _gamma_grid(cfg, n)]
-        _emit(spec, _csv(("gamma2", "g2"), rows))
-    elif what == "revenue":
-        c2 = spec.params["c2"]
-        rows = monopoly.revenue_curve(cfg, c2, n)
-        _emit(spec, _csv(("gamma1", "revenue"), rows))
-    else:  # r1-and-c1
-        c2 = spec.params["c2"]
-        cap = wardrop.rate_cap_1(cfg, c2)
-        lo, hi = cfg.lam * P_MIN, cap * (1.0 - P_MIN)
-        step = (hi - lo) / (n - 1)
-        rows = []
-        for i in range(n):
-            g = hi if i == n - 1 else lo + i * step
-            gap = wardrop.price_gap_1(cfg, g)
-            rows.append((g, (gap + c2) * g, c2 + gap))
-        _emit(spec, _csv(("gamma1", "r1", "c1"), rows))
+    if what in ("beta1", "g1", "g2"):
+        rate, fn = {"beta1": ("gamma1", wardrop.threshold_of_rate),
+                    "g1": ("gamma1", wardrop.price_gap_1),
+                    "g2": ("gamma2", wardrop.price_gap_2)}[what]
+        grid = _solve.uniform_grid(*wardrop._root_bracket(cfg), n).tolist()
+        return Result(csv=_csv((rate, what), [(g, fn(cfg, g)) for g in grid]))
+    c2 = spec.params["c2"]
+    if what == "revenue":
+        return Result(csv=_csv(("gamma1", "revenue"), monopoly.revenue_curve(cfg, c2, n)))
+    cap = wardrop.rate_cap_1(cfg, c2)
+    rows = []
+    for g in _solve.uniform_grid(cfg.lam * P_MIN, cap * (1.0 - P_MIN), n).tolist():
+        gap = wardrop.price_gap_1(cfg, g)
+        rows.append((g, (gap + c2) * g, c2 + gap))
+    return Result(csv=_csv(("gamma1", "r1", "c1"), rows))
 
 
-_HANDLERS = {
-    "equilibrium": _cmd_equilibrium,
-    "monopoly": _cmd_monopoly,
-    "duopoly-best-response": _cmd_best_response,
-    "duopoly-nash": _cmd_nash,
-    "duopoly-symmetric": _cmd_symmetric,
-    "estimate-exp": _cmd_estimate_exp,
-    "estimate-param": _cmd_estimate_param,
-    "estimate-density": _cmd_estimate_density,
-    "discover-classes": _cmd_discover_classes,
-    "sweep": _cmd_sweep,
+# command -> (handler, the formats it can produce; the first is the default)
+_COMMANDS = {
+    "equilibrium": (_cmd_equilibrium, (SUMMARY, JSON_FMT, CSV_FMT)),
+    "monopoly": (_cmd_monopoly, (SUMMARY, JSON_FMT, CSV_FMT)),
+    "duopoly-best-response": (_cmd_best_response, (SUMMARY, JSON_FMT)),
+    "duopoly-nash": (_cmd_nash, (SUMMARY, JSON_FMT)),
+    "duopoly-symmetric": (_cmd_symmetric, (SUMMARY, JSON_FMT)),
+    "estimate-exp": (_cmd_estimate_exp, (SUMMARY, JSON_FMT)),
+    "estimate-param": (_cmd_estimate_param, (SUMMARY, JSON_FMT)),
+    "estimate-density": (_cmd_estimate_density, (CSV_FMT, JSON_FMT, SUMMARY)),
+    "discover-classes": (_cmd_discover_classes, (JSON_FMT, SUMMARY)),
+    "sweep": (_cmd_sweep, (CSV_FMT,)),
 }
 
 
+def _render(result: Result, fmt: str) -> str:
+    if fmt == JSON_FMT:
+        return _json_doc(result.doc)
+    if fmt == CSV_FMT:
+        return result.csv
+    return _summary(result.pairs)
+
+
 def run(spec: RunSpec) -> int:
-    """Execute one parsed command; returns the process exit status."""
+    """Execute one parsed command and write its output in spec.fmt;
+    returns the process exit status."""
     try:
-        _HANDLERS[spec.command](spec)
+        handler, formats = _COMMANDS[spec.command]
+        if spec.fmt not in formats:
+            raise ValidationError([f"{spec.command} cannot write {spec.fmt}; "
+                                   f"its formats are {', '.join(formats)}"])
+        _emit(spec, _render(handler(spec), spec.fmt))
         return 0
     except ValidationError as exc:
         for failure in exc.failures:
@@ -361,12 +316,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "estimation for a two-server queueing system.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_fmt=SUMMARY):
+    def command(name, summary):
+        formats = _COMMANDS[name][1]
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="path to a qpk/1 JSON config")
-        p.add_argument("--format", choices=(SUMMARY, JSON_FMT, CSV_FMT),
-                       default=default_fmt)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None, help="write the artifact here "
                        "instead of stdout")
+        return p
 
     def oracle_opts(p):
         p.add_argument("--oracle", choices=("exact", "noisy", "des"), default="exact")
@@ -376,53 +333,43 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="simulated time of the des oracle")
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("equilibrium", help="solve the split for a price pair")
-    common(p)
+    p = command("equilibrium", "solve the split for a price pair")
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--c2", type=float, required=True)
 
-    p = sub.add_parser("monopoly", help="revenue-optimal price for server 1")
-    common(p)
+    p = command("monopoly", "revenue-optimal price for server 1")
     p.add_argument("--c2", type=float, required=True)
     p.add_argument("--grid", type=int, default=monopoly.DEFAULT_GRID)
 
-    p = sub.add_parser("duopoly-best-response", help="one server's best response")
-    common(p)
+    p = command("duopoly-best-response", "one server's best response")
     p.add_argument("--server", type=int, choices=(1, 2), required=True)
     p.add_argument("--other-price", type=float, required=True)
 
-    p = sub.add_parser("duopoly-nash", help="alternating best-response search")
-    common(p)
+    p = command("duopoly-nash", "alternating best-response search")
     p.add_argument("--c1-init", type=float, default=1.0)
     p.add_argument("--c2-init", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--damping", type=float, default=1.0)
 
-    p = sub.add_parser("duopoly-symmetric",
-                       help="symmetric candidate price and its verdict")
-    common(p)
+    p = command("duopoly-symmetric", "symmetric candidate price and its verdict")
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("estimate-exp", help="fit an exponential sensitivity law")
-    common(p)
+    p = command("estimate-exp", "fit an exponential sensitivity law")
     oracle_opts(p)
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--c2", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
 
-    p = sub.add_parser("estimate-param", help="fit a parametric sensitivity law")
-    common(p)
+    p = command("estimate-param", "fit a parametric sensitivity law")
     oracle_opts(p)
     p.add_argument("--family", required=True,
-                   choices=tuple(sorted(estimation._FAMILY_PARAMS)))
+                   choices=tuple(sorted(models.FAMILIES)))
     p.add_argument("--c2", type=float, required=True)
     p.add_argument("--prices", required=True,
                    help="comma-separated strictly increasing c1 values")
 
-    p = sub.add_parser("estimate-density",
-                       help="piecewise-constant density from a price sweep")
-    common(p, default_fmt=CSV_FMT)
+    p = command("estimate-density", "piecewise-constant density from a price sweep")
     oracle_opts(p)
     p.add_argument("--c2", type=float, required=True)
     p.add_argument("--c1-start", type=float, required=True)
@@ -431,9 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", default=None,
                    help="also write the measurement log CSV here")
 
-    p = sub.add_parser("discover-classes",
-                       help="discover discrete sensitivity classes")
-    common(p, default_fmt=JSON_FMT)
+    p = command("discover-classes", "discover discrete sensitivity classes")
     p.add_argument("--classes", required=True,
                    help="beta:rate pairs, e.g. '4:1,2:1.5' (synthetic system)")
     p.add_argument("--delta", type=float, default=0.01)
@@ -441,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rate threshold; default 1e-3 * total rate")
     p.add_argument("--c1-init", type=float, required=True)
 
-    p = sub.add_parser("sweep", help="emit a plot-ready curve as CSV")
-    common(p, default_fmt=CSV_FMT)
+    p = command("sweep", "emit a plot-ready curve as CSV")
     p.add_argument("--what", required=True, choices=_CURVES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c2", type=float, default=None,
@@ -472,7 +416,6 @@ def _spec_from_args(args) -> RunSpec:
         fmt=args.format,
         output=args.output,
         seed=getattr(args, "seed", 0),
-        threads=_threads_from_env(),
     )
 
 

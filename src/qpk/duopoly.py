@@ -15,8 +15,7 @@ from ._solve import local_maxima_scan
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig, validate_config
 from .wardrop import (PriceVector, balanced_load, price_gap_1, price_gap_1_array,
-                      price_gap_1_deriv, price_gap_2, price_gap_2_array,
-                      price_gap_2_deriv, rate_cap_1, rate_cap_2)
+                      price_gap_1_deriv, price_gap_2_deriv, rate_cap_1)
 
 DEFAULT_GRID = 4096
 #: Relative revenue slack under which two local maxima count as tied;
@@ -64,17 +63,12 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     if other_price < 0.0:
         raise DomainError(f"other_price must be nonnegative, got {other_price}")
 
-    if server == 1:
-        cap = rate_cap_1(cfg, other_price)
-        gap, gaps = price_gap_1, price_gap_1_array
-    else:
-        cap = rate_cap_2(cfg, other_price)
-        gap, gaps = price_gap_2, price_gap_2_array
-
+    # server 2's problem is server 1's on the swapped system
+    own = (cfg, cfg.swapped())[server - 1]
     lo = cfg.lam * P_MIN
-    hi = cap * (1.0 - P_MIN)
-    candidates = local_maxima_scan(lambda g: (gaps(cfg, g) + other_price) * g,
-                                   lambda g: (gap(cfg, g) + other_price) * g,
+    hi = rate_cap_1(own, other_price) * (1.0 - P_MIN)
+    candidates = local_maxima_scan(lambda g: (price_gap_1_array(own, g) + other_price) * g,
+                                   lambda g: (price_gap_1(own, g) + other_price) * g,
                                    lo, hi, grid_size, tol_arg=1e-9)
     g_star, r_star = candidates[0]
     for g, r in candidates[1:]:
@@ -84,7 +78,7 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
         server=server,
         given_price=other_price,
         gamma_star=g_star,
-        price_star=gap(cfg, g_star) + other_price,
+        price_star=price_gap_1(own, g_star) + other_price,
         revenue_star=r_star,
         stationary_points=tuple(g for g, _ in candidates),
     )

@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from . import models
-from ._special import gamma_p, gamma_p_inverse
+from ._special import gamma_p_inverse
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      NoRootError, PreconditionError, StabilityError)
 from .models import DelayFamily, DelayModel, SystemConfig, validate_config
@@ -220,12 +220,11 @@ class DesOracle:
 
         window = horizon - warmup
         g_emp, d_emp = [], []
-        for server, mask in ((1, to_one), (2, ~to_one)):
+        for server, mask, mu in ((1, to_one, cfg.d1.mu), (2, ~to_one, cfg.d2.mu)):
             arr = arrivals[mask]
             if arr.size == 0:
                 raise InsufficientDataError(
                     f"server {server} received no arrivals within the horizon")
-            mu = cfg.d1.mu if server == 1 else cfg.d2.mu
             services = -np.log1p(-rng.random(arr.size)) / mu
             sojourn = _fcfs_departures(arr, services) - arr
             in_window = arr >= warmup
@@ -381,43 +380,6 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
     return ExponentialFit(tau=tau)
 
 
-_FAMILY_PARAMS = {
-    "uniform": ("a", "b"),
-    "exponential": ("tau",),
-    "gamma": ("k", "theta"),
-    "power": ("n", "b"),
-}
-
-
-def _family_cdf(family: str, params, x: float) -> float:
-    if family == "uniform":
-        a, b = params
-        if x <= a:
-            return 0.0
-        return min(1.0, (x - a) / (b - a))
-    if family == "exponential":
-        return -math.expm1(-x / params[0])
-    if family == "gamma":
-        k, theta = params
-        return gamma_p(k, x / theta)
-    if family == "power":
-        n, b = params
-        return min(1.0, (x / b) ** n)
-    raise DomainError(f"unknown family {family!r}")
-
-
-def _feasible(family: str, params, beta_max: float) -> bool:
-    if any(not math.isfinite(p) for p in params):
-        return False
-    if family == "uniform":
-        a, b = params
-        return 0.0 <= a < b and b > beta_max
-    if family == "power":
-        n, b = params
-        return n > 0.0 and b > beta_max
-    return all(p > 0.0 for p in params)
-
-
 def _initial_guesses(family: str, betas, levels, lam, gammas):
     """Documented starting points from the level identity F(beta_i) = p_i."""
     n = len(betas)
@@ -493,10 +455,12 @@ def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFi
     if hasattr(family, "__name__"):
         family = family.__name__
     family = str(family).lower()
-    if family not in _FAMILY_PARAMS:
+    if family not in models.FAMILIES:
         raise DomainError(f"unknown family {family!r}; "
-                          f"expected one of {sorted(_FAMILY_PARAMS)}")
-    n_params = len(_FAMILY_PARAMS[family])
+                          f"expected one of {sorted(models.FAMILIES)}")
+    law = models.FAMILIES[family]
+    names = law.param_names()
+    n_params = len(names)
     points = [float(p) for p in price_points]
     if len(points) < n_params + 1:
         raise DomainError(
@@ -521,16 +485,22 @@ def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFi
     beta_max = max(betas)
 
     def objective(params):
-        if not _feasible(family, params, beta_max):
+        try:
+            dist = law(*params)
+        except DomainError:
             return math.inf
-        ssq = (_family_cdf(family, params, betas[0]) - levels[0]) ** 2
+        # the law must cover every inferred threshold
+        lo, hi = dist.support
+        if not hi > beta_max:
+            return math.inf
+        fs = [models.cdf(dist, b) if b > lo else 0.0 for b in betas]
+        ssq = (fs[0] - levels[0]) ** 2
         for i, mass in enumerate(masses):
-            r = (_family_cdf(family, params, betas[i + 1])
-                 - _family_cdf(family, params, betas[i]) - mass)
+            r = fs[i + 1] - fs[i] - mass
             ssq += r * r
         return ssq
 
-    log_mask = [name != "a" for name in _FAMILY_PARAMS[family]]
+    log_mask = [name != "a" for name in names]
     best = None
     for guess in _initial_guesses(family, betas, levels, lam, gammas):
         steps0 = [0.25 if lm else 0.1 * max(1.0, abs(g))

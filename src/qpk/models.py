@@ -6,8 +6,9 @@ pure functions, so values can be shared freely across threads.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -104,6 +105,11 @@ def delay_deriv(model: DelayModel, gamma: float, saturation: bool = False) -> fl
 class SensitivityDistribution:
     """Law of the per-customer delay-cost coefficient.
 
+    Each family is a subclass with a ``family`` name, its key in
+    :data:`FAMILIES`, in JSON and in the parametric fitter. Its dataclass
+    fields are its parameters, in constructor order, and its
+    ``__post_init__`` raises DomainError outside their domain.
+
     Subclasses implement ``_cdf``/``_quantile``/``_density`` on the support
     interior; use the module-level :func:`cdf`, :func:`quantile`,
     :func:`quantile_array` and :func:`density` entry points, which own the
@@ -112,6 +118,12 @@ class SensitivityDistribution:
     defaults to ``_quantile``, which serves as is wherever the scalar
     formula is plain arithmetic.
     """
+
+    family: ClassVar[str]
+
+    @classmethod
+    def param_names(cls) -> tuple:
+        return tuple(f.name for f in fields(cls))
 
     @property
     def support(self) -> tuple:
@@ -136,6 +148,7 @@ class SensitivityDistribution:
 
 @dataclass(frozen=True)
 class Uniform(SensitivityDistribution):
+    family: ClassVar[str] = "uniform"
     a: float
     b: float
 
@@ -163,6 +176,7 @@ class Uniform(SensitivityDistribution):
 class Exponential(SensitivityDistribution):
     """Exponential law parameterized by its mean tau (rate is 1/tau)."""
 
+    family: ClassVar[str] = "exponential"
     tau: float
 
     def __post_init__(self):
@@ -190,6 +204,7 @@ class Exponential(SensitivityDistribution):
 class Gamma(SensitivityDistribution):
     """Gamma law with shape k and scale theta."""
 
+    family: ClassVar[str] = "gamma"
     k: float
     theta: float
 
@@ -226,6 +241,7 @@ class Gamma(SensitivityDistribution):
 class Power(SensitivityDistribution):
     """Power law with CDF (x/b)**n on [0, b]."""
 
+    family: ClassVar[str] = "power"
     n: float
     b: float
 
@@ -251,6 +267,10 @@ class Power(SensitivityDistribution):
         if x > self.b:
             return 0.0
         return self.n * x ** (self.n - 1.0) / self.b ** self.n
+
+
+#: Every sensitivity family by name.
+FAMILIES = {cls.family: cls for cls in (Uniform, Exponential, Gamma, Power)}
 
 
 def cdf(dist: SensitivityDistribution, x: float) -> float:
@@ -331,6 +351,18 @@ class SystemConfig:
     def identical_servers(self) -> bool:
         return self.d1 == self.d2
 
+    def swapped(self) -> "SystemConfig":
+        """The same system with the servers' labels exchanged.
+
+        Server 2's problem is server 1's problem on the swapped system, so
+        every server-2 function runs its server-1 twin on this. Identical
+        servers return self, which keeps cached per-config lookups
+        (``balanced_load``) hitting by identity.
+        """
+        if self.identical_servers():
+            return self
+        return replace(self, d1=self.d2, d2=self.d1)
+
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Return cfg unchanged if every regularity condition holds.
@@ -380,42 +412,27 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
 
 SCHEMA_ID = "qpk/1"
 
-_BETA_FIELDS = {
-    "uniform": ("a", "b"),
-    "exponential": ("tau",),
-    "gamma": ("k", "theta"),
-    "power": ("n", "b"),
-}
-
 
 def _dist_to_dict(dist: SensitivityDistribution) -> dict:
-    if isinstance(dist, Uniform):
-        return {"family": "uniform", "a": dist.a, "b": dist.b}
-    if isinstance(dist, Exponential):
-        return {"family": "exponential", "tau": dist.tau}
-    if isinstance(dist, Gamma):
-        return {"family": "gamma", "k": dist.k, "theta": dist.theta}
-    if isinstance(dist, Power):
-        return {"family": "power", "n": dist.n, "b": dist.b}
-    raise DomainError(f"unknown sensitivity distribution {dist!r}")
+    if type(dist) not in FAMILIES.values():
+        raise DomainError(f"unknown sensitivity distribution {dist!r}")
+    return {"family": dist.family, **asdict(dist)}
 
 
 def _dist_from_dict(obj: dict) -> SensitivityDistribution:
     family = obj.get("family")
-    if family not in _BETA_FIELDS:
-        raise ValidationError([f"beta.family must be one of {sorted(_BETA_FIELDS)}, "
+    if family not in FAMILIES:
+        raise ValidationError([f"beta.family must be one of {sorted(FAMILIES)}, "
                                f"got {family!r}"])
-    fields = _BETA_FIELDS[family]
-    unknown = set(obj) - set(fields) - {"family"}
+    law = FAMILIES[family]
+    names = law.param_names()
+    unknown = set(obj) - set(names) - {"family"}
     if unknown:
         raise ValidationError([f"unknown beta keys: {sorted(unknown)}"])
-    missing = [f for f in fields if f not in obj]
+    missing = [f for f in names if f not in obj]
     if missing:
         raise ValidationError([f"beta.{f} is required for family {family}" for f in missing])
-    args = [float(obj[f]) for f in fields]
-    ctor = {"uniform": Uniform, "exponential": Exponential,
-            "gamma": Gamma, "power": Power}[family]
-    return ctor(*args)
+    return law(*(float(obj[f]) for f in names))
 
 
 def _delay_from_dict(obj: dict, where: str) -> DelayModel:

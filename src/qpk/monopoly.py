@@ -9,7 +9,7 @@ refinement and the reported price use the scalar price_gap_1.
 
 from dataclasses import dataclass
 
-from ._solve import golden_max, grid_argmax, uniform_grid
+from ._solve import grid_argmax, refine_peak, uniform_grid
 from .errors import DomainError
 from .models import P_MIN, SystemConfig, validate_config
 from .wardrop import balanced_load, price_gap_1, price_gap_1_array
@@ -22,7 +22,6 @@ class MonopolyResult:
     gamma1_star: float
     c1_star: float
     rt_star: float
-    curve: tuple = None  # optional ((gamma1, RT), ...) samples
 
 
 def _gap_revenue(cfg: SystemConfig, gamma: float) -> float:
@@ -30,8 +29,7 @@ def _gap_revenue(cfg: SystemConfig, gamma: float) -> float:
 
 
 def optimize_monopoly(cfg: SystemConfig, c2: float,
-                      grid_size: int = DEFAULT_GRID,
-                      with_curve: bool = False) -> MonopolyResult:
+                      grid_size: int = DEFAULT_GRID) -> MonopolyResult:
     """Revenue-maximizing rate and price for server 1 given fixed c2 >= 0.
 
     Dense grid scan over [lam * P_MIN, gamma+] followed by golden-section
@@ -48,18 +46,11 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
     gp = balanced_load(cfg)
     lo = cfg.lam * P_MIN
     xs, hs, i = grid_argmax(lambda g: price_gap_1_array(cfg, g) * g, lo, gp, grid_size)
-    b_lo = float(xs[max(i - 1, 0)])
-    b_hi = float(xs[min(i + 1, grid_size - 1)])
-    g_star, h_star = golden_max(lambda g: _gap_revenue(cfg, g), b_lo, b_hi, tol_arg=1e-9)
-    if hs[i] > h_star:
-        g_star, h_star = float(xs[i]), float(hs[i])
-
-    curve = tuple(zip(xs.tolist(), (c2 * cfg.lam + hs).tolist())) if with_curve else None
+    g_star, h_star, _ = refine_peak(lambda g: _gap_revenue(cfg, g), xs, hs, i, tol_arg=1e-9)
     return MonopolyResult(
         gamma1_star=g_star,
         c1_star=c2 + price_gap_1(cfg, g_star),
         rt_star=c2 * cfg.lam + h_star,
-        curve=curve,
     )
 
 

@@ -3,9 +3,9 @@
 The central objects are the balanced load (the server-1 rate equalizing
 the two mean delays), the threshold map from an equilibrium rate to the
 sensitivity value splitting the customer population, and the price gap
-g_j that induces a given equilibrium rate. Everything downstream
-(monopoly and duopoly optimization, estimation oracles) is built from
-these.
+g_j that induces a given equilibrium rate. Each server-2 function is its
+server-1 twin on ``cfg.swapped()``. Everything downstream (monopoly and
+duopoly optimization, estimation oracles) is built from these.
 """
 
 import functools
@@ -139,26 +139,13 @@ def price_gap_1_array(cfg: SystemConfig, gamma1) -> np.ndarray:
     return beta
 
 
-def price_gap_2_array(cfg: SystemConfig, gamma2) -> np.ndarray:
-    """g2 elementwise over an array of rates, through the mirror
-    g2(x) = -g1(lam - x)."""
-    return -price_gap_1_array(cfg, cfg.lam - np.asarray(gamma2, dtype=float))
-
-
 def price_gap_2(cfg: SystemConfig, gamma2: float) -> float:
-    """g2(gamma2): the mirror gap c2 - c1 inducing rate gamma2 at server 2.
+    """g2(gamma2): the gap c2 - c1 inducing rate gamma2 at server 2.
 
-    Zero at lam - gamma+; evaluated via its own formula rather than the
-    identity g2(x) = -g1(lam - x), which the tests verify instead.
+    This is g1 on the swapped system rather than the mirror -g1(lam - x),
+    whose rounding in lam - (lam - x) would move the last digits.
     """
-    if not 0.0 <= gamma2 <= cfg.lam:
-        raise DomainError(f"gamma2 must lie in [0, {cfg.lam}], got {gamma2}")
-    delta_d = cfg.delay1(cfg.lam - gamma2) - cfg.delay2(gamma2)
-    if gamma2 == 0.0 or gamma2 == cfg.lam:
-        return cfg.dist.support[1] * delta_d
-    gp = balanced_load(cfg)
-    p = gamma2 / cfg.lam if gamma2 >= cfg.lam - gp else (cfg.lam - gamma2) / cfg.lam
-    return quantile(cfg.dist, p) * delta_d
+    return price_gap_1(cfg.swapped(), gamma2)
 
 
 def price_gap_1_deriv(cfg: SystemConfig, gamma1: float) -> float:
@@ -180,19 +167,8 @@ def price_gap_1_deriv(cfg: SystemConfig, gamma1: float) -> float:
 
 
 def price_gap_2_deriv(cfg: SystemConfig, gamma2: float) -> float:
-    """Analytic derivative of g2 on (0, lam); branch ties mirror g2's."""
-    if not 0.0 < gamma2 < cfg.lam:
-        raise DomainError(f"gamma2 must lie in (0, {cfg.lam}), got {gamma2}")
-    gp = balanced_load(cfg)
-    if gamma2 >= cfg.lam - gp:
-        p, sign = gamma2 / cfg.lam, 1.0
-    else:
-        p, sign = (cfg.lam - gamma2) / cfg.lam, -1.0
-    beta = quantile(cfg.dist, p)
-    beta_prime = sign / (cfg.lam * density(cfg.dist, beta))
-    delta_d = cfg.delay1(cfg.lam - gamma2) - cfg.delay2(gamma2)
-    delta_d_prime = -cfg.delay1_deriv(cfg.lam - gamma2) - cfg.delay2_deriv(gamma2)
-    return beta_prime * delta_d + beta * delta_d_prime
+    """Analytic derivative of g2 on (0, lam): g1's on the swapped system."""
+    return price_gap_1_deriv(cfg.swapped(), gamma2)
 
 
 def _root_bracket(cfg: SystemConfig) -> tuple:
@@ -221,16 +197,8 @@ def rate_cap_1(cfg: SystemConfig, c2: float, tol: Tolerances = DEFAULT_TOL) -> f
 
 
 def rate_cap_2(cfg: SystemConfig, c1: float, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Mirror of rate_cap_1 for server 2 given c1 >= 0."""
-    if c1 < 0.0:
-        raise DomainError(f"c1 must be nonnegative, got {c1}")
-    validate_config(cfg)
-    if c1 >= -price_gap_2(cfg, cfg.lam):
-        return cfg.lam
-    lo, hi = _root_bracket(cfg)
-    if -c1 <= price_gap_2(cfg, hi):
-        return hi
-    return bisect_decreasing(lambda g: price_gap_2(cfg, g), lo, hi, -c1, tol)
+    """Largest equilibrium rate server 2 can attract given c1 >= 0."""
+    return rate_cap_1(cfg.swapped(), c1, tol)
 
 
 def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
@@ -251,15 +219,8 @@ def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
 
 
 def price_of_rate_2(cfg: SystemConfig, c1: float, gamma2: float) -> float:
-    """Mirror of price_of_rate_1: c2 = c1 + g2(gamma2)."""
-    if gamma2 in (0.0, cfg.lam) and not cfg.dist.bounded:
-        raise DomainError(
-            f"price diverges at gamma2={gamma2} for an unbounded sensitivity law")
-    cap = rate_cap_2(cfg, c1)
-    if not 0.0 <= gamma2 <= cap * (1.0 + 1e-12):
-        raise DomainError(
-            f"gamma2={gamma2} exceeds the rate cap {cap} (price would be negative)")
-    return c1 + price_gap_2(cfg, gamma2)
+    """Admission price c2 = c1 + g2(gamma2) inducing rate gamma2 at server 2."""
+    return price_of_rate_1(cfg.swapped(), c1, gamma2)
 
 
 def choke_price_1(cfg: SystemConfig, c2: float) -> float:

@@ -74,6 +74,11 @@ def fig_threshold():
                         Exponential(20.0))
 
 
+#: Every worked-example fixture above, by name.
+FIXTURES = ["ex1_uniform", "ex1_expo", "ex1_gamma", "ex2_uniform", "ex2_expo",
+            "ex2_gamma", "ex3", "ex4", "sat_power", "fig_threshold"]
+
+
 def random_config(rng: random.Random, families=("uniform", "expo", "power", "gamma")):
     """A validated random config; delay models keep the gap conditions."""
     lam = rng.uniform(1.0, 6.0)

@@ -101,7 +101,7 @@ def test_price_gaps_array_match_scalar(name, request):
     assert np.any(xs < gp) and np.any(xs > gp)
     _assert_matches(wardrop.price_gap_1_array(cfg, xs),
                     _scalar(lambda x: wardrop.price_gap_1(cfg, x), xs))
-    _assert_matches(wardrop.price_gap_2_array(cfg, xs),
+    _assert_matches(wardrop.price_gap_1_array(cfg.swapped(), xs),
                     _scalar(lambda x: wardrop.price_gap_2(cfg, x), xs))
 
 
@@ -117,10 +117,9 @@ def test_price_gap_1_array_tie_takes_the_low_branch(fig_threshold):
 def test_price_gaps_array_at_bounded_endpoints(ex1_uniform):
     cfg = ex1_uniform
     ends = np.array([0.0, cfg.lam])
-    for arr, scalar in ((wardrop.price_gap_1_array, wardrop.price_gap_1),
-                        (wardrop.price_gap_2_array, wardrop.price_gap_2)):
-        np.testing.assert_allclose(arr(cfg, ends), _scalar(lambda x: scalar(cfg, x), ends),
-                                   rtol=RTOL, atol=0.0)
+    for own, scalar in ((cfg, wardrop.price_gap_1), (cfg.swapped(), wardrop.price_gap_2)):
+        np.testing.assert_allclose(wardrop.price_gap_1_array(own, ends),
+                                   _scalar(lambda x: scalar(cfg, x), ends), rtol=RTOL, atol=0.0)
 
 
 def test_price_gap_array_rejects_rates_outside_domain(ex1_uniform):
@@ -202,11 +201,11 @@ def test_best_response_scan_picks_the_scalar_grid_point(name, server, request):
     cfg = request.getfixturevalue(name)
     c = 1.5
     if server == 1:
-        cap, gap, gaps = rate_cap_1(cfg, c), wardrop.price_gap_1, wardrop.price_gap_1_array
+        cap, gap, own = rate_cap_1(cfg, c), wardrop.price_gap_1, cfg
     else:
-        cap, gap, gaps = rate_cap_2(cfg, c), wardrop.price_gap_2, wardrop.price_gap_2_array
+        cap, gap, own = rate_cap_2(cfg, c), wardrop.price_gap_2, cfg.swapped()
     lo, hi, n = cfg.lam * P_MIN, cap * (1.0 - P_MIN), 4096
-    _, _, i = grid_argmax(lambda g: (gaps(cfg, g) + c) * g, lo, hi, n)
+    _, _, i = grid_argmax(lambda g: (wardrop.price_gap_1_array(own, g) + c) * g, lo, hi, n)
     assert i == _scalar_scan_index(lambda g: (gap(cfg, g) + c) * g, lo, hi, n)
 
 
@@ -215,9 +214,8 @@ def _all_floats(values):
 
 
 def test_results_hold_python_floats(ex1_gamma):
-    res = optimize_monopoly(ex1_gamma, 1.0, with_curve=True)
+    res = optimize_monopoly(ex1_gamma, 1.0)
     assert _all_floats([res.gamma1_star, res.c1_star, res.rt_star])
-    assert _all_floats([v for point in res.curve for v in point])
     for server in (1, 2):
         br = best_response(ex1_gamma, server, 1.0)
         assert _all_floats([br.given_price, br.gamma_star, br.price_star,

@@ -248,13 +248,15 @@ def test_runtime_error_exits_3(ex1_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_qpk_threads_env(ex1_path, capsys, monkeypatch):
-    monkeypatch.setenv("QPK_THREADS", "4")
-    assert main(["monopoly", "--config", ex1_path, "--c2", "1",
-                 "--grid", "128"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("QPK_THREADS", "zero")
-    assert main(["monopoly", "--config", ex1_path, "--c2", "1"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["duopoly-nash", "--format", "csv"],
+    ["sweep", "--what", "g1", "--n", "5", "--format", "json"],
+])
+def test_format_a_command_lacks_is_a_usage_error(ex1_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", ex1_path] + argv[1:])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_unknown_command_is_parser_error(ex1_path):

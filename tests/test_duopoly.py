@@ -5,6 +5,7 @@ sensitivity laws is 1.5 * (4 ln 2) * 0.5 in the exponential case and 3 in
 the uniform case; brute-force grids confirm the optimizer output.
 """
 
+import dataclasses
 import math
 import random
 
@@ -16,7 +17,7 @@ from qpk import (DelayModel, DomainError, Exponential, NashVerdict,
                  balanced_load, best_response, check_symmetric_nash,
                  nash_iterate, price_gap_1, price_gap_2, price_gap_1_deriv,
                  rate_cap_1, rate_cap_2, symmetric_alpha)
-from conftest import random_config
+from conftest import FIXTURES, random_config
 
 
 # --- worked examples -----------------------------------------------------------
@@ -98,6 +99,17 @@ def test_best_response_server2(ex1_uniform):
     grid = np.linspace(1e-6, cap * (1 - 1e-9), 20_000)
     brute = max((price_gap_2(ex1_uniform, float(g)) + 1.0) * float(g) for g in grid)
     assert br.revenue_star >= brute - 1e-6
+
+
+def test_best_response_2_is_server_1_on_the_swapped_system(request):
+    rng = random.Random(17)
+    cfgs = [request.getfixturevalue(n) for n in FIXTURES] + [random_config(rng)
+                                                             for _ in range(12)]
+    for cfg in cfgs:
+        for c in (0.5, 2.0):
+            br = best_response(cfg, 2, c)
+            assert br.server == 2
+            assert dataclasses.replace(br, server=1) == best_response(cfg.swapped(), 1, c)
 
 
 def test_best_response_input_checks(ex1_uniform):

@@ -246,6 +246,41 @@ def test_config_json_round_trip_families(dist):
     assert config_from_json(config_to_json(cfg)) == cfg
 
 
+_CONFIG_TEXT = """{
+  "beta": {
+%s
+  },
+  "lambda": 2.0,
+  "saturation_ok": false,
+  "schema": "qpk/1",
+  "server1": {
+    "delay": {
+      "family": "linear",
+      "mu": 3.0
+    }
+  },
+  "server2": {
+    "delay": {
+      "family": "mm1",
+      "mu": 4.0
+    }
+  }
+}"""
+
+
+@pytest.mark.parametrize("dist, beta", [
+    (Uniform(2.0, 6.0), '"a": 2.0,\n"b": 6.0,\n"family": "uniform"'),
+    (Exponential(4.0), '"family": "exponential",\n"tau": 4.0'),
+    (Gamma(2.0, 0.5), '"family": "gamma",\n"k": 2.0,\n"theta": 0.5'),
+    (Power(2.0, 4.0), '"b": 4.0,\n"family": "power",\n"n": 2.0'),
+], ids=str)
+def test_config_json_text_is_pinned(dist, beta):
+    # a round trip alone would pass with a key renamed on both sides
+    cfg = SystemConfig(2.0, DelayModel.linear(3.0), DelayModel.mm1(4.0), dist)
+    want = _CONFIG_TEXT % "\n".join("    " + line for line in beta.split("\n"))
+    assert config_to_json(cfg) == want
+
+
 def test_config_json_rejects_unknown_keys():
     doc = config_to_json(SystemConfig(3.0, DelayModel.linear(3.3),
                                       DelayModel.linear(4.0), Uniform(2, 6)))
@@ -278,6 +313,16 @@ def test_config_json_validates_model():
     doc["lambda"] = 3.5  # mu1 = 3.3 <= lam now
     with pytest.raises(ValidationError):
         config_from_json(json.dumps(doc))
+
+
+def test_swapped_exchanges_the_servers(ex1_uniform, ex3, sat_power):
+    sw = ex1_uniform.swapped()
+    assert (sw.d1, sw.d2) == (ex1_uniform.d2, ex1_uniform.d1)
+    assert (sw.lam, sw.dist, sw.saturation_ok) == (3.0, ex1_uniform.dist, False)
+    assert sw.swapped() == ex1_uniform
+    # identical servers: the config itself, so cached lookups hit by identity
+    assert ex3.swapped() is ex3
+    assert sat_power.swapped() is sat_power
 
 
 def test_immutability():

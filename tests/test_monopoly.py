@@ -148,9 +148,3 @@ def test_revenue_curve_shape(ex1_uniform):
     assert abs(peak_gamma - 0.62) <= cell + 0.01
     with pytest.raises(DomainError):
         revenue_curve(ex1_uniform, c2, 1)
-
-
-def test_optional_curve_attachment(ex1_uniform):
-    res = optimize_monopoly(ex1_uniform, 1.0, grid_size=128, with_curve=True)
-    assert res.curve is not None and len(res.curve) == 128
-    assert optimize_monopoly(ex1_uniform, 1.0, grid_size=128).curve is None

@@ -18,7 +18,7 @@ from qpk import (DelayModel, DomainError, Exponential, PriceVector, Regime,
                  price_gap_2_deriv, price_of_rate_1, price_of_rate_2,
                  quantile, rate_cap_1, rate_cap_2, revenue_rates,
                  solve_equilibrium, threshold_of_rate)
-from conftest import random_config
+from conftest import FIXTURES, random_config
 
 
 # --- balanced load -----------------------------------------------------------
@@ -135,6 +135,38 @@ def test_price_gap_2_mirror_identity(ex1_uniform):
     for g in np.linspace(0.05, 2.95, 59):
         assert price_gap_2(ex1_uniform, float(g)) == pytest.approx(
             -price_gap_1(ex1_uniform, float(3.0 - g)), rel=1e-9, abs=1e-12)
+
+
+def test_server_2_functions_are_server_1_on_the_swapped_system(request):
+    rng = random.Random(31)
+    cfgs = [request.getfixturevalue(n) for n in FIXTURES] + [random_config(rng)
+                                                             for _ in range(20)]
+    for cfg in cfgs:
+        sw = cfg.swapped()
+        ties = [balanced_load(cfg), balanced_load(sw), cfg.lam - balanced_load(cfg)]
+        inner = [float(g) for g in np.linspace(0.0, cfg.lam, 41)[1:-1]] + ties
+        for g in [0.0, cfg.lam] + inner:
+            assert price_gap_2(cfg, g) == price_gap_1(sw, g)
+        for g in inner:
+            assert price_gap_2_deriv(cfg, g) == price_gap_1_deriv(sw, g)
+        for c in (0.0, 0.5, 2.0, 50.0):
+            cap = rate_cap_2(cfg, c)
+            assert cap == rate_cap_1(sw, c)
+            for g in (0.3 * cap, 0.9 * cap):
+                assert price_of_rate_2(cfg, c, g) == price_of_rate_1(sw, c, g)
+
+
+def test_gap_derivatives_take_the_low_rate_branch_at_the_kink(fig_threshold):
+    # for non-identical servers g_j has a kink at server j's balanced load;
+    # there each derivative is the left-sided one, on the low-rate branch
+    cfg = fig_threshold
+    h = 1e-7 * cfg.lam
+    for gap, deriv, x in ((price_gap_1, price_gap_1_deriv, balanced_load(cfg)),
+                          (price_gap_2, price_gap_2_deriv, balanced_load(cfg.swapped()))):
+        left = (gap(cfg, x) - gap(cfg, x - h)) / h
+        right = (gap(cfg, x + h) - gap(cfg, x)) / h
+        assert abs(left - right) > 0.1 * abs(left)
+        assert deriv(cfg, x) == pytest.approx(left, rel=1e-5)
 
 
 def test_price_gaps_agree_for_identical_servers(ex3):
