@@ -9,7 +9,6 @@ monopoly and duopoly settings, and nonparametric / parametric estimates
 of the coefficient distribution from price sweeps.
 """
 
-from ._solve import Tolerances
 from .duopoly import (BestResponse, NashOutcome, NashVerdict, best_response,
                       check_symmetric_nash, nash_iterate, symmetric_alpha)
 from .errors import (ConfigError, DegenerateError, DomainError,
@@ -43,7 +42,7 @@ __all__ = [
     "NashVerdict", "NoRootError", "ParametricFit", "Power",
     "PreconditionError", "PriceVector", "QpkError", "Regime",
     "SensitivityDistribution", "StabilityError", "SystemConfig",
-    "Tolerances", "Uniform", "ValidationError", "balanced_load",
+    "Uniform", "ValidationError", "balanced_load",
     "best_response", "cdf", "check_symmetric_nash", "choke_price_1",
     "config_from_json", "config_to_json", "delay_deriv", "delay_eval",
     "density", "des_oracle", "discover_classes", "discrete_class_oracle",

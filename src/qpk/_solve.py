@@ -6,7 +6,6 @@ call; root finding and golden-section refinement take scalar functions.
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,26 +15,20 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = sys.float_info.epsilon
 _GOLDEN_MAX_ITER = 200
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Solver tolerances; defaults leave ~4 digits of headroom over the
-    2-3 decimals the reproduced tables report."""
-
-    residual: float = 1e-10
-    argument: float = 1e-12
-    max_iter: int = 200
+# bisection tolerances; they leave ~4 digits of headroom over the 2-3
+# decimals the reproduced tables report
+_BISECT_RESIDUAL = 1e-10
+_BISECT_ARGUMENT = 1e-12
+_BISECT_MAX_ITER = 200
 
 
-DEFAULT_TOL = Tolerances()
-
-
-def bisect_decreasing(f, lo: float, hi: float, target: float = 0.0,
-                      tol: Tolerances = DEFAULT_TOL) -> float:
+def bisect_decreasing(f, lo: float, hi: float, target: float = 0.0) -> float:
     """Root of f(x) = target for f strictly decreasing on [lo, hi].
 
-    Endpoint values may be +/-inf. Raises NoRootError when the bracket
-    does not straddle the target.
+    Stops once |f(x) - target| < 1e-10 * max(1, |target|), the bracket is
+    narrower than 1e-12, or after 200 halvings. Endpoint values may be
+    +/-inf. Raises NoRootError when the bracket does not straddle the
+    target.
     """
     f_lo = f(lo) - target
     if f_lo == 0.0:
@@ -47,10 +40,10 @@ def bisect_decreasing(f, lo: float, hi: float, target: float = 0.0,
         raise NoRootError(
             f"no sign change in [{lo}, {hi}] for target {target}")
     scale = max(1.0, abs(target))
-    for _ in range(tol.max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         val = f(mid) - target
-        if abs(val) < tol.residual * scale or (hi - lo) < tol.argument:
+        if abs(val) < _BISECT_RESIDUAL * scale or (hi - lo) < _BISECT_ARGUMENT:
             return mid
         if val > 0.0:
             lo = mid

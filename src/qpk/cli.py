@@ -3,18 +3,20 @@
 Reads a JSON system config, dispatches to the solvers and estimators, and
 emits either a human-readable summary (4 significant digits) or a
 machine-readable CSV/JSON artifact (full double precision, '.' decimal,
-LF line endings). Each handler returns a :class:`Result` and :func:`run`
-writes it in the requested format; a command's ``--format`` choices are
-the formats it can produce. Identical invocations with identical seeds
-produce byte-identical machine output. Exit codes: 0 success, 2
-config/validation problems and usage errors, 3 runtime failures
-(degenerate measurements, missing roots, unstable simulations).
+LF line endings). :func:`_build_parser` is the one place that declares
+an option and its default; each handler runs on the parsed namespace and
+returns a :class:`Result`, which :func:`run` writes in the requested
+format. A command's ``--format`` choices are the formats it can produce.
+Identical invocations with identical seeds produce byte-identical machine
+output. Exit codes: 0 success, 2 config/validation problems and usage
+errors, 3 runtime failures (degenerate measurements, missing roots,
+unstable simulations).
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _solve, estimation, models, monopoly, wardrop
 from . import duopoly as duopoly_mod
@@ -22,16 +24,6 @@ from .errors import DomainError, QpkError, ValidationError
 from .models import P_MIN
 
 SUMMARY, JSON_FMT, CSV_FMT = "summary", "json", "csv"
-
-
-@dataclass
-class RunSpec:
-    command: str
-    config_path: str
-    params: dict = field(default_factory=dict)
-    fmt: str = SUMMARY
-    output: str = None  # None = stdout
-    seed: int = 0
 
 
 @dataclass
@@ -54,9 +46,9 @@ def _load_config(path: str) -> models.SystemConfig:
     return models.config_from_json(text)
 
 
-def _emit(spec: RunSpec, text: str) -> None:
-    if spec.output:
-        with open(spec.output, "w", encoding="utf-8", newline="") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -82,24 +74,21 @@ def _summary(pairs) -> str:
                    for k, v in pairs)
 
 
-def _make_oracle(spec: RunSpec, cfg):
-    kind = spec.params.get("oracle", "exact")
+def _make_oracle(args: argparse.Namespace, cfg):
     base = estimation.exact_oracle(cfg)
-    if kind == "exact":
+    if args.oracle == "exact":
         return base
-    if kind == "noisy":
-        return estimation.noisy_oracle(base, spec.params.get("noise", 0.01), spec.seed)
-    if kind == "des":
-        return estimation.des_oracle(cfg, spec.params.get("horizon", 10000.0), spec.seed)
-    raise ValidationError([f"unknown oracle {kind!r}; expected exact, noisy or des"])
+    if args.oracle == "noisy":
+        return estimation.noisy_oracle(base, args.noise, args.seed)
+    return estimation.des_oracle(cfg, args.horizon, args.seed)
 
 
 # --- command handlers --------------------------------------------------------
 
 
-def _cmd_equilibrium(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
-    prices = wardrop.PriceVector(spec.params["c1"], spec.params["c2"])
+def _cmd_equilibrium(args: argparse.Namespace) -> Result:
+    cfg = _load_config(args.config)
+    prices = wardrop.PriceVector(args.c1, args.c2)
     split = wardrop.solve_equilibrium(cfg, prices)
     r1, r2, rt = wardrop.revenue_rates(split, prices)
     doc = {"gamma1": split.gamma1, "gamma2": split.gamma2, "beta1": split.beta1,
@@ -108,19 +97,18 @@ def _cmd_equilibrium(spec: RunSpec) -> Result:
     return Result(doc, sorted(doc.items()), _csv(keys, [[doc[k] for k in keys]]))
 
 
-def _cmd_monopoly(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
-    res = monopoly.optimize_monopoly(cfg, spec.params["c2"],
-                                     grid_size=spec.params.get("grid", monopoly.DEFAULT_GRID))
+def _cmd_monopoly(args: argparse.Namespace) -> Result:
+    cfg = _load_config(args.config)
+    res = monopoly.optimize_monopoly(cfg, args.c2, grid_size=args.grid)
     doc = {"gamma1_star": res.gamma1_star, "c1_star": res.c1_star,
            "rt_star": res.rt_star}
     keys = sorted(doc)
     return Result(doc, sorted(doc.items()), _csv(keys, [[doc[k] for k in keys]]))
 
 
-def _cmd_best_response(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
-    br = duopoly_mod.best_response(cfg, spec.params["server"], spec.params["other_price"])
+def _cmd_best_response(args: argparse.Namespace) -> Result:
+    cfg = _load_config(args.config)
+    br = duopoly_mod.best_response(cfg, args.server, args.other_price)
     doc = {"server": br.server, "given_price": br.given_price,
            "gamma_star": br.gamma_star, "price_star": br.price_star,
            "revenue_star": br.revenue_star,
@@ -133,13 +121,11 @@ def _cmd_best_response(spec: RunSpec) -> Result:
     ])
 
 
-def _cmd_nash(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
-    init = wardrop.PriceVector(spec.params.get("c1_init", 1.0),
-                               spec.params.get("c2_init", 1.0))
-    out = duopoly_mod.nash_iterate(cfg, init, tol=spec.params.get("tol", 1e-6),
-                                   max_iter=spec.params.get("max_iter", 100),
-                                   damping=spec.params.get("damping", 1.0))
+def _cmd_nash(args: argparse.Namespace) -> Result:
+    cfg = _load_config(args.config)
+    init = wardrop.PriceVector(args.c1_init, args.c2_init)
+    out = duopoly_mod.nash_iterate(cfg, init, tol=args.tol, max_iter=args.max_iter,
+                                   damping=args.damping)
     doc = {"c1": out.prices.c1, "c2": out.prices.c2, "converged": out.converged,
            "iterations": out.iterations, "residual": out.residual,
            "symmetric_alpha": out.symmetric_alpha}
@@ -150,28 +136,32 @@ def _cmd_nash(spec: RunSpec) -> Result:
     ])
 
 
-def _cmd_symmetric(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
+def _cmd_symmetric(args: argparse.Namespace) -> Result:
+    cfg = _load_config(args.config)
     a1, a2 = duopoly_mod.symmetric_alpha(cfg)
-    verdict = duopoly_mod.check_symmetric_nash(cfg, tol=spec.params.get("tol", 1e-6))
+    verdict = duopoly_mod.check_symmetric_nash(cfg, tol=args.tol)
     doc = {"alpha1": a1, "alpha2": a2, "verdict": verdict.value}
     return Result(doc, [("alpha1", a1), ("alpha2", a2), ("verdict", verdict.value)])
 
 
-def _cmd_estimate_exp(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
-    oracle = _make_oracle(spec, cfg)
-    fit = estimation.estimate_exponential(oracle, spec.params["c1"],
-                                          spec.params["c2"], spec.params["delta"])
+def _cmd_estimate_exp(args: argparse.Namespace) -> Result:
+    cfg = _load_config(args.config)
+    oracle = _make_oracle(args, cfg)
+    fit = estimation.estimate_exponential(oracle, args.c1, args.c2, args.delta)
     doc = {"tau": fit.tau, "rate": fit.rate}
     return Result(doc, sorted(doc.items()))
 
 
-def _cmd_estimate_param(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
-    oracle = _make_oracle(spec, cfg)
-    fit = estimation.estimate_parametric(oracle, spec.params["family"],
-                                         spec.params["c2"], spec.params["prices"])
+def _cmd_estimate_param(args: argparse.Namespace) -> Result:
+    # parsed here rather than by an argparse type=, whose usage error
+    # would read differently
+    try:
+        prices = [float(x) for x in args.prices.split(",")]
+    except ValueError as exc:
+        raise ValidationError([f"cannot parse --prices: {exc}"]) from exc
+    cfg = _load_config(args.config)
+    oracle = _make_oracle(args, cfg)
+    fit = estimation.estimate_parametric(oracle, args.family, args.c2, prices)
     params = list(zip(models.FAMILIES[fit.family].param_names(), fit.params))
     doc = {"family": fit.family, "params": dict(params),
            "residual_norm": fit.residual_norm, "converged": fit.converged}
@@ -192,25 +182,25 @@ class _LoggingOracle:
         return m
 
 
-def _cmd_estimate_density(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
-    oracle = _make_oracle(spec, cfg)
-    log_path = spec.params.get("measurements")
-    if log_path:
+def _cmd_estimate_density(args: argparse.Namespace) -> Result:
+    cfg = _load_config(args.config)
+    oracle = _make_oracle(args, cfg)
+    if args.measurements:
         oracle = _LoggingOracle(oracle)
-    est = estimation.estimate_density(oracle, spec.params["c2"],
-                                      spec.params["c1_start"],
-                                      spec.params["delta"], spec.params["steps"])
-    if log_path:
-        with open(log_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(estimation.measurements_to_csv(oracle.log))
+    est = estimation.estimate_density(oracle, args.c2, args.c1_start, args.delta,
+                                      args.steps)
+    if args.measurements:
+        with open(args.measurements, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_csv(("c1", "c2", "gamma1", "gamma2", "d1", "d2"),
+                          [(m.c1, m.c2, m.gamma1, m.gamma2, m.d1, m.d2)
+                           for m in oracle.log]))
     doc = {"bins": [{"beta_lo": lo, "beta_hi": hi, "z": z} for lo, hi, z in est.bins],
            "covered_mass": est.covered_mass,
            "gaps": [{"c1_lo": a, "c1_hi": b} for a, b in est.gaps]}
     pairs = [("bins", str(len(est.bins))), ("covered_mass", est.covered_mass),
              ("z_min", min(z for _, _, z in est.bins)),
              ("z_max", max(z for _, _, z in est.bins))]
-    return Result(doc, pairs, estimation.density_to_csv(est))
+    return Result(doc, pairs, _csv(("beta_lo", "beta_hi", "z"), est.bins))
 
 
 def _parse_classes(raw: str):
@@ -221,34 +211,38 @@ def _parse_classes(raw: str):
     return out
 
 
-def _cmd_discover_classes(spec: RunSpec) -> Result:
+def _cmd_discover_classes(args: argparse.Namespace) -> Result:
     # The config supplies the two delay models; its sensitivity law is
     # replaced by the discrete classes under discovery, and the total rate
     # is the sum of the class rates.
-    cfg = _load_config(spec.config_path)
-    classes = _parse_classes(spec.params["classes"])
-    oracle = estimation.discrete_class_oracle(classes, cfg.d1, cfg.d2)
-    dc = estimation.discover_classes(
-        oracle, lam=oracle.lam, delta=spec.params["delta"],
-        eps=spec.params["eps"], c1_init=spec.params["c1_init"])
+    eps = args.eps
+    if eps is None:
+        # the class rates in input order; oracle.lam sums them sorted,
+        # which can differ in the last bit
+        eps = 1e-3 * sum(r for _, r in _parse_classes(args.classes))
+    cfg = _load_config(args.config)
+    oracle = estimation.discrete_class_oracle(_parse_classes(args.classes), cfg.d1, cfg.d2)
+    dc = estimation.discover_classes(oracle, lam=oracle.lam, delta=args.delta, eps=eps,
+                                     c1_init=args.c1_init)
     pairs = [(f"class_{i + 1}", f"beta={_fmt4(b)} rate={_fmt4(r)}")
              for i, (b, r) in enumerate(dc.classes)]
     pairs += [("complete", str(dc.complete).lower()),
               ("residual_rate", dc.residual_rate)]
-    return Result(estimation.classes_to_dict(dc), pairs)
+    doc = {"classes": [{"beta": b, "rate": r} for b, r in dc.classes],
+           "complete": dc.complete, "residual_rate": dc.residual_rate}
+    return Result(doc, pairs)
 
 
 _CURVES = ("beta1", "g1", "g2", "revenue", "r1-and-c1")
 
 
-def _cmd_sweep(spec: RunSpec) -> Result:
-    cfg = _load_config(spec.config_path)
-    what = spec.params["what"]
-    n = spec.params["n"]
+def _cmd_sweep(args: argparse.Namespace) -> Result:
+    what, n, c2 = args.what, args.n, args.c2
+    if what in ("revenue", "r1-and-c1") and c2 is None:
+        raise ValidationError([f"--c2 is required for the {what} curve"])
+    cfg = _load_config(args.config)
     if n < 2:
         raise DomainError(f"sweep needs n >= 2, got {n}")
-    if what not in _CURVES:
-        raise DomainError(f"unknown curve {what!r}; expected one of {_CURVES}")
 
     if what in ("beta1", "g1", "g2"):
         rate, fn = {"beta1": ("gamma1", wardrop.threshold_of_rate),
@@ -256,7 +250,6 @@ def _cmd_sweep(spec: RunSpec) -> Result:
                     "g2": ("gamma2", wardrop.price_gap_2)}[what]
         grid = _solve.uniform_grid(*wardrop._root_bracket(cfg), n).tolist()
         return Result(csv=_csv((rate, what), [(g, fn(cfg, g)) for g in grid]))
-    c2 = spec.params["c2"]
     if what == "revenue":
         return Result(csv=_csv(("gamma1", "revenue"), monopoly.revenue_curve(cfg, c2, n)))
     cap = wardrop.rate_cap_1(cfg, c2)
@@ -290,15 +283,12 @@ def _render(result: Result, fmt: str) -> str:
     return _summary(result.pairs)
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one parsed command and write its output in spec.fmt;
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command and write its output in args.format;
     returns the process exit status."""
     try:
-        handler, formats = _COMMANDS[spec.command]
-        if spec.fmt not in formats:
-            raise ValidationError([f"{spec.command} cannot write {spec.fmt}; "
-                                   f"its formats are {', '.join(formats)}"])
-        _emit(spec, _render(handler(spec), spec.fmt))
+        handler = _COMMANDS[args.command][0]
+        _emit(args, _render(handler(args), args.format))
         return 0
     except ValidationError as exc:
         for failure in exc.failures:
@@ -395,40 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args) -> RunSpec:
-    skip = {"command", "config", "format", "output", "seed"}
-    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    if args.command in ("sweep",) and args.what in ("revenue", "r1-and-c1") \
-            and "c2" not in params:
-        raise ValidationError([f"--c2 is required for the {args.what} curve"])
-    if args.command == "estimate-param":
-        try:
-            params["prices"] = [float(x) for x in params["prices"].split(",")]
-        except ValueError as exc:
-            raise ValidationError([f"cannot parse --prices: {exc}"]) from exc
-    if args.command == "discover-classes" and params.get("eps") is None:
-        total = sum(r for _, r in _parse_classes(params["classes"]))
-        params["eps"] = 1e-3 * total
-    return RunSpec(
-        command=args.command,
-        config_path=args.config,
-        params=params,
-        fmt=args.format,
-        output=args.output,
-        seed=getattr(args, "seed", 0),
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        spec = _spec_from_args(args)
-    except ValidationError as exc:
-        for failure in exc.failures:
-            print(f"error: {failure}", file=sys.stderr)
-        return 2
-    return run(spec)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from ._solve import local_maxima_scan
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig, validate_config
 from .wardrop import (PriceVector, balanced_load, price_gap_1, price_gap_1_array,
-                      price_gap_1_deriv, price_gap_2_deriv, rate_cap_1)
+                      price_gap_1_deriv, rate_cap_1)
 
 DEFAULT_GRID = 4096
 #: Relative revenue slack under which two local maxima count as tied;
@@ -85,18 +85,23 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
 
 
 def symmetric_alpha(cfg: SystemConfig) -> tuple:
-    """(alpha1, alpha2) with alpha_j = -gamma+ * dg_j/dgamma at gamma+.
+    """(alpha1, alpha2) with alpha_j = -gamma_j+ * dg_j/dgamma at gamma_j+,
+    server j's own balanced load (server 2's is gamma+ of the swapped
+    system).
 
     Uses the analytic one-sided derivative (low-rate branch at the
-    balanced load, where the delay-gap factor vanishes for g1). Intended
-    for identical servers, where alpha1 == alpha2; computed for any
+    balanced load, where the delay-gap factor vanishes). Intended for
+    identical servers, where alpha1 == alpha2; computed for any
     validated config.
     """
     validate_config(cfg)
-    gp = balanced_load(cfg)
-    alpha1 = -gp * price_gap_1_deriv(cfg, gp)
-    alpha2 = -gp * price_gap_2_deriv(cfg, gp)
-    return alpha1, alpha2
+
+    def server_1_alpha(c):
+        gp = balanced_load(c)
+        return -gp * price_gap_1_deriv(c, gp)
+
+    # server 2's candidate is server 1's on the swapped system
+    return server_1_alpha(cfg), server_1_alpha(cfg.swapped())
 
 
 def check_symmetric_nash(cfg: SystemConfig, tol: float = 1e-6) -> NashVerdict:

@@ -15,7 +15,6 @@ from typing import Protocol
 import numpy as np
 
 from . import models
-from ._special import gamma_p_inverse
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      NoRootError, PreconditionError, StabilityError)
 from .models import DelayFamily, DelayModel, SystemConfig, validate_config
@@ -380,43 +379,6 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
     return ExponentialFit(tau=tau)
 
 
-def _initial_guesses(family: str, betas, levels, lam, gammas):
-    """Documented starting points from the level identity F(beta_i) = p_i."""
-    n = len(betas)
-    if family == "exponential":
-        taus = [betas[i] / math.log(lam / gammas[i]) for i in range(n)]
-        return [(sum(taus) / n,)]
-    if family == "uniform":
-        # least-squares line beta = a + (b - a) * p
-        p_mean = sum(levels) / n
-        b_mean = sum(betas) / n
-        var = sum((p - p_mean) ** 2 for p in levels)
-        if var < 1e-20:
-            span = max(betas) - min(betas) + 1.0
-            return [(max(0.0, min(betas) - span), max(betas) + span)]
-        slope = sum((levels[i] - p_mean) * (betas[i] - b_mean) for i in range(n)) / var
-        a0 = b_mean - slope * p_mean
-        return [(max(0.0, a0), max(a0 + slope, max(betas) * (1.0 + 1e-6)))]
-    if family == "power":
-        lx = [math.log(b) for b in betas]
-        ly = [math.log(p) for p in levels]
-        x_mean, y_mean = sum(lx) / n, sum(ly) / n
-        var = sum((x - x_mean) ** 2 for x in lx)
-        slope = (sum((lx[i] - x_mean) * (ly[i] - y_mean) for i in range(n)) / var
-                 if var > 1e-20 else 1.0)
-        n0 = max(slope, 1e-3)
-        b0 = math.exp(x_mean - y_mean / n0)
-        return [(n0, max(b0, max(betas) * (1.0 + 1e-6)))]
-    if family == "gamma":
-        # one start per shape, scale chosen to match the first level exactly
-        guesses = []
-        for k in (0.5, 1.0, 2.0, 4.0, 8.0):
-            theta = betas[0] / gamma_p_inverse(k, levels[0])
-            guesses.append((k, theta))
-        return guesses
-    raise DomainError(f"unknown family {family!r}")
-
-
 def _compass_minimize(objective, x0, log_mask, steps0, max_iter=600, step_tol=1e-11):
     """Derivative-free coordinate (compass) search with shrinking steps."""
     x = list(x0)
@@ -502,7 +464,7 @@ def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFi
 
     log_mask = [name != "a" for name in names]
     best = None
-    for guess in _initial_guesses(family, betas, levels, lam, gammas):
+    for guess in law.initial_guesses(betas, levels, lam, gammas):
         steps0 = [0.25 if lm else 0.1 * max(1.0, abs(g))
                   for g, lm in zip(guess, log_mask)]
         x, fx, ok = _compass_minimize(objective, guess, log_mask, steps0)
@@ -629,29 +591,3 @@ def discover_classes(oracle, lam: float, delta: float, eps: float,
         complete=complete,
         residual_rate=residual,
     )
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def measurements_to_csv(measurements) -> str:
-    """Measurement log in the sweep-table layout, full double precision."""
-    lines = ["c1,c2,gamma1,gamma2,d1,d2"]
-    for m in measurements:
-        lines.append(f"{m.c1!r},{m.c2!r},{m.gamma1!r},{m.gamma2!r},{m.d1!r},{m.d2!r}")
-    return "\n".join(lines) + "\n"
-
-
-def density_to_csv(est: DensityEstimate) -> str:
-    lines = ["beta_lo,beta_hi,z"]
-    for lo, hi, z in est.bins:
-        lines.append(f"{lo!r},{hi!r},{z!r}")
-    return "\n".join(lines) + "\n"
-
-
-def classes_to_dict(dc: DiscreteClasses) -> dict:
-    return {
-        "classes": [{"beta": b, "rate": r} for b, r in dc.classes],
-        "complete": dc.complete,
-        "residual_rate": dc.residual_rate,
-    }

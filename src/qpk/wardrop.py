@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._solve import DEFAULT_TOL, Tolerances, bisect_decreasing
+from ._solve import bisect_decreasing
 from .errors import DomainError
 from .models import (P_MIN, SystemConfig, delay_eval_array, density, quantile,
                      quantile_array, validate_config)
@@ -25,14 +25,11 @@ class Regime(Enum):
     """Which server the high-sensitivity tail buys at equilibrium.
 
     Equal prices map to HIGH_BETA_TO_SERVER_1 under the single-threshold
-    convention; BALANCED is the explicit tag for caller-constructed
-    symmetric splits and behaves like HIGH_BETA_TO_SERVER_1 in
-    :func:`kernel_choice`.
+    convention.
     """
 
     HIGH_BETA_TO_SERVER_1 = 1
     HIGH_BETA_TO_SERVER_2 = 2
-    BALANCED = 0
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
     smoothed.
     """
     if not 0.0 <= gamma1 <= cfg.lam:
-        raise DomainError(f"gamma1 must lie in [0, {cfg.lam}], got {gamma1}")
+        raise DomainError(f"rate must lie in [0, {cfg.lam}], got {gamma1}")
     gp = balanced_load(cfg)
     p = (cfg.lam - gamma1) / cfg.lam if gamma1 <= gp else gamma1 / cfg.lam
     return quantile(cfg.dist, p)
@@ -114,7 +111,7 @@ def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
     endpoints an unbounded sensitivity law yields +/-inf.
     """
     if not 0.0 <= gamma1 <= cfg.lam:
-        raise DomainError(f"gamma1 must lie in [0, {cfg.lam}], got {gamma1}")
+        raise DomainError(f"rate must lie in [0, {cfg.lam}], got {gamma1}")
     delta_d = _delay_gap_1(cfg, gamma1)
     if gamma1 == 0.0 or gamma1 == cfg.lam:
         return cfg.dist.support[1] * delta_d
@@ -130,7 +127,7 @@ def price_gap_1_array(cfg: SystemConfig, gamma1) -> np.ndarray:
     """
     g = np.asarray(gamma1, dtype=float)
     if not np.all((g >= 0.0) & (g <= cfg.lam)):
-        raise DomainError(f"gamma1 must lie in [0, {cfg.lam}]")
+        raise DomainError(f"rates must lie in [0, {cfg.lam}]")
     beta = quantile_array(
         cfg.dist, np.where(g <= balanced_load(cfg), (cfg.lam - g) / cfg.lam, g / cfg.lam))
     beta[(g == 0.0) | (g == cfg.lam)] = cfg.dist.support[1]
@@ -156,7 +153,7 @@ def price_gap_1_deriv(cfg: SystemConfig, gamma1: float) -> float:
     the low-rate branch. The quantile derivative is 1/(lam f(beta)).
     """
     if not 0.0 < gamma1 < cfg.lam:
-        raise DomainError(f"gamma1 must lie in (0, {cfg.lam}), got {gamma1}")
+        raise DomainError(f"rate must lie in (0, {cfg.lam}), got {gamma1}")
     gp = balanced_load(cfg)
     beta = threshold_of_rate(cfg, gamma1)
     f_beta = density(cfg.dist, beta)
@@ -179,26 +176,26 @@ def _root_bracket(cfg: SystemConfig) -> tuple:
     return cfg.lam * P_MIN, cfg.lam * (1.0 - P_MIN)
 
 
-def rate_cap_1(cfg: SystemConfig, c2: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def rate_cap_1(cfg: SystemConfig, c2: float) -> float:
     """Largest equilibrium rate server 1 can attract given c2 >= 0.
 
     Returns lam when c2 >= -g1(lam) (only possible for a bounded law),
     otherwise the unique root of g1(gamma) = -c2, which is >= gamma+.
     """
     if c2 < 0.0:
-        raise DomainError(f"c2 must be nonnegative, got {c2}")
+        raise DomainError(f"rival price must be nonnegative, got {c2}")
     validate_config(cfg)
     if c2 >= -price_gap_1(cfg, cfg.lam):
         return cfg.lam
     lo, hi = _root_bracket(cfg)
     if -c2 <= price_gap_1(cfg, hi):
         return hi
-    return bisect_decreasing(lambda g: price_gap_1(cfg, g), lo, hi, -c2, tol)
+    return bisect_decreasing(lambda g: price_gap_1(cfg, g), lo, hi, -c2)
 
 
-def rate_cap_2(cfg: SystemConfig, c1: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def rate_cap_2(cfg: SystemConfig, c1: float) -> float:
     """Largest equilibrium rate server 2 can attract given c1 >= 0."""
-    return rate_cap_1(cfg.swapped(), c1, tol)
+    return rate_cap_1(cfg.swapped(), c1)
 
 
 def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
@@ -210,11 +207,11 @@ def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
     """
     if gamma1 in (0.0, cfg.lam) and not cfg.dist.bounded:
         raise DomainError(
-            f"price diverges at gamma1={gamma1} for an unbounded sensitivity law")
+            f"price diverges at rate {gamma1} for an unbounded sensitivity law")
     cap = rate_cap_1(cfg, c2)
     if not 0.0 <= gamma1 <= cap * (1.0 + 1e-12):
         raise DomainError(
-            f"gamma1={gamma1} exceeds the rate cap {cap} (price would be negative)")
+            f"rate {gamma1} exceeds the rate cap {cap} (price would be negative)")
     return c2 + price_gap_1(cfg, gamma1)
 
 
@@ -235,15 +232,14 @@ def choke_price_1(cfg: SystemConfig, c2: float) -> float:
     return c2 + price_gap_1(cfg, 0.0)
 
 
-def solve_equilibrium(cfg: SystemConfig, prices: PriceVector,
-                      tol: Tolerances = DEFAULT_TOL) -> EquilibriumSplit:
+def solve_equilibrium(cfg: SystemConfig, prices: PriceVector) -> EquilibriumSplit:
     """Unique equilibrium split for a finite price pair.
 
     With gap = c1 - c2: rates hit the boundary when the gap escapes
     [g1(lam), g1(0)] (bounded laws only); equal prices return the
     balanced load under the single-threshold convention; otherwise the
     unique interior root of g1(gamma) = gap, located by bisection with
-    residual below tol.residual * max(1, |gap|).
+    residual below 1e-10 * max(1, |gap|).
     """
     validate_config(cfg)
     gap = prices.gap
@@ -265,7 +261,7 @@ def solve_equilibrium(cfg: SystemConfig, prices: PriceVector,
     elif gap <= price_gap_1(cfg, hi):
         gamma1 = hi
     else:
-        gamma1 = bisect_decreasing(lambda g: price_gap_1(cfg, g), lo, hi, gap, tol)
+        gamma1 = bisect_decreasing(lambda g: price_gap_1(cfg, g), lo, hi, gap)
     return EquilibriumSplit(gamma1, cfg.lam, threshold_of_rate(cfg, gamma1), regime)
 
 

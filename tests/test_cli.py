@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from qpk import DelayModel, Exponential, Power, SystemConfig, Uniform
+from qpk import (DelayModel, Exponential, Power, SystemConfig, Uniform,
+                 discover_classes, discrete_class_oracle, estimate_density,
+                 exact_oracle)
 from qpk.cli import main
 from qpk.models import config_to_json
 
@@ -200,6 +202,43 @@ def test_discover_classes_command(tmp_path, capsys):
     betas = [c["beta"] for c in doc["classes"]]
     assert betas == pytest.approx([4.0, 2.0], abs=0.05)
     assert doc["complete"] is False
+
+
+def test_measurement_csv_layout(ex1_path, tmp_path, capsys):
+    log_path = tmp_path / "meas.csv"
+    assert main(["estimate-density", "--config", ex1_path, "--c2", "1",
+                 "--c1-start", "3.0", "--delta", "0.2", "--steps", "1",
+                 "--measurements", str(log_path)]) == 0
+    capsys.readouterr()
+    lines = log_path.read_text().strip().split("\n")
+    assert lines[0] == "c1,c2,gamma1,gamma2,d1,d2"
+    assert len(lines) == 3
+    first = [float(v) for v in lines[1].split(",")]
+    assert first[0] == 3.0 and first[1] == 1.0
+    assert first[2] + first[3] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_density_csv_layout(sat_path, sat_power, capsys):
+    assert main(["estimate-density", "--config", sat_path, "--c2", "5",
+                 "--c1-start", "5", "--delta", "0.2", "--steps", "3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "beta_lo,beta_hi,z"
+    est = estimate_density(exact_oracle(sat_power), 5.0, 5.0, 0.2, 3)
+    assert [tuple(map(float, ln.split(","))) for ln in lines[1:]] == list(est.bins)
+
+
+def test_classes_json_dict(tmp_path, capsys):
+    d1 = d2 = DelayModel.mm1(4.0)
+    path = tmp_path / "mm1.json"
+    path.write_text(config_to_json(SystemConfig(2.5, d1, d2, Uniform(2.0, 6.0))))
+    assert main(["discover-classes", "--config", str(path), "--classes", "4:1,2:1.5",
+                 "--c1-init", "2", "--delta", "0.01", "--eps", "2.5e-3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    dc = discover_classes(discrete_class_oracle([(4.0, 1.0), (2.0, 1.5)], d1, d2),
+                          lam=2.5, delta=0.01, eps=2.5e-3, c1_init=2.0)
+    assert [c["beta"] for c in doc["classes"]] == [b for b, _ in dc.classes]
+    assert doc["complete"] is False
+    assert doc["residual_rate"] == dc.residual_rate
 
 
 def test_machine_output_deterministic(ex1_path, capsys):

@@ -1,0 +1,179 @@
+"""The CLI's machine output, pinned byte for byte.
+
+Every command that writes json or csv, and all five sweep curves. The
+systems have uniform laws with linear or mm1 delays, where the arithmetic
+is IEEE basic operations and square roots, so the expected text holds on
+any platform; estimate-exp and estimate-param also pass through
+math.exp and math.log, and rely on the platform rounding those as the
+common libms do.
+"""
+
+import pytest
+
+from qpk import DelayModel, SystemConfig, Uniform
+from qpk.cli import main
+from qpk.models import config_to_json
+
+CONFIGS = {
+    "ex1": SystemConfig(3.0, DelayModel.linear(3.3), DelayModel.linear(4.0), Uniform(2.0, 6.0)),
+    "ex2": SystemConfig(3.0, DelayModel.mm1(3.3), DelayModel.mm1(4.0), Uniform(2.0, 6.0)),
+    "ex3": SystemConfig(3.0, DelayModel.linear(4.0), DelayModel.linear(4.0), Uniform(2.0, 6.0)),
+    "fast1": SystemConfig(3.0, DelayModel.linear(12.0), DelayModel.linear(3.0),
+                          Uniform(0.0, 8.0)),
+}
+
+# (config, command line without --config, the exact stdout)
+CASES = [
+    ('ex1', 'equilibrium --c1 2 --c2 1 --format json',
+     '{\n'
+     '  "beta1": 4.70428369397996,\n'
+     '  "gamma1": 0.97178722951503,\n'
+     '  "gamma2": 2.02821277048497,\n'
+     '  "r1": 1.94357445903006,\n'
+     '  "r2": 2.02821277048497,\n'
+     '  "regime": "HIGH_BETA_TO_SERVER_1",\n'
+     '  "rt": 3.97178722951503\n'
+     '}\n'),
+    ('ex1', 'equilibrium --c1 2 --c2 1 --format csv',
+     'beta1,gamma1,gamma2,r1,r2,rt\n'
+     '4.70428369397996,0.97178722951503,2.02821277048497,1.94357445903006,2.02821277048497,3.97178722951503\n'),
+    ('ex1', 'monopoly --c2 1 --grid 64 --format json',
+     '{\n'
+     '  "c1_star": 3.1086027832519663,\n'
+     '  "gamma1_star": 0.6192864906582966,\n'
+     '  "rt_star": 4.305829217832427\n'
+     '}\n'),
+    ('ex2', 'monopoly --c2 1 --grid 64 --format csv',
+     'c1_star,gamma1_star,rt_star\n'
+     '2.708591686749225,0.4834789175991447,3.826068059328412\n'),
+    ('ex1', 'duopoly-best-response --server 2 --other-price 2 --format json',
+     '{\n'
+     '  "gamma_star": 1.1400814892315216,\n'
+     '  "given_price": 2.0,\n'
+     '  "price_star": 3.2480587437587185,\n'
+     '  "revenue_star": 3.703051649695905,\n'
+     '  "server": 2,\n'
+     '  "stationary_points": [\n'
+     '    1.1400814892315216\n'
+     '  ]\n'
+     '}\n'),
+    ('ex3', 'duopoly-nash --max-iter 2 --format json',
+     '{\n'
+     '  "c1": 2.9989028993883093,\n'
+     '  "c2": 2.999999569040736,\n'
+     '  "converged": false,\n'
+     '  "iterations": 2,\n'
+     '  "residual": 0.5081909271233434,\n'
+     '  "symmetric_alpha": 3.0\n'
+     '}\n'),
+    ('ex3', 'duopoly-symmetric --format json',
+     '{\n'
+     '  "alpha1": 3.0,\n'
+     '  "alpha2": 3.0,\n'
+     '  "verdict": "confirmed"\n'
+     '}\n'),
+    ('fast1', 'estimate-exp --c1 1.2 --c2 1 --delta 0.05 --format json',
+     '{\n'
+     '  "rate": 0.19237151996460794,\n'
+     '  "tau": 5.198274672799683\n'
+     '}\n'),
+    ('ex1', 'estimate-param --family uniform --c2 1 --prices 2,2.4,2.8,3.2 --format json',
+     '{\n'
+     '  "converged": true,\n'
+     '  "family": "uniform",\n'
+     '  "params": {\n'
+     '    "a": 1.9999999980883385,\n'
+     '    "b": 6.000000000773845\n'
+     '  },\n'
+     '  "residual_norm": 3.2696446794218297e-11\n'
+     '}\n'),
+    ('ex2', 'estimate-density --c2 1 --c1-start 1.5 --delta 0.3 --steps 3 --format csv',
+     'beta_lo,beta_hi,z\n'
+     '4.7847334198638265,4.950480436874543,0.2500000003615139\n'
+     '4.950480436874543,5.09910065676831,0.24999999981668425\n'
+     '5.09910065676831,5.232382032810202,0.2499999996655521\n'),
+    ('ex2', 'estimate-density --c2 1 --c1-start 1.5 --delta 0.3 --steps 3 --format json',
+     '{\n'
+     '  "bins": [\n'
+     '    {\n'
+     '      "beta_hi": 4.950480436874543,\n'
+     '      "beta_lo": 4.7847334198638265,\n'
+     '      "z": 0.2500000003615139\n'
+     '    },\n'
+     '    {\n'
+     '      "beta_hi": 5.09910065676831,\n'
+     '      "beta_lo": 4.950480436874543,\n'
+     '      "z": 0.24999999981668425\n'
+     '    },\n'
+     '    {\n'
+     '      "beta_hi": 5.232382032810202,\n'
+     '      "beta_lo": 5.09910065676831,\n'
+     '      "z": 0.2499999996655521\n'
+     '    }\n'
+     '  ],\n'
+     '  "covered_mass": 0.11191215322469361,\n'
+     '  "gaps": []\n'
+     '}\n'),
+    ('ex3', 'discover-classes --classes 2:0.1,3:0.7,4:0.3 --c1-init 2 --delta 0.01 --format json',
+     '{\n'
+     '  "classes": [\n'
+     '    {\n'
+     '      "beta": 3.999999999999999,\n'
+     '      "rate": 0.29999999999999993\n'
+     '    },\n'
+     '    {\n'
+     '      "beta": 3.0,\n'
+     '      "rate": 0.8000000000000002\n'
+     '    }\n'
+     '  ],\n'
+     '  "complete": false,\n'
+     '  "residual_rate": 0.8000000000000002\n'
+     '}\n'),
+    ('ex1', 'sweep --what beta1 --n 5',
+     'gamma1,beta1\n'
+     '0.0,6.0\n'
+     '0.75,5.0\n'
+     '1.5,4.0\n'
+     '2.25,5.0\n'
+     '3.0,6.0\n'),
+    ('ex1', 'sweep --what g1 --n 5',
+     'gamma1,g1\n'
+     '0.0,4.5\n'
+     '0.75,1.6761363636363635\n'
+     '1.5,-0.31818181818181834\n'
+     '2.25,-2.471590909090909\n'
+     '3.0,-5.454545454545455\n'),
+    ('ex2', 'sweep --what g2 --n 5',
+     'gamma2,g2\n'
+     '0.0,18.50000000000001\n'
+     '0.75,3.2234432234432244\n'
+     '1.5,0.6222222222222222\n'
+     '2.25,-0.8963585434173665\n'
+     '3.0,-4.181818181818182\n'),
+    ('ex1', 'sweep --what revenue --n 5 --c2 1',
+     'gamma1,revenue\n'
+     '3e-12,3.0000000000135\n'
+     '0.33904109589266085,4.058052050107317\n'
+     '0.6780821917823218,4.295787202101199\n'
+     '1.0171232876719827,3.885628753047856\n'
+     '1.3561643835616435,3.000000000000001\n'),
+    ('ex2', 'sweep --what r1-and-c1 --n 5 --c2 1',
+     'gamma1,r1,c1\n'
+     '3e-12,1.5545454545387226e-11,5.181818181795742\n'
+     '0.4164960370999469,1.2309736193850935,2.955547015420211\n'
+     '0.8329920741968939,1.404024064299458,1.6855191157168075\n'
+     '1.249488111293841,1.0518922249487601,0.8418585302580662\n'
+     '1.6659841483907878,-1.5054377944892283e-10,-9.036327242029074e-11\n'),
+]
+
+
+@pytest.mark.parametrize("name, command, expected", CASES,
+                         ids=[f"{i:02d}-{c.split()[0]}" for i, (_, c, _) in enumerate(CASES)])
+def test_machine_output_is_pinned(tmp_path, capsys, name, command, expected):
+    path = tmp_path / f"{name}.json"
+    path.write_text(config_to_json(CONFIGS[name]))
+    argv = command.split()
+    assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 0
+    out = capsys.readouterr()
+    assert out.out == expected
+    assert out.err == ""

@@ -16,7 +16,7 @@ from qpk import (DelayModel, DomainError, Exponential, NashVerdict,
                  PreconditionError, PriceVector, SystemConfig,
                  balanced_load, best_response, check_symmetric_nash,
                  nash_iterate, price_gap_1, price_gap_2, price_gap_1_deriv,
-                 rate_cap_1, rate_cap_2, symmetric_alpha)
+                 price_gap_2_deriv, rate_cap_1, rate_cap_2, symmetric_alpha)
 from conftest import FIXTURES, random_config
 
 
@@ -183,6 +183,17 @@ def test_alpha_matches_one_sided_difference_nonidentical(ex1_uniform):
     a1, _ = symmetric_alpha(ex1_uniform)
     assert a1 == pytest.approx(-gp * fd, rel=1e-4)
     assert a1 == pytest.approx(-gp * price_gap_1_deriv(ex1_uniform, gp), rel=1e-12)
+
+
+def test_alpha2_is_taken_at_server_2s_own_balanced_load(ex1_uniform):
+    # server 2's balanced load is lam - gamma+, where g2 vanishes; at
+    # server 1's gamma+ it would read 3.432
+    x = balanced_load(ex1_uniform.swapped())
+    assert x == pytest.approx(3.0 - balanced_load(ex1_uniform), rel=1e-12)
+    assert price_gap_2(ex1_uniform, x) == pytest.approx(0.0, abs=1e-12)
+    _, a2 = symmetric_alpha(ex1_uniform)
+    assert a2 == -x * price_gap_2_deriv(ex1_uniform, x)
+    assert a2 == pytest.approx(3.4620174346201744, rel=1e-12)
 
 
 # --- nash iteration ---------------------------------------------------------------

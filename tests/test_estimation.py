@@ -17,8 +17,7 @@ from qpk import (DegenerateError, DelayModel, DomainError,
                  estimate_density, estimate_exponential, estimate_parametric,
                  exact_oracle, infer_threshold, noisy_oracle,
                  solve_equilibrium, threshold_of_rate)
-from qpk.estimation import (Measurement, classes_to_dict, density_to_csv,
-                            measurements_to_csv)
+from qpk.estimation import Measurement
 
 
 # --- exact oracle -------------------------------------------------------------
@@ -369,34 +368,3 @@ def test_discover_classes_error_paths():
         discover_classes(tiny, lam=1.0, delta=0.01, eps=1e-3, c1_init=2.0)
     with pytest.raises(DomainError):
         discover_classes(oracle, lam=1.0, delta=-0.01, eps=1e-3, c1_init=2.0)
-
-
-# --- serialization ------------------------------------------------------------------------
-
-
-def test_measurement_csv_layout(ex1_uniform):
-    oracle = exact_oracle(ex1_uniform)
-    text = measurements_to_csv([oracle.measure(3.0, 1.0), oracle.measure(3.2, 1.0)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "c1,c2,gamma1,gamma2,d1,d2"
-    assert len(lines) == 3
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == 3.0 and first[1] == 1.0
-    assert first[2] + first[3] == pytest.approx(3.0, rel=1e-12)
-
-
-def test_density_csv_layout(sat_power):
-    est = estimate_density(exact_oracle(sat_power), 5.0, 5.0, 0.2, 3)
-    lines = density_to_csv(est).strip().split("\n")
-    assert lines[0] == "beta_lo,beta_hi,z"
-    assert len(lines) == len(est.bins) + 1
-
-
-def test_classes_json_dict():
-    oracle = discrete_class_oracle([(4.0, 1.0), (2.0, 1.5)],
-                                   DelayModel.mm1(4.0), DelayModel.mm1(4.0))
-    dc = discover_classes(oracle, lam=2.5, delta=0.01, eps=2.5e-3, c1_init=2.0)
-    doc = classes_to_dict(dc)
-    assert [c["beta"] for c in doc["classes"]] == [b for b, _ in dc.classes]
-    assert doc["complete"] is False
-    assert doc["residual_rate"] == dc.residual_rate

@@ -260,6 +260,13 @@ def test_price_of_rate_2_mirror(ex1_uniform):
         1.0, abs=2e-3)
 
 
+def test_server_2_errors_name_no_server_1_argument(ex1_uniform):
+    with pytest.raises(DomainError, match=r"^rate must lie in \[0, 3\.0\], got 5\.0$"):
+        price_gap_2(ex1_uniform, 5.0)
+    with pytest.raises(DomainError, match=r"^rival price must be nonnegative, got -1$"):
+        rate_cap_2(ex1_uniform, -1)
+
+
 def test_choke_price_bounded_only(ex1_uniform, ex1_expo):
     assert choke_price_1(ex1_uniform, 1.0) == pytest.approx(
         1.0 + 6.0 * (3.0 / 4.0), rel=1e-12)
