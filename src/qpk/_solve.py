@@ -14,6 +14,10 @@ from .errors import NoRootError
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = sys.float_info.epsilon
 _GOLDEN_MAX_ITER = 200
+_GOLDEN_ARGUMENT = 1e-9
+
+#: points of the grid scans in optimize_monopoly and best_response
+DEFAULT_GRID = 4096
 
 # bisection tolerances; they leave ~4 digits of headroom over the 2-3
 # decimals the reproduced tables report
@@ -52,13 +56,13 @@ def bisect_decreasing(f, lo: float, hi: float, target: float = 0.0) -> float:
     return 0.5 * (lo + hi)
 
 
-def _arg_tol(tol_arg: float, lo: float, hi: float) -> float:
-    """Effective argument tolerance on [lo, hi]: tol_arg, widened to a few
+def _arg_tol(lo: float, hi: float) -> float:
+    """Effective argument tolerance on [lo, hi]: 1e-9, widened to a few
     ulps of the bracket's magnitude so that large rates still converge."""
-    return max(tol_arg, 4.0 * _EPS * max(abs(lo), abs(hi)))
+    return max(_GOLDEN_ARGUMENT, 4.0 * _EPS * max(abs(lo), abs(hi)))
 
 
-def golden_max(f, lo: float, hi: float, tol_arg: float = 1e-9):
+def golden_max(f, lo: float, hi: float):
     """Golden-section maximization of the scalar function f on [lo, hi].
 
     Returns (x, f(x)). Assumes a single interior maximum on the bracket;
@@ -66,7 +70,7 @@ def golden_max(f, lo: float, hi: float, tol_arg: float = 1e-9):
     bracket is no wider than :func:`_arg_tol`, or after _GOLDEN_MAX_ITER
     steps, which shrink a bracket by a factor of 1e41.
     """
-    tol = _arg_tol(tol_arg, lo, hi)
+    tol = _arg_tol(lo, hi)
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
@@ -108,7 +112,7 @@ def grid_argmax(f, lo: float, hi: float, n: int):
     return xs, fs, int(np.argmax(fs))
 
 
-def refine_peak(f, xs, fs, i: int, tol_arg: float = 1e-9):
+def refine_peak(f, xs, fs, i: int):
     """Refine grid point i of a scan (xs, fs) by golden section on f over
     the bracket of its grid neighbours; the grid point itself is kept when
     it is strictly better. Returns (x, f(x), tol), floats, where tol is
@@ -116,14 +120,13 @@ def refine_peak(f, xs, fs, i: int, tol_arg: float = 1e-9):
     """
     b_lo = float(xs[max(i - 1, 0)])
     b_hi = float(xs[min(i + 1, len(xs) - 1)])
-    x, fx = golden_max(f, b_lo, b_hi, tol_arg)
+    x, fx = golden_max(f, b_lo, b_hi)
     if fs[i] > fx:
         x, fx = float(xs[i]), float(fs[i])
-    return x, fx, _arg_tol(tol_arg, b_lo, b_hi)
+    return x, fx, _arg_tol(b_lo, b_hi)
 
 
-def local_maxima_scan(f_grid, f, lo: float, hi: float, n: int,
-                      tol_arg: float = 1e-9):
+def local_maxima_scan(f_grid, f, lo: float, hi: float, n: int):
     """All interior local maxima of f on [lo, hi], each refined by
     :func:`refine_peak`.
 
@@ -138,7 +141,7 @@ def local_maxima_scan(f_grid, f, lo: float, hi: float, n: int,
     peak[:-1] &= fs[:-1] >= fs[1:]
     out = []
     for i in np.flatnonzero(peak).tolist():
-        x_ref, f_ref, tol = refine_peak(f, xs, fs, i, tol_arg)
+        x_ref, f_ref, tol = refine_peak(f, xs, fs, i)
         if out and abs(x_ref - out[-1][0]) < 10.0 * tol:
             if f_ref > out[-1][1]:
                 out[-1] = (x_ref, f_ref)

@@ -8,9 +8,10 @@ sensitivity distributions use.
 
 ``gamma_p_array`` and ``gamma_p_inverse_array`` run the same algorithms
 elementwise over a numpy array for one shape k: whole-grid scans and
-sampling call them once instead of once per point. Each iteration drops
-the elements that have met their stopping rule, so every element takes
-the iterates and the stopping point its scalar counterpart would.
+sampling call them once instead of once per point. In each iteration
+where elements meet their stopping rule, their values are written back
+and the arrays are compacted to the rest, so every element takes the
+iterates and the stopping point its scalar counterpart would.
 """
 
 import math
@@ -33,10 +34,6 @@ _LANCZOS_COEF = (
 _EPS = 1e-16
 _TINY = 1e-300
 _MAX_ITER = 500
-# numpy keeps freed buffers under 1 KiB cached by exact size; array loops
-# keep their arrays at multiples of this many elements, so that few small
-# sizes ever occur
-_SIZE_STEP = 64
 _BLOCK = 4096
 
 
@@ -152,48 +149,30 @@ def _active_loop(inputs, state, max_iter, step):
 
     ``inputs`` and ``state`` are tuples of equal-length arrays: the step
     only reads the inputs, and the loop updates the state arrays, which
-    the caller owns, in place. ``step(i, *inputs, *state)`` gets the
-    active elements, advances their state by iteration i in place, and
-    returns a boolean mask of those that stop after it. On return every
+    the caller owns. ``step(i, *inputs, *state)`` gets the active
+    elements, advances their state by iteration i in place, and returns a
+    boolean mask of those that stop after it. In each iteration where any
+    stop, their state is written back to the caller's arrays and the
+    survivors' inputs and state go on as compacted copies. On return every
     state element holds its value from the iteration where it stopped, or
     from ``max_iter``.
-
-    Stopped elements are masked out of the result and dropped from the
-    arrays once the rest fit in half of them; the arrays keep a multiple
-    of _SIZE_STEP elements, padded with stopped ones.
     """
     ins, active = inputs, state
-    idx = live = None  # idx: positions of the active elements; live: mask
+    idx = np.arange(state[0].size)  # positions of the active elements
     for i in range(1, max_iter + 1):
-        if active[0].size == 0:
+        if idx.size == 0:
             break
         done = step(i, *ins, *active)
-        if live is not None:
-            done &= live
         if not done.any():
             continue
-        if idx is None:  # the state arrays are the active ones: done in place
-            idx = np.arange(state[0].size)
-        else:
-            for a, s in zip(state, active):
-                a[idx[done]] = s[done]
-        keep = ~done if live is None else live & ~done
-        n_keep = np.count_nonzero(keep)
-        if n_keep == 0:
-            return state
-        n_sel = min(keep.size, -(-n_keep // _SIZE_STEP) * _SIZE_STEP)
-        if 2 * n_sel > keep.size and active is not state:
-            live = keep
-            continue
-        sel = keep.copy()
-        sel[(~keep).nonzero()[0][:n_sel - n_keep]] = True
-        sel = sel.nonzero()[0]
-        idx, live = idx[sel], keep[sel]
-        ins = tuple(s[sel] for s in ins)
-        active = tuple(s[sel] for s in active)
-    if idx is not None:
         for a, s in zip(state, active):
-            a[idx[live]] = s[live]
+            a[idx[done]] = s[done]
+        keep = ~done
+        idx = idx[keep]
+        ins = tuple(s[keep] for s in ins)
+        active = tuple(s[keep] for s in active)
+    for a, s in zip(state, active):
+        a[idx] = s
     return state
 
 

@@ -8,9 +8,9 @@ an option and its default; each handler runs on the parsed namespace and
 returns a :class:`Result`, which :func:`run` writes in the requested
 format. A command's ``--format`` choices are the formats it can produce.
 Identical invocations with identical seeds produce byte-identical machine
-output. Exit codes: 0 success, 2 config/validation problems and usage
-errors, 3 runtime failures (degenerate measurements, missing roots,
-unstable simulations).
+output. Exit codes: 0 success, 2 config/validation problems (malformed
+options and unwritable output paths included) and usage errors, 3 runtime
+failures (degenerate measurements, missing roots, unstable simulations).
 """
 
 import argparse
@@ -46,12 +46,12 @@ def _load_config(path: str) -> models.SystemConfig:
     return models.config_from_json(text)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValidationError([f"cannot write {path!r}: {exc}"]) from exc
 
 
 def _fmt4(x: float) -> str:
@@ -190,10 +190,10 @@ def _cmd_estimate_density(args: argparse.Namespace) -> Result:
     est = estimation.estimate_density(oracle, args.c2, args.c1_start, args.delta,
                                       args.steps)
     if args.measurements:
-        with open(args.measurements, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_csv(("c1", "c2", "gamma1", "gamma2", "d1", "d2"),
-                          [(m.c1, m.c2, m.gamma1, m.gamma2, m.d1, m.d2)
-                           for m in oracle.log]))
+        _write_file(args.measurements,
+                    _csv(("c1", "c2", "gamma1", "gamma2", "d1", "d2"),
+                         [(m.c1, m.c2, m.gamma1, m.gamma2, m.d1, m.d2)
+                          for m in oracle.log]))
     doc = {"bins": [{"beta_lo": lo, "beta_hi": hi, "z": z} for lo, hi, z in est.bins],
            "covered_mass": est.covered_mass,
            "gaps": [{"c1_lo": a, "c1_hi": b} for a, b in est.gaps]}
@@ -205,9 +205,12 @@ def _cmd_estimate_density(args: argparse.Namespace) -> Result:
 
 def _parse_classes(raw: str):
     out = []
-    for part in raw.split(","):
-        beta, _, rate = part.partition(":")
-        out.append((float(beta), float(rate)))
+    try:
+        for part in raw.split(","):
+            beta, _, rate = part.partition(":")
+            out.append((float(beta), float(rate)))
+    except ValueError as exc:
+        raise ValidationError([f"cannot parse --classes: {exc}"]) from exc
     return out
 
 
@@ -215,13 +218,17 @@ def _cmd_discover_classes(args: argparse.Namespace) -> Result:
     # The config supplies the two delay models; its sensitivity law is
     # replaced by the discrete classes under discovery, and the total rate
     # is the sum of the class rates.
+    classes = _parse_classes(args.classes)
     eps = args.eps
     if eps is None:
         # the class rates in input order; oracle.lam sums them sorted,
         # which can differ in the last bit
-        eps = 1e-3 * sum(r for _, r in _parse_classes(args.classes))
+        eps = 1e-3 * sum(r for _, r in classes)
     cfg = _load_config(args.config)
-    oracle = estimation.discrete_class_oracle(_parse_classes(args.classes), cfg.d1, cfg.d2)
+    try:
+        oracle = estimation.discrete_class_oracle(classes, cfg.d1, cfg.d2)
+    except DomainError as exc:
+        raise ValidationError([str(exc)]) from exc
     dc = estimation.discover_classes(oracle, lam=oracle.lam, delta=args.delta, eps=eps,
                                      c1_init=args.c1_init)
     pairs = [(f"class_{i + 1}", f"beta={_fmt4(b)} rate={_fmt4(r)}")
@@ -288,7 +295,11 @@ def run(args: argparse.Namespace) -> int:
     returns the process exit status."""
     try:
         handler = _COMMANDS[args.command][0]
-        _emit(args, _render(handler(args), args.format))
+        text = _render(handler(args), args.format)
+        if args.output:
+            _write_file(args.output, text)
+        else:
+            sys.stdout.write(text)
         return 0
     except ValidationError as exc:
         for failure in exc.failures:
@@ -329,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("monopoly", "revenue-optimal price for server 1")
     p.add_argument("--c2", type=float, required=True)
-    p.add_argument("--grid", type=int, default=monopoly.DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=_solve.DEFAULT_GRID)
 
     p = command("duopoly-best-response", "one server's best response")
     p.add_argument("--server", type=int, choices=(1, 2), required=True)

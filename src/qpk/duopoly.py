@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._solve import local_maxima_scan
+from ._solve import DEFAULT_GRID, local_maxima_scan
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig, validate_config
 from .wardrop import (PriceVector, balanced_load, price_gap_1, price_gap_1_array,
                       price_gap_1_deriv, rate_cap_1)
 
-DEFAULT_GRID = 4096
 #: Relative revenue slack under which two local maxima count as tied;
 #: ties resolve to the smaller rate.
 TIE_REL = 1e-9
@@ -69,7 +68,7 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     hi = rate_cap_1(own, other_price) * (1.0 - P_MIN)
     candidates = local_maxima_scan(lambda g: (price_gap_1_array(own, g) + other_price) * g,
                                    lambda g: (price_gap_1(own, g) + other_price) * g,
-                                   lo, hi, grid_size, tol_arg=1e-9)
+                                   lo, hi, grid_size)
     g_star, r_star = candidates[0]
     for g, r in candidates[1:]:
         if r > r_star * (1.0 + TIE_REL) + TIE_REL:

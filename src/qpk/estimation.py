@@ -21,6 +21,10 @@ from .models import DelayFamily, DelayModel, SystemConfig, validate_config
 from .wardrop import PriceVector, Regime, solve_equilibrium
 
 _D_TOL = 1e-12
+# compass search: rounds of coordinate moves, and the step length at which
+# the search counts as converged
+_COMPASS_MAX_ITER = 600
+_COMPASS_STEP_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -283,6 +287,8 @@ class DiscreteClassOracle:
         else:
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break  # lo and hi are adjacent doubles: no step narrows them
                 if demand(mid) - mid > 0.0:
                     lo = mid
                 else:
@@ -379,12 +385,12 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
     return ExponentialFit(tau=tau)
 
 
-def _compass_minimize(objective, x0, log_mask, steps0, max_iter=600, step_tol=1e-11):
+def _compass_minimize(objective, x0, log_mask, steps0):
     """Derivative-free coordinate (compass) search with shrinking steps."""
     x = list(x0)
     fx = objective(x)
     steps = list(steps0)
-    for _ in range(max_iter):
+    for _ in range(_COMPASS_MAX_ITER):
         improved = False
         for i in range(len(x)):
             for sign in (1.0, -1.0):
@@ -400,9 +406,9 @@ def _compass_minimize(objective, x0, log_mask, steps0, max_iter=600, step_tol=1e
                     break
         if not improved:
             steps = [0.5 * s for s in steps]
-            if max(steps) < step_tol:
+            if max(steps) < _COMPASS_STEP_TOL:
                 return x, fx, True
-    return x, fx, max(steps) < step_tol
+    return x, fx, max(steps) < _COMPASS_STEP_TOL
 
 
 def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFit:

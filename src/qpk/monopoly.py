@@ -9,12 +9,10 @@ refinement and the reported price use the scalar price_gap_1.
 
 from dataclasses import dataclass
 
-from ._solve import grid_argmax, refine_peak, uniform_grid
+from ._solve import DEFAULT_GRID, grid_argmax, refine_peak, uniform_grid
 from .errors import DomainError
 from .models import P_MIN, SystemConfig, validate_config
 from .wardrop import balanced_load, price_gap_1, price_gap_1_array
-
-DEFAULT_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
     gp = balanced_load(cfg)
     lo = cfg.lam * P_MIN
     xs, hs, i = grid_argmax(lambda g: price_gap_1_array(cfg, g) * g, lo, gp, grid_size)
-    g_star, h_star, _ = refine_peak(lambda g: _gap_revenue(cfg, g), xs, hs, i, tol_arg=1e-9)
+    g_star, h_star, _ = refine_peak(lambda g: _gap_revenue(cfg, g), xs, hs, i)
     return MonopolyResult(
         gamma1_star=g_star,
         c1_star=c2 + price_gap_1(cfg, g_star),

@@ -242,30 +242,33 @@ def test_grid_argmax_ties_go_to_the_lowest_index():
 def test_active_loop_freezes_each_element_where_it_stopped():
     # element j stops after iteration stop[j]; 0 marks one that never stops
     rng = np.random.default_rng(7)
-    n, max_iter = 3 * _special._SIZE_STEP + 5, 40
+    n, max_iter = 197, 40
     stop = rng.integers(0, max_iter + 1, n)
-    sizes = []
+    seen = []
 
     def step(i, stop, count):
-        sizes.append(count.size)
+        seen.append(stop.copy())
         count += 1.0
         return stop == i
 
     count = _special._active_loop((stop,), (np.zeros(n),), max_iter, step)[0]
     np.testing.assert_array_equal(count, np.where(stop == 0, max_iter, stop))
-    assert all(m == n or m % _special._SIZE_STEP == 0 for m in sizes)
-    assert min(sizes) < n
+    # exact compaction: iteration i steps only the elements still running
+    assert len(seen) == max_iter
+    for i, active in enumerate(seen, start=1):
+        np.testing.assert_array_equal(active, stop[(stop == 0) | (stop >= i)])
 
 
 def test_golden_max_stops_on_the_relative_tolerance_at_large_arguments():
-    # at 1e8 adjacent doubles lie 1.5e-8 apart, wider than tol_arg = 1e-9;
-    # the bracket must still close by its tolerance, well before the cap
+    # at 1e8 adjacent doubles lie 1.5e-8 apart, wider than the 1e-9
+    # argument tolerance; the bracket must still close by its tolerance,
+    # well before the cap
     calls = []
 
     def f(x):
         calls.append(x)
         return -(x - 1.00000123e8) ** 2
-    x, _ = golden_max(f, 1e8, 1e8 + 2e4, tol_arg=1e-9)
+    x, _ = golden_max(f, 1e8, 1e8 + 2e4)
     assert x == pytest.approx(1.00000123e8, rel=1e-14)
     assert len(calls) < 100
 
@@ -302,7 +305,7 @@ def _scaled(s):
 def test_large_rates_finish_and_scale():
     # with linear delays, scaling lam and both mu together leaves every
     # price and every rate share unchanged; at lam = 1e8 adjacent doubles
-    # lie further apart than tol_arg = 1e-9, so that tolerance alone never
+    # lie further apart than the 1e-9 argument tolerance, which alone never
     # closes a golden-section bracket
     small, big = _scaled(1.0), _scaled(1e8)
     previous = signal.signal(signal.SIGALRM, _raise_timeout)

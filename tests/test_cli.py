@@ -287,6 +287,32 @@ def test_runtime_error_exits_3(ex1_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("classes, message", [
+    ("4:1,x", "cannot parse --classes"),
+    ("4", "cannot parse --classes"),
+    ("4:1,4:2", "class sensitivities must be distinct"),
+])
+def test_bad_classes_exit_2(tmp_path, classes, message, capsys):
+    cfg = SystemConfig(2.5, DelayModel.mm1(4.0), DelayModel.mm1(4.0), Uniform(2.0, 6.0))
+    path = tmp_path / "mm1.json"
+    path.write_text(config_to_json(cfg))
+    assert main(["discover-classes", "--config", str(path), "--classes", classes,
+                 "--c1-init", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["monopoly", "--c2", "1", "--output"],
+    ["estimate-density", "--c2", "1", "--c1-start", "3.0", "--delta", "0.2",
+     "--steps", "1", "--measurements"],
+])
+def test_unwritable_output_path_exits_2(ex1_path, tmp_path, argv, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(argv[:1] + ["--config", ex1_path] + argv[1:] + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(path)!r}")
+
+
 @pytest.mark.parametrize("argv", [
     ["duopoly-nash", "--format", "csv"],
     ["sweep", "--what", "g1", "--n", "5", "--format", "json"],

@@ -332,6 +332,56 @@ def test_discrete_oracle_equilibrium():
     assert oracle.measure(0.2, 0.0).gamma1 == pytest.approx(1.0, abs=1e-9)
 
 
+def _rate_by_200_halvings(oracle, c1, c2):
+    """DiscreteClassOracle.measure's rate by the full 200-step bisection,
+    kept here as the reference."""
+    delta = c1 - c2
+    demand = lambda g: sum(r for b, r in oracle.classes if b * oracle._delay_gap(g) > delta)
+    lo, hi = 0.0, oracle.lam
+    if demand(0.0) <= 0.0:
+        return 0.0
+    if demand(oracle.lam) >= oracle.lam:
+        return oracle.lam
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if demand(mid) - mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_discrete_oracle_bisection_matches_200_halvings():
+    # measure stops halving once lo and hi are adjacent doubles, about 55
+    # halvings, and must land where all 200 do
+    rng = np.random.default_rng(5)
+    bisected = 0
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        betas = rng.choice(np.arange(1, 20), n, replace=False) * rng.uniform(0.1, 2.0)
+        classes = list(zip(betas, rng.uniform(0.1, 2.0, n)))
+        lam = sum(r for _, r in classes)
+        oracle = discrete_class_oracle(classes, DelayModel.mm1(lam * rng.uniform(1.1, 3.0)),
+                                       DelayModel.linear(rng.uniform(0.5, 3.0)))
+        gap = oracle._delay_gap
+        spread = max(betas) * max(gap(0.0), -gap(oracle.lam))
+        c1 = float(rng.uniform(-spread, spread))
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return gap(g)
+        oracle._delay_gap = counted
+        gamma1 = oracle.measure(c1, 0.0).gamma1
+        n_measure = len(calls)
+        calls.clear()
+        assert gamma1 == _rate_by_200_halvings(oracle, c1, 0.0)
+        if len(calls) > 2 * n:  # the rate was bisected
+            bisected += 1
+            assert n_measure < len(calls) // 2
+    assert bisected > 50
+
+
 def test_discover_two_classes():
     oracle = discrete_class_oracle([(4.0, 1.0), (2.0, 1.5)],
                                    DelayModel.mm1(4.0), DelayModel.mm1(4.0))
