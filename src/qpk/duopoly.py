@@ -7,7 +7,6 @@ alpha = -gamma+ * g'(gamma+); it is necessary but not sufficient, and
 check_symmetric_nash tests it by running the best response at that price.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,10 +138,11 @@ def nash_iterate(cfg: SystemConfig, init: PriceVector, tol: float = 1e-6,
         raise DomainError(f"tol must be positive, got {tol}")
     if not 0.0 < damping <= 1.0:
         raise DomainError(f"damping must lie in (0, 1], got {damping}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     c1, c2 = init.c1, init.c2
     alpha = symmetric_alpha(cfg)[0] if cfg.identical_servers() else None
 
-    residual = math.inf
     for it in range(1, max_iter + 1):
         b1 = best_response(cfg, 1, c2).price_star
         r1 = abs(b1 - c1)

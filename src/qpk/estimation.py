@@ -21,10 +21,12 @@ from .models import DelayFamily, DelayModel, SystemConfig, validate_config
 from .wardrop import PriceVector, Regime, solve_equilibrium
 
 _D_TOL = 1e-12
-# compass search: rounds of coordinate moves, and the step length at which
-# the search counts as converged
-_COMPASS_MAX_ITER = 600
-_COMPASS_STEP_TOL = 1e-11
+# Levenberg-Marquardt: trial cap, convergence step, least damping, and the
+# forward-difference step
+_LM_MAX_ITER = 100
+_LM_STEP_TOL = 1e-10
+_LM_MU_MIN = 1e-12
+_FD_STEP = 1.5e-8
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ class NoisyOracle:
     """
 
     def __init__(self, inner, sigma_rel: float, seed: int):
-        if sigma_rel < 0.0:
-            raise DomainError(f"sigma_rel must be nonnegative, got {sigma_rel}")
+        if not (math.isfinite(sigma_rel) and sigma_rel >= 0.0):
+            raise DomainError(f"sigma_rel must be finite and nonnegative, got {sigma_rel}")
         self.inner = inner
         self.sigma_rel = sigma_rel
         self.seed = seed
@@ -184,8 +186,8 @@ class DesOracle:
         if cfg.d1.family is not DelayFamily.MM1 or cfg.d2.family is not DelayFamily.MM1:
             raise PreconditionError(
                 "simulation requires mm1 delay models on both servers")
-        if horizon <= 0.0:
-            raise DomainError(f"horizon must be positive, got {horizon}")
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise DomainError(f"horizon must be finite and positive, got {horizon}")
         self.cfg = cfg
         self.horizon = float(horizon)
         self.seed = seed
@@ -385,30 +387,41 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
     return ExponentialFit(tau=tau)
 
 
-def _compass_minimize(objective, x0, log_mask, steps0):
-    """Derivative-free coordinate (compass) search with shrinking steps."""
-    x = list(x0)
-    fx = objective(x)
-    steps = list(steps0)
-    for _ in range(_COMPASS_MAX_ITER):
-        improved = False
-        for i in range(len(x)):
-            for sign in (1.0, -1.0):
-                trial = list(x)
-                if log_mask[i]:
-                    trial[i] = x[i] * math.exp(sign * steps[i])
-                else:
-                    trial[i] = x[i] + sign * steps[i]
-                ft = objective(trial)
-                if ft < fx:
-                    x, fx = trial, ft
-                    improved = True
-                    break
-        if not improved:
-            steps = [0.5 * s for s in steps]
-            if max(steps) < _COMPASS_STEP_TOL:
-                return x, fx, True
-    return x, fx, max(steps) < _COMPASS_STEP_TOL
+def _levenberg_marquardt(residuals, u):
+    """Minimize |residuals(u)|^2 by Levenberg-Marquardt (Moré 1978).
+
+    residuals returns None off the family's domain, which rejects the
+    trial. Returns (u, r, converged): whether a step fell below
+    _LM_STEP_TOL before _LM_MAX_ITER trials.
+    """
+    r = residuals(u)
+    mu = 1e-3
+    scale = None
+    for _ in range(_LM_MAX_ITER):
+        if scale is None:
+            jac = np.zeros((r.size, u.size))
+            for j in range(u.size):
+                shifted = u.copy()
+                shifted[j] += _FD_STEP * max(1.0, abs(u[j]))
+                rj = residuals(shifted)
+                if rj is not None:
+                    jac[:, j] = (rj - r) / (shifted[j] - u[j])
+            # Moré's scaling: unit columns, so mu damps every parameter alike
+            scale = np.linalg.norm(jac, axis=0)
+            scale[scale == 0.0] = 1.0
+            jac /= scale
+            normal, grad = jac.T @ jac, jac.T @ r
+        # unit columns and mu >= _LM_MU_MIN keep the damped matrix regular
+        step = -np.linalg.solve(normal + mu * np.eye(u.size), grad) / scale
+        trial = residuals(u + step)
+        if trial is not None and trial @ trial < r @ r:
+            u, r, scale = u + step, trial, None
+            mu = max(0.1 * mu, _LM_MU_MIN)
+        else:
+            mu *= 10.0
+        if np.linalg.norm(step) <= _LM_STEP_TOL * (1.0 + np.linalg.norm(u)):
+            return u, r, True
+    return u, r, False
 
 
 def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFit:
@@ -416,9 +429,11 @@ def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFi
 
     Builds the interval-mass residuals from consecutive measurement pairs
     plus the rate-level residual of the first measurement (intervals alone
-    cannot identify location parameters), and minimizes the sum of squares
-    by compass search from level-identity starting points. A fit that
-    exhausts the iteration budget is still returned, flagged unconverged.
+    cannot identify location parameters), and minimizes their sum of
+    squares by one Levenberg-Marquardt solve in log-parameters (a location
+    parameter ``a`` stays linear) from the family's ``initial_guess``.
+    converged means a step fell below tolerance before the iteration cap;
+    a fit that reaches the cap is still returned, flagged unconverged.
     """
     if hasattr(family, "__name__"):
         family = family.__name__
@@ -444,41 +459,40 @@ def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFi
     betas = [infer_threshold(m) for m in ms]
     lam = ms[0].lam
     gammas = [m.gamma1 for m in ms]
+    if betas[0] <= 0.0:
+        raise DegenerateError(f"inferred threshold {betas[0]} is not positive")
     for i in range(len(ms) - 1):
         if betas[i + 1] <= betas[i] or gammas[i + 1] >= gammas[i]:
             raise DegenerateError(
                 f"price step {points[i]} -> {points[i + 1]} moved no probability mass")
     masses = [(gammas[i] - gammas[i + 1]) / lam for i in range(len(ms) - 1)]
     levels = [1.0 - g / lam for g in gammas]
-    beta_max = max(betas)
-
-    def objective(params):
-        try:
-            dist = law(*params)
-        except DomainError:
-            return math.inf
-        # the law must cover every inferred threshold
-        lo, hi = dist.support
-        if not hi > beta_max:
-            return math.inf
-        fs = [models.cdf(dist, b) if b > lo else 0.0 for b in betas]
-        ssq = (fs[0] - levels[0]) ** 2
-        for i, mass in enumerate(masses):
-            r = fs[i + 1] - fs[i] - mass
-            ssq += r * r
-        return ssq
 
     log_mask = [name != "a" for name in names]
-    best = None
-    for guess in law.initial_guesses(betas, levels, lam, gammas):
-        steps0 = [0.25 if lm else 0.1 * max(1.0, abs(g))
-                  for g, lm in zip(guess, log_mask)]
-        x, fx, ok = _compass_minimize(objective, guess, log_mask, steps0)
-        if best is None or fx < best[1]:
-            best = (x, fx, ok)
-    params, ssq, converged = best
-    return ParametricFit(family=family, params=tuple(params),
-                         residual_norm=math.sqrt(ssq), converged=converged)
+    targets = np.array(levels[:1] + masses)
+
+    def params_of(u):
+        return [math.exp(v) if lm else float(v) for v, lm in zip(u, log_mask)]
+
+    def residuals(u):
+        try:
+            dist = law(*params_of(u))
+        except (DomainError, OverflowError):
+            return None
+        # the law must cover every inferred threshold
+        lo, hi = dist.support
+        if not hi > betas[-1]:
+            return None
+        fs = np.array([models.cdf(dist, b) if b > lo else 0.0 for b in betas])
+        r = np.concatenate([fs[:1], np.diff(fs)]) - targets
+        return r if np.all(np.isfinite(r)) else None
+
+    guess = law.initial_guess(betas, levels, lam, gammas)
+    u, r, converged = _levenberg_marquardt(residuals, np.array(
+        [math.log(g) if lm else g for g, lm in zip(guess, log_mask)]))
+    return ParametricFit(family=family, params=tuple(params_of(u)),
+                         residual_norm=float(np.linalg.norm(r)),
+                         converged=converged)
 
 
 def estimate_density(oracle, c2: float, c1_start: float, delta: float,

@@ -126,10 +126,12 @@ class SensitivityDistribution:
         return tuple(f.name for f in fields(cls))
 
     @classmethod
-    def initial_guesses(cls, betas, levels, lam, gammas) -> list:
-        """Parameter tuples the parametric fitter starts from, derived from
-        the level identity F(beta_i) = p_i: thresholds betas inferred at
-        server-1 rates gammas, and levels p_i = 1 - gammas[i] / lam."""
+    def initial_guess(cls, betas, levels, lam, gammas) -> tuple:
+        """The one parameter tuple the parametric fitter starts from, read
+        off the level identity F(beta_i) = p_i for thresholds betas inferred
+        at server-1 rates gammas and levels p_i = 1 - gammas[i] / lam (both
+        increasing). It must lie in the family's domain and cover every
+        threshold; the fit itself refines it by least squares."""
         raise NotImplementedError
 
     @property
@@ -168,18 +170,11 @@ class Uniform(SensitivityDistribution):
         return (self.a, self.b)
 
     @classmethod
-    def initial_guesses(cls, betas, levels, lam, gammas):
-        # least-squares line beta = a + (b - a) * p
-        n = len(betas)
-        p_mean = sum(levels) / n
-        b_mean = sum(betas) / n
-        var = sum((p - p_mean) ** 2 for p in levels)
-        if var < 1e-20:
-            span = max(betas) - min(betas) + 1.0
-            return [(max(0.0, min(betas) - span), max(betas) + span)]
-        slope = sum((levels[i] - p_mean) * (betas[i] - b_mean) for i in range(n)) / var
-        a0 = b_mean - slope * p_mean
-        return [(max(0.0, a0), max(a0 + slope, max(betas) * (1.0 + 1e-6)))]
+    def initial_guess(cls, betas, levels, lam, gammas):
+        # the line beta = a + (b - a) * p through the first and last points
+        width = lam * (betas[-1] - betas[0]) / (gammas[0] - gammas[-1])
+        a0 = betas[0] - width * levels[0]
+        return (max(0.0, a0), max(a0 + width, betas[-1] * (1.0 + 1e-6)))
 
     def _cdf(self, x):
         if x >= self.b:
@@ -209,10 +204,9 @@ class Exponential(SensitivityDistribution):
         return (0.0, math.inf)
 
     @classmethod
-    def initial_guesses(cls, betas, levels, lam, gammas):
-        n = len(betas)
-        taus = [betas[i] / math.log(lam / gammas[i]) for i in range(n)]
-        return [(sum(taus) / n,)]
+    def initial_guess(cls, betas, levels, lam, gammas):
+        # the law through the first level
+        return (betas[0] / math.log(lam / gammas[0]),)
 
     def _cdf(self, x):
         return -math.expm1(-x / self.tau)
@@ -246,13 +240,9 @@ class Gamma(SensitivityDistribution):
         return (0.0, math.inf)
 
     @classmethod
-    def initial_guesses(cls, betas, levels, lam, gammas):
-        # one start per shape, scale chosen to match the first level exactly
-        guesses = []
-        for k in (0.5, 1.0, 2.0, 4.0, 8.0):
-            theta = betas[0] / _special.gamma_p_inverse(k, levels[0])
-            guesses.append((k, theta))
-        return guesses
+    def initial_guess(cls, betas, levels, lam, gammas):
+        # the exponential law, k = 1
+        return (1.0, *Exponential.initial_guess(betas, levels, lam, gammas))
 
     def _cdf(self, x):
         return _special.gamma_p(self.k, x / self.theta)
@@ -292,17 +282,12 @@ class Power(SensitivityDistribution):
         return (0.0, self.b)
 
     @classmethod
-    def initial_guesses(cls, betas, levels, lam, gammas):
-        n = len(betas)
-        lx = [math.log(b) for b in betas]
-        ly = [math.log(p) for p in levels]
-        x_mean, y_mean = sum(lx) / n, sum(ly) / n
-        var = sum((x - x_mean) ** 2 for x in lx)
-        slope = (sum((lx[i] - x_mean) * (ly[i] - y_mean) for i in range(n)) / var
-                 if var > 1e-20 else 1.0)
-        n0 = max(slope, 1e-3)
-        b0 = math.exp(x_mean - y_mean / n0)
-        return [(n0, max(b0, max(betas) * (1.0 + 1e-6)))]
+    def initial_guess(cls, betas, levels, lam, gammas):
+        # the curve p = (beta / b)**n through the first and last points
+        n0 = math.log(levels[-1] / levels[0]) / math.log(betas[-1] / betas[0])
+        n0 = max(n0, 1e-3)
+        b0 = betas[0] * levels[0] ** (-1.0 / n0)
+        return (n0, max(b0, betas[-1] * (1.0 + 1e-6)))
 
     def _cdf(self, x):
         if x >= self.b:

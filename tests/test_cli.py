@@ -287,6 +287,22 @@ def test_runtime_error_exits_3(ex1_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["duopoly-nash", "--max-iter", "0", "--format", "json"],
+    ["estimate-exp", "--c1", "3", "--c2", "1", "--delta", "0.2", "--oracle", "des",
+     "--horizon", "nan"],
+    ["estimate-exp", "--c1", "3", "--c2", "1", "--delta", "0.2", "--oracle", "des",
+     "--horizon", "inf"],
+])
+def test_nonfinite_horizon_or_empty_budget_exits_3(tmp_path, argv, capsys):
+    cfg = SystemConfig(3.0, DelayModel.mm1(3.3), DelayModel.mm1(4.0), Uniform(2.0, 6.0))
+    path = tmp_path / "mm1.json"
+    path.write_text(config_to_json(cfg))
+    assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("classes, message", [
     ("4:1,x", "cannot parse --classes"),
     ("4", "cannot parse --classes"),

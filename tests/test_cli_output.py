@@ -82,10 +82,10 @@ CASES = [
      '  "converged": true,\n'
      '  "family": "uniform",\n'
      '  "params": {\n'
-     '    "a": 1.9999999980883385,\n'
-     '    "b": 6.000000000773845\n'
+     '    "a": 1.9999999980977239,\n'
+     '    "b": 6.0000000007663\n'
      '  },\n'
-     '  "residual_norm": 3.2696446794218297e-11\n'
+     '  "residual_norm": 3.2691235566429516e-11\n'
      '}\n'),
     ('ex2', 'estimate-density --c2 1 --c1-start 1.5 --delta 0.3 --steps 3 --format csv',
      'beta_lo,beta_hi,z\n'

@@ -199,11 +199,11 @@ def test_alpha2_is_taken_at_server_2s_own_balanced_load(ex1_uniform):
 # --- nash iteration ---------------------------------------------------------------
 
 
-def test_nash_iterate_zero_budget_returns_init(ex3):
-    out = nash_iterate(ex3, PriceVector(1.0, 2.0), tol=1e-6, max_iter=0)
-    assert not out.converged
-    assert out.iterations == 0
-    assert (out.prices.c1, out.prices.c2) == (1.0, 2.0)
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_nash_iterate_rejects_empty_budget(ex3, max_iter):
+    # without one round there is no residual to report
+    with pytest.raises(DomainError, match="max_iter"):
+        nash_iterate(ex3, PriceVector(1.0, 2.0), tol=1e-6, max_iter=max_iter)
 
 
 def test_nash_fixed_point_verification(ex3):

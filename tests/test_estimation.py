@@ -6,18 +6,22 @@ simulation oracle is compared against the analytic one statistically.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qpk import (DegenerateError, DelayModel, DomainError,
+from qpk import (DegenerateError, DelayModel, DomainError, Gamma,
                  InsufficientDataError, PreconditionError, PriceVector,
-                 StabilityError, SystemConfig, Uniform,
+                 StabilityError, SystemConfig, Uniform, balanced_load,
                  discover_classes, discrete_class_oracle, des_oracle,
                  estimate_density, estimate_exponential, estimate_parametric,
                  exact_oracle, infer_threshold, noisy_oracle,
                  solve_equilibrium, threshold_of_rate)
 from qpk.estimation import Measurement
+from qpk.wardrop import price_of_rate_1
+
+from conftest import random_config
 
 
 # --- exact oracle -------------------------------------------------------------
@@ -136,6 +140,18 @@ def test_des_oracle_stability_error(sat_power):
         oracle.measure(5.0, 1e9)  # drives server 1 onto its service rate
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_des_oracle_rejects_bad_horizon(ex2_uniform, horizon):
+    with pytest.raises(DomainError, match="horizon"):
+        des_oracle(ex2_uniform, horizon=horizon, seed=0)
+
+
+@pytest.mark.parametrize("sigma_rel", [math.nan, math.inf, -0.1])
+def test_noisy_oracle_rejects_bad_sigma(ex1_uniform, sigma_rel):
+    with pytest.raises(DomainError, match="sigma_rel"):
+        noisy_oracle(exact_oracle(ex1_uniform), sigma_rel, seed=0)
+
+
 def test_des_oracle_requires_mm1(ex1_uniform):
     with pytest.raises(PreconditionError):
         des_oracle(ex1_uniform, horizon=100.0, seed=0)
@@ -234,6 +250,46 @@ def test_estimate_parametric_closed_loop_one_percent(ex1_gamma, ex1_uniform):
                                 [3.0, 3.05, 3.1])
     assert fit_u.params[0] == pytest.approx(2.0, rel=0.01)
     assert fit_u.params[1] == pytest.approx(6.0, rel=0.01)
+
+
+def test_estimate_parametric_gamma_repro_converges():
+    # the repro in perfbench/NOTES.md: residuals below 1.2e-10 at the true law
+    cfg = SystemConfig(4.4218, DelayModel.linear(5.2820), DelayModel.linear(11.7575),
+                       Gamma(3.2937, 1.2208))
+    fit = estimate_parametric(exact_oracle(cfg), "gamma", 1.6674,
+                              [2.0610, 2.3373, 2.6523, 3.0185])
+    assert fit.converged
+    assert fit.params[0] == pytest.approx(3.2937, rel=1e-6)
+    assert fit.params[1] == pytest.approx(1.2208, rel=1e-6)
+
+
+@pytest.mark.parametrize("family", ["uniform", "expo", "power", "gamma"])
+def test_estimate_parametric_generated_laws_converge(family):
+    rng = random.Random(2024)
+    for _ in range(16):
+        cfg = random_config(rng, (family,))
+        c2 = rng.uniform(0.0, 3.0)
+        gp = balanced_load(cfg)
+        prices = [price_of_rate_1(cfg, c2, gp * (0.8 - 0.12 * j)) for j in range(4)]
+        fit = estimate_parametric(exact_oracle(cfg), cfg.dist.family, c2, prices)
+        assert fit.converged, cfg
+        truth = [getattr(cfg.dist, name) for name in cfg.dist.param_names()]
+        # uniform's location a may lie near zero: hold it to 1e-6 of b
+        floor = 1e-6 * cfg.dist.b if family == "uniform" else 0.0
+        assert fit.params == pytest.approx(truth, rel=1e-6, abs=floor), cfg
+
+
+def test_estimate_parametric_rejects_nonpositive_threshold():
+    # noise that inverts the delay gap implies a negative sensitivity
+    exact = exact_oracle(SystemConfig(3.0, DelayModel.linear(3.3),
+                                      DelayModel.linear(4.0), Gamma(2.0, 2.0)))
+
+    class Inverted:
+        def measure(self, c1, c2):
+            m = exact.measure(c1, c2)
+            return Measurement(c1, c2, m.gamma1, m.gamma2, m.d2, m.d1)
+    with pytest.raises(DegenerateError, match="not positive"):
+        estimate_parametric(Inverted(), "gamma", 1.0, [3.0, 3.05, 3.1])
 
 
 def test_estimate_parametric_input_checks(ex1_gamma):
