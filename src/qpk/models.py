@@ -317,9 +317,9 @@ def cdf(dist: SensitivityDistribution, x: float) -> float:
 def quantile(dist: SensitivityDistribution, p: float) -> float:
     """F^{-1}(p) for one p in [0, 1].
 
-    Exact inverse for the uniform, exponential and power families; monotone
+    Exact inverse for the uniform, exponential and power families; Halley
     root-finding on the regularized incomplete gamma for the gamma family,
-    accurate to 1e-10 in probability. For unbounded-support families p is
+    to |F(x) - p| < 1e-13 p. For unbounded-support families p is
     clamped to [P_MIN, 1 - P_MIN] so the result stays finite. Point solves
     use this; grid scans and sampling use :func:`quantile_array`, which
     applies the same check and clamp to a whole array at once.

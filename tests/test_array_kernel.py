@@ -7,6 +7,7 @@ scipy.special for the incomplete gamma (tests only; skipped when scipy is
 absent).
 """
 
+import contextlib
 import math
 import signal
 import time
@@ -22,9 +23,9 @@ from qpk._solve import golden_max, grid_argmax
 from qpk.models import P_MIN
 
 RTOL = 1e-13
-# the gamma inverse stops once |P(x) - p| < 1e-13; a last-bit difference
-# between numpy's and math's exp or log can move that stop by an iterate,
-# which moves x by up to a few 1e-13 relative
+# the gamma inverses stop once |P(x) - p| < 1e-13 p; a last-bit difference
+# between numpy's and math's exp or log can move that stop by a Halley
+# iterate, which moves x by up to a few 1e-15 relative
 GAMMA_RTOL = 1e-12
 LAWS = [Uniform(2.0, 6.0), Exponential(4.0), Gamma(2.0, 2.0), Gamma(0.7, 1.5),
         Power(2.0, 4.0)]
@@ -149,11 +150,22 @@ def test_gamma_p_inverse_array_matches_scipy(k):
     np.testing.assert_allclose(sp.gammainc(k, x), p, rtol=0.0, atol=2e-13)
 
 
-@pytest.mark.parametrize("k", [0.7, 2.0, 3.8])
+@pytest.mark.parametrize("k", [0.3, 0.7, 1.0, 2.0, 4.0, 10.0, 100.0])
+def test_gamma_p_inverses_are_relative_in_the_lower_tail(k):
+    # at k = 4, p = 1e-12 an absolute stop on |P(x) - p| left P 3.2% off
+    sp = pytest.importorskip("scipy.special")
+    p = np.geomspace(1e-12, 0.5, 200)
+    for x in (_special.gamma_p_inverse_array(k, p),
+              _scalar(lambda q: _special.gamma_p_inverse(k, q), p)):
+        np.testing.assert_allclose(sp.gammainc(k, x), p, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [0.7, 1.0, 2.0, 3.8])
 def test_gamma_array_functions_match_scalar(k):
     rng = np.random.default_rng(int(k * 10))
-    # more than one block, so the inverse runs block by block
-    p = rng.random(_special._BLOCK + 7)
+    # more than one block, so the inverse runs block by block, and both tails
+    tail = np.geomspace(1e-12, 0.5, 200)
+    p = np.concatenate([rng.random(_special._BLOCK + 7), tail, 1.0 - tail])
     np.testing.assert_allclose(_special.gamma_p_inverse_array(k, p),
                                _scalar(lambda q: _special.gamma_p_inverse(k, q), p),
                                rtol=GAMMA_RTOL, atol=0.0)
@@ -289,12 +301,59 @@ def test_gamma_monopoly_scan_makes_no_per_point_quantile_calls(ex1_gamma, monkey
     assert 0 < len(calls) <= 200
 
 
+def test_gamma_inverses_evaluate_p_few_times_per_quantile(ex1_gamma, monkeypatch):
+    # cost guard: Halley steps from the Wilson-Hilferty start take about 3
+    # evaluations of P per quantile here; a bracket expansion pass followed
+    # by Newton steps took 8.4 on the array path and 10 on the scalar one.
+    # On this config P is evaluated only inside the inverses.
+    counts = dict.fromkeys(["gamma_p_inverse", "gamma_p", "gamma_p_inverse_array",
+                            "gamma_p_array"], 0)
+    for name in counts:
+        def counted(k, v, name=name, fn=getattr(_special, name)):
+            counts[name] += np.size(v)
+            return fn(k, v)
+        monkeypatch.setattr(_special, name, counted)
+    balanced_load.cache_clear()
+    optimize_monopoly(ex1_gamma, 1.0)
+    assert counts["gamma_p_inverse"] > 0 and counts["gamma_p_inverse_array"] > 0
+    assert counts["gamma_p_array"] <= 4 * counts["gamma_p_inverse_array"]
+    assert counts["gamma_p"] <= 4 * counts["gamma_p_inverse"]
+
+
 class _Timeout(Exception):
     pass
 
 
 def _raise_timeout(signum, frame):
     raise _Timeout
+
+
+@contextlib.contextmanager
+def _wall_bound(seconds):
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_gamma_inverses_finish_at_extreme_shapes_and_tails():
+    # the iteration closes its own bracket from (0, inf); at every shape
+    # and in both tails it must do so without overflow or a runaway x
+    ps = np.array([1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12])
+    with _wall_bound(20):
+        for k in (1e-3, 0.01, 0.1, 1.0, 100.0, 1e4):
+            for x in (_special.gamma_p_inverse_array(k, ps),
+                      _scalar(lambda q: _special.gamma_p_inverse(k, q), ps)):
+                assert np.all(np.isfinite(x) & (x > 0.0)), (k, x)
+        # from a start near 1e21 the flat upper tail must be bisected, not
+        # crept back along by Halley steps of about 2 (scipy: 5.1200250838)
+        for x in (_special.gamma_p_inverse_array(1e-3, np.array([1.0 - 1e-6]))[0],
+                  _special.gamma_p_inverse(1e-3, 1.0 - 1e-6)):
+            assert x == pytest.approx(5.1200250838, rel=1e-9)
 
 
 def _scaled(s):
@@ -308,16 +367,11 @@ def test_large_rates_finish_and_scale():
     # lie further apart than the 1e-9 argument tolerance, which alone never
     # closes a golden-section bracket
     small, big = _scaled(1.0), _scaled(1e8)
-    previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.alarm(20)
-    try:
+    with _wall_bound(20):
         start = time.perf_counter()
         res = optimize_monopoly(big, 0.0)
         elapsed = time.perf_counter() - start
         brs = [best_response(big, server, 0.5) for server in (1, 2)]
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert elapsed < 2.0
     ref = optimize_monopoly(small, 0.0)
     assert res.gamma1_star / big.lam == pytest.approx(ref.gamma1_star, abs=1e-6)
