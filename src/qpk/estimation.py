@@ -165,7 +165,8 @@ def _fcfs_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
 
 
 def _sample_sensitivities(dist, u: np.ndarray) -> np.ndarray:
-    """Inverse-transform samples of the sensitivity law at uniforms u."""
+    """Inverse-transform samples at uniforms u: the reference DesOracle's
+    routing must match, and the arrival-count hook of the bench tracer."""
     return models.quantile_array(dist, u)
 
 
@@ -173,8 +174,9 @@ class DesOracle:
     """Event-driven simulation of two FCFS exponential single-server queues.
 
     Arrivals are Poisson with the configured total rate; each arrival
-    draws a sensitivity from the configured law and routes through the
-    analytic threshold kernel for the queried prices. Rates and mean
+    routes through the analytic threshold kernel for the queried prices
+    by comparing its uniform, clamped as quantile_array clamps it, with
+    F(beta1) (F^{-1}(u) > beta1 iff u > F(beta1)). Rates and mean
     sojourn times are measured over [warmup, horizon], warmup = 10% of
     the horizon. Deterministic per seed (counter-based generator, one
     stream per measure call); a single instance is not safe for
@@ -219,8 +221,10 @@ class DesOracle:
         if arrivals.size == 0:
             raise InsufficientDataError("no arrivals within the horizon")
 
-        betas = _sample_sensitivities(cfg.dist, rng.random(arrivals.size))
-        high = betas > split.beta1
+        u = rng.random(arrivals.size)
+        if not cfg.dist.bounded:
+            u = np.clip(u, models.P_MIN, 1.0 - models.P_MIN)
+        high = u > models.cdf(cfg.dist, split.beta1)
         to_one = ~high if split.regime is Regime.HIGH_BETA_TO_SERVER_2 else high
 
         window = horizon - warmup
@@ -279,8 +283,9 @@ class DiscreteClassOracle:
 
     def measure(self, c1: float, c2: float) -> Measurement:
         delta = c1 - c2
-        demand = lambda g: sum(r for b, r in self.classes
-                               if b * self._delay_gap(g) > delta)
+        def demand(g):
+            gap = self._delay_gap(g)
+            return sum(r for b, r in self.classes if b * gap > delta)
         lo, hi = 0.0, self.lam
         if demand(0.0) <= 0.0:
             gamma1 = 0.0

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from qpk import (DegenerateError, DelayModel, DomainError, Gamma,
-                 InsufficientDataError, PreconditionError, PriceVector,
+                 InsufficientDataError, Power, PreconditionError, PriceVector,
                  StabilityError, SystemConfig, Uniform, balanced_load,
                  discover_classes, discrete_class_oracle, des_oracle,
                  estimate_density, estimate_exponential, estimate_parametric,
                  exact_oracle, infer_threshold, noisy_oracle,
                  solve_equilibrium, threshold_of_rate)
-from qpk.estimation import Measurement
-from qpk.wardrop import price_of_rate_1
+from qpk import _special, models
+from qpk.estimation import Measurement, _sample_sensitivities
+from qpk.wardrop import Regime, price_of_rate_1
 
 from conftest import random_config
 
@@ -93,10 +94,25 @@ def test_noisy_density_estimate_reported(sat_power, capsys):
 # --- simulation oracle ----------------------------------------------------------
 
 
-def test_des_oracle_matches_analytic_rates(ex2_uniform):
-    oracle = des_oracle(ex2_uniform, horizon=200_000.0, seed=12345)
-    m = oracle.measure(3.0, 1.0)
-    split = solve_equilibrium(ex2_uniform, PriceVector(3.0, 1.0))
+@pytest.fixture
+def ex2_power():
+    """The mm1 servers of ex2 with F(x) = x^2 / 16 on [0, 4]."""
+    return SystemConfig(3.0, DelayModel.mm1(3.3), DelayModel.mm1(4.0), Power(2.0, 4.0))
+
+
+EX2_LAWS = ["ex2_uniform", "ex2_expo", "ex2_gamma", "ex2_power"]
+# c1 > c2 sends high sensitivities to server 1, c1 < c2 to server 2
+BOTH_REGIMES = pytest.mark.parametrize("prices", [(3.0, 1.0), (0.5, 1.0)],
+                                       ids=["high_to_1", "high_to_2"])
+
+
+@BOTH_REGIMES
+@pytest.mark.parametrize("name", EX2_LAWS)
+def test_des_oracle_matches_analytic_rates(name, prices, request):
+    cfg = request.getfixturevalue(name)
+    oracle = des_oracle(cfg, horizon=200_000.0, seed=12345)
+    m = oracle.measure(*prices)
+    split = solve_equilibrium(cfg, PriceVector(*prices))
     window = 0.9 * 200_000.0
     for emp, ana in ((m.gamma1, split.gamma1), (m.gamma2, split.gamma2)):
         se = math.sqrt(ana * window) / window
@@ -104,6 +120,32 @@ def test_des_oracle_matches_analytic_rates(ex2_uniform):
     # empirical sojourns near the mm1 formula at these utilizations
     assert m.d1 == pytest.approx(1.0 / (3.3 - split.gamma1), rel=0.05)
     assert m.d2 == pytest.approx(1.0 / (4.0 - split.gamma2), rel=0.05)
+
+
+@BOTH_REGIMES
+@pytest.mark.parametrize("name", EX2_LAWS)
+def test_des_routing_by_cdf_matches_inverse_transform(name, prices, request):
+    # DesOracle routes on u > F(beta1); the inverse-transform sensitivity
+    # F^{-1}(u) > beta1 is the reference. The endpoints exercise the clamp.
+    cfg = request.getfixturevalue(name)
+    split = solve_equilibrium(cfg, PriceVector(*prices))
+    u = np.concatenate([np.random.default_rng(2024).random(20_000),
+                        [0.0, 1e-13, 1.0 - 1e-13, np.nextafter(1.0, 0.0)]])
+    clamped = u if cfg.dist.bounded else np.clip(u, models.P_MIN, 1.0 - models.P_MIN)
+    by_cdf = clamped > models.cdf(cfg.dist, split.beta1)
+    by_quantile = _sample_sensitivities(cfg.dist, u) > split.beta1
+    np.testing.assert_array_equal(by_cdf, by_quantile)
+    assert 0 < np.count_nonzero(by_cdf) < u.size
+    assert (split.regime is Regime.HIGH_BETA_TO_SERVER_2) == (prices[0] < prices[1])
+
+
+def test_des_oracle_gamma_makes_no_inversion(ex2_gamma, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the simulation inverted the gamma cdf")
+    monkeypatch.setattr(models, "quantile_array", forbidden)
+    monkeypatch.setattr(_special, "gamma_p_inverse_array", forbidden)
+    m = des_oracle(ex2_gamma, horizon=1e4, seed=3).measure(3.0, 1.0)
+    assert 0.0 < m.gamma1 < m.gamma2
 
 
 def test_des_oracle_rate_mean_over_seeds(ex2_uniform):
