@@ -10,8 +10,8 @@ the third-order step costs no more evaluations of P than a Newton step
 (Numerical Recipes 3rd ed., section 6.2.1).
 
 ``gamma_p_array`` and ``gamma_p_inverse_array`` run the same algorithms
-elementwise over a numpy array for one shape k: whole-grid scans and
-sampling call them once instead of once per point. In each iteration
+elementwise over a numpy array for one shape k: whole-grid scans call
+them once instead of once per point. In each iteration
 where elements meet their stopping rule, their values are written back
 and the arrays are compacted to the rest, so every element takes the
 iterates and the stopping point its scalar counterpart would.

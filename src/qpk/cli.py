@@ -252,17 +252,16 @@ def _cmd_sweep(args: argparse.Namespace) -> Result:
         raise DomainError(f"sweep needs n >= 2, got {n}")
 
     if what in ("beta1", "g1", "g2"):
-        rate, fn = {"beta1": ("gamma1", wardrop.threshold_of_rate),
-                    "g1": ("gamma1", wardrop.price_gap_1),
-                    "g2": ("gamma2", wardrop.price_gap_2)}[what]
+        rate, own = ("gamma2", cfg.swapped()) if what == "g2" else ("gamma1", cfg)
+        fn = wardrop.resolve(own)[1 if what == "beta1" else 2]  # beta1 or g1
         grid = _solve.uniform_grid(*wardrop._root_bracket(cfg), n).tolist()
-        return Result(csv=_csv((rate, what), [(g, fn(cfg, g)) for g in grid]))
+        return Result(csv=_csv((rate, what), [(g, fn(g)) for g in grid]))
     if what == "revenue":
         return Result(csv=_csv(("gamma1", "revenue"), monopoly.revenue_curve(cfg, c2, n)))
-    cap = wardrop.rate_cap_1(cfg, c2)
+    cap, g1 = wardrop.rate_cap_with_gap(cfg, c2)
     rows = []
     for g in _solve.uniform_grid(cfg.lam * P_MIN, cap * (1.0 - P_MIN), n).tolist():
-        gap = wardrop.price_gap_1(cfg, g)
+        gap = g1(g)
         rows.append((g, (gap + c2) * g, c2 + gap))
     return Result(csv=_csv(("gamma1", "r1", "c1"), rows))
 

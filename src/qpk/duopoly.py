@@ -7,14 +7,15 @@ alpha = -gamma+ * g'(gamma+); it is necessary but not sufficient, and
 check_symmetric_nash tests it by running the best response at that price.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from ._solve import DEFAULT_GRID, local_maxima_scan
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig, validate_config
-from .wardrop import (PriceVector, balanced_load, price_gap_1, price_gap_1_array,
-                      price_gap_1_deriv, rate_cap_1)
+from .wardrop import (PriceVector, balanced_load, check_price, price_gap_1_array,
+                      price_gap_1_deriv, rate_cap_with_gap)
 
 #: Relative revenue slack under which two local maxima count as tied;
 #: ties resolve to the smaller rate.
@@ -58,15 +59,15 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     validate_config(cfg)
     if server not in (1, 2):
         raise DomainError(f"server must be 1 or 2, got {server}")
-    if other_price < 0.0:
-        raise DomainError(f"other_price must be nonnegative, got {other_price}")
+    check_price("other_price", other_price)
 
     # server 2's problem is server 1's on the swapped system
     own = (cfg, cfg.swapped())[server - 1]
+    cap, g1 = rate_cap_with_gap(own, other_price)
     lo = cfg.lam * P_MIN
-    hi = rate_cap_1(own, other_price) * (1.0 - P_MIN)
+    hi = cap * (1.0 - P_MIN)
     candidates = local_maxima_scan(lambda g: (price_gap_1_array(own, g) + other_price) * g,
-                                   lambda g: (price_gap_1(own, g) + other_price) * g,
+                                   lambda g: (g1(g) + other_price) * g,
                                    lo, hi, grid_size)
     g_star, r_star = candidates[0]
     for g, r in candidates[1:]:
@@ -76,7 +77,7 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
         server=server,
         given_price=other_price,
         gamma_star=g_star,
-        price_star=price_gap_1(own, g_star) + other_price,
+        price_star=g1(g_star) + other_price,
         revenue_star=r_star,
         stationary_points=tuple(g for g, _ in candidates),
     )
@@ -111,6 +112,8 @@ def check_symmetric_nash(cfg: SystemConfig, tol: float = 1e-6) -> NashVerdict:
     NECESSARY_ONLY_FAILED otherwise. Identical servers required.
     """
     validate_config(cfg)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if not cfg.identical_servers():
         raise PreconditionError(
             "symmetric Nash check requires identical servers")
@@ -134,8 +137,8 @@ def nash_iterate(cfg: SystemConfig, init: PriceVector, tol: float = 1e-6,
     non-convergence is a reported outcome, not an error.
     """
     validate_config(cfg)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if not 0.0 < damping <= 1.0:
         raise DomainError(f"damping must lie in (0, 1], got {damping}")
     if max_iter < 1:

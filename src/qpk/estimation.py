@@ -272,14 +272,14 @@ class DiscreteClassOracle:
         self.lam = sum(r for _, r in cl)
         self.d1 = d1
         self.d2 = d2
+        self._delay1, self._delay2 = models.bind_delay(d1), models.bind_delay(d2)
         for name, model in (("server 1", d1), ("server 2", d2)):
             if model.family is DelayFamily.MM1 and model.mu <= self.lam:
                 raise DomainError(f"{name}: mm1 needs mu > total rate "
                                   f"(mu={model.mu}, total={self.lam})")
 
     def _delay_gap(self, gamma1: float) -> float:
-        return (models.delay_eval(self.d2, self.lam - gamma1)
-                - models.delay_eval(self.d1, gamma1))
+        return self._delay2(self.lam - gamma1) - self._delay1(gamma1)
 
     def measure(self, c1: float, c2: float) -> Measurement:
         delta = c1 - c2
@@ -303,8 +303,8 @@ class DiscreteClassOracle:
             gamma1 = 0.5 * (lo + hi)
         return Measurement(
             c1=c1, c2=c2, gamma1=gamma1, gamma2=self.lam - gamma1,
-            d1=models.delay_eval(self.d1, gamma1),
-            d2=models.delay_eval(self.d2, self.lam - gamma1),
+            d1=self._delay1(gamma1),
+            d2=self._delay2(self.lam - gamma1),
         )
 
 

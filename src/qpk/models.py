@@ -31,7 +31,7 @@ class DelayModel:
 
     Two families: ``linear`` has D(g) = g/mu, ``mm1`` has D(g) = 1/(mu - g)
     for g < mu. The family set is closed in v1; evaluation and derivative
-    dispatch through :func:`delay_eval` / :func:`delay_deriv` so a new
+    dispatch through :func:`bind_delay` / :func:`delay_deriv` so a new
     family is a single-site addition.
     """
 
@@ -51,23 +51,33 @@ class DelayModel:
         return cls(DelayFamily.MM1, mu)
 
 
+def bind_delay(model: DelayModel, saturation: bool = False):
+    """The map gamma -> D(gamma) of :func:`delay_eval`, with the family and
+    the saturation rule decided once; point solves bind it once per solve."""
+    mu, linear = model.mu, model.family is DelayFamily.LINEAR
+
+    def delay(gamma):
+        if gamma < 0.0:
+            raise DomainError(f"arrival rate must be nonnegative, got {gamma}")
+        if linear:
+            return gamma / mu
+        if gamma > mu or (gamma == mu and not saturation):
+            raise DomainError(
+                f"mm1 delay undefined at gamma={gamma} for mu={mu}"
+                + ("" if saturation else " (outside saturation mode)"))
+        if gamma == mu:
+            return math.inf
+        return 1.0 / (mu - gamma)
+    return delay
+
+
 def delay_eval(model: DelayModel, gamma: float, saturation: bool = False) -> float:
     """Mean delay at arrival rate gamma; strictly increasing in gamma.
 
     For mm1 models the rate must stay below mu, unless ``saturation`` is
     set, which admits gamma == mu and returns +inf there.
     """
-    if gamma < 0.0:
-        raise DomainError(f"arrival rate must be nonnegative, got {gamma}")
-    if model.family is DelayFamily.LINEAR:
-        return gamma / model.mu
-    if gamma > model.mu or (gamma == model.mu and not saturation):
-        raise DomainError(
-            f"mm1 delay undefined at gamma={gamma} for mu={model.mu}"
-            + ("" if saturation else " (outside saturation mode)"))
-    if gamma == model.mu:
-        return math.inf
-    return 1.0 / (model.mu - gamma)
+    return bind_delay(model, saturation)(gamma)
 
 
 def delay_eval_array(model: DelayModel, gamma, saturation: bool = False) -> np.ndarray:
@@ -314,6 +324,18 @@ def cdf(dist: SensitivityDistribution, x: float) -> float:
     return dist._cdf(x)
 
 
+def bind_quantile(dist: SensitivityDistribution):
+    """The map p -> F^{-1}(p) of :func:`quantile`, with the law's
+    clamp decided once; point solves bind it once per solve."""
+    inv = dist._quantile
+    lo, hi = (0.0, 1.0) if dist.bounded else (P_MIN, 1.0 - P_MIN)
+    def q(p):
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"quantile probability must lie in [0, 1], got {p}")
+        return inv(lo if p < lo else hi if p > hi else p)
+    return q
+
+
 def quantile(dist: SensitivityDistribution, p: float) -> float:
     """F^{-1}(p) for one p in [0, 1].
 
@@ -321,14 +343,10 @@ def quantile(dist: SensitivityDistribution, p: float) -> float:
     root-finding on the regularized incomplete gamma for the gamma family,
     to |F(x) - p| < 1e-13 p. For unbounded-support families p is
     clamped to [P_MIN, 1 - P_MIN] so the result stays finite. Point solves
-    use this; grid scans and sampling use :func:`quantile_array`, which
-    applies the same check and clamp to a whole array at once.
+    bind it once (:func:`bind_quantile`); grid scans use :func:`quantile_array`,
+    which applies the same check and clamp to a whole array at once.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"quantile probability must lie in [0, 1], got {p}")
-    if not dist.bounded:
-        p = min(max(p, P_MIN), 1.0 - P_MIN)
-    return dist._quantile(p)
+    return bind_quantile(dist)(p)
 
 
 def quantile_array(dist: SensitivityDistribution, p) -> np.ndarray:

@@ -4,7 +4,7 @@ Works in rate space: total revenue is c2*lam + g1(gamma1)*gamma1, so the
 solver maximizes h(gamma) = g1(gamma)*gamma over [0, gamma+], which is
 where any revenue-improving rate must lie. The grid scan evaluates h on
 the whole grid in one array pass (price_gap_1_array); the golden-section
-refinement and the reported price use the scalar price_gap_1.
+refinement and the reported price use the scalar g1 of wardrop.resolve.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from ._solve import DEFAULT_GRID, grid_argmax, refine_peak, uniform_grid
 from .errors import DomainError
 from .models import P_MIN, SystemConfig, validate_config
-from .wardrop import balanced_load, price_gap_1, price_gap_1_array
+from .wardrop import balanced_load, check_price, price_gap_1_array, resolve
 
 
 @dataclass(frozen=True)
@@ -20,10 +20,6 @@ class MonopolyResult:
     gamma1_star: float
     c1_star: float
     rt_star: float
-
-
-def _gap_revenue(cfg: SystemConfig, gamma: float) -> float:
-    return price_gap_1(cfg, gamma) * gamma
 
 
 def optimize_monopoly(cfg: SystemConfig, c2: float,
@@ -36,18 +32,17 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
     index, so results are deterministic.
     """
     validate_config(cfg)
-    if c2 < 0.0:
-        raise DomainError(f"c2 must be nonnegative, got {c2}")
+    check_price("c2", c2)
     if grid_size < 64:
         raise DomainError(f"grid_size must be at least 64, got {grid_size}")
 
-    gp = balanced_load(cfg)
+    gp, _, g1 = resolve(cfg)
     lo = cfg.lam * P_MIN
     xs, hs, i = grid_argmax(lambda g: price_gap_1_array(cfg, g) * g, lo, gp, grid_size)
-    g_star, h_star, _ = refine_peak(lambda g: _gap_revenue(cfg, g), xs, hs, i)
+    g_star, h_star, _ = refine_peak(lambda g: g1(g) * g, xs, hs, i)
     return MonopolyResult(
         gamma1_star=g_star,
-        c1_star=c2 + price_gap_1(cfg, g_star),
+        c1_star=c2 + g1(g_star),
         rt_star=c2 * cfg.lam + h_star,
     )
 

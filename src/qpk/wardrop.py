@@ -17,8 +17,9 @@ import numpy as np
 
 from ._solve import bisect_decreasing
 from .errors import DomainError
-from .models import (P_MIN, SystemConfig, delay_eval_array, density, quantile,
-                     quantile_array, validate_config)
+# perfbench/selftest.py checks that its tracer restores wardrop.quantile
+from .models import (P_MIN, SystemConfig, bind_delay, bind_quantile, delay_eval_array,
+                     density, quantile, quantile_array, validate_config)
 
 
 class Regime(Enum):
@@ -72,10 +73,11 @@ def balanced_load(cfg: SystemConfig) -> float:
     identical servers the first midpoint lam/2 is exact.
     """
     validate_config(cfg)
+    d1, d2 = bind_delay(cfg.d1, cfg.saturation_ok), bind_delay(cfg.d2, cfg.saturation_ok)
     lo, hi = 0.0, cfg.lam
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        diff = cfg.delay1(mid) - cfg.delay2(cfg.lam - mid)
+        diff = d1(mid) - d2(cfg.lam - mid)
         if diff == 0.0 or (hi - lo) < 4e-16 * cfg.lam:
             return mid
         if diff < 0.0:
@@ -83,6 +85,30 @@ def balanced_load(cfg: SystemConfig) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def resolve(cfg: SystemConfig) -> tuple:
+    """(gamma+, beta1, g1) for a point solve: :func:`threshold_of_rate` and
+    :func:`price_gap_1` bound to cfg by one balanced_load lookup, with the
+    law's quantile and both delay curves decided once, not once per point."""
+    lam, top = cfg.lam, cfg.dist.support[1]
+    gp = balanced_load(cfg)
+    q = bind_quantile(cfg.dist)
+    d1, d2 = bind_delay(cfg.d1, cfg.saturation_ok), bind_delay(cfg.d2, cfg.saturation_ok)
+
+    def beta1(gamma1):
+        if not 0.0 <= gamma1 <= lam:
+            raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
+        return q((lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam)
+
+    def g1(gamma1):
+        if not 0.0 <= gamma1 <= lam:
+            raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
+        delta_d = d2(lam - gamma1) - d1(gamma1)
+        if gamma1 == 0.0 or gamma1 == lam:
+            return top * delta_d
+        return beta1(gamma1) * delta_d
+    return gp, beta1, g1
 
 
 def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
@@ -93,15 +119,7 @@ def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
     The jump at gamma+ for non-identical servers is intentional and not
     smoothed.
     """
-    if not 0.0 <= gamma1 <= cfg.lam:
-        raise DomainError(f"rate must lie in [0, {cfg.lam}], got {gamma1}")
-    gp = balanced_load(cfg)
-    p = (cfg.lam - gamma1) / cfg.lam if gamma1 <= gp else gamma1 / cfg.lam
-    return quantile(cfg.dist, p)
-
-
-def _delay_gap_1(cfg: SystemConfig, gamma1: float) -> float:
-    return cfg.delay2(cfg.lam - gamma1) - cfg.delay1(gamma1)
+    return resolve(cfg)[1](gamma1)
 
 
 def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
@@ -110,12 +128,7 @@ def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
     Strictly decreasing, zero at the balanced load. At the domain
     endpoints an unbounded sensitivity law yields +/-inf.
     """
-    if not 0.0 <= gamma1 <= cfg.lam:
-        raise DomainError(f"rate must lie in [0, {cfg.lam}], got {gamma1}")
-    delta_d = _delay_gap_1(cfg, gamma1)
-    if gamma1 == 0.0 or gamma1 == cfg.lam:
-        return cfg.dist.support[1] * delta_d
-    return threshold_of_rate(cfg, gamma1) * delta_d
+    return resolve(cfg)[2](gamma1)
 
 
 def price_gap_1_array(cfg: SystemConfig, gamma1) -> np.ndarray:
@@ -154,11 +167,11 @@ def price_gap_1_deriv(cfg: SystemConfig, gamma1: float) -> float:
     """
     if not 0.0 < gamma1 < cfg.lam:
         raise DomainError(f"rate must lie in (0, {cfg.lam}), got {gamma1}")
-    gp = balanced_load(cfg)
-    beta = threshold_of_rate(cfg, gamma1)
+    gp, beta1, _ = resolve(cfg)
+    beta = beta1(gamma1)
     f_beta = density(cfg.dist, beta)
     beta_prime = (-1.0 if gamma1 <= gp else 1.0) / (cfg.lam * f_beta)
-    delta_d = _delay_gap_1(cfg, gamma1)
+    delta_d = cfg.delay2(cfg.lam - gamma1) - cfg.delay1(gamma1)
     delta_d_prime = -cfg.delay2_deriv(cfg.lam - gamma1) - cfg.delay1_deriv(gamma1)
     return beta_prime * delta_d + beta * delta_d_prime
 
@@ -176,21 +189,32 @@ def _root_bracket(cfg: SystemConfig) -> tuple:
     return cfg.lam * P_MIN, cfg.lam * (1.0 - P_MIN)
 
 
+def check_price(name: str, c: float) -> None:
+    """DomainError unless the price c is finite and nonnegative."""
+    if not (math.isfinite(c) and c >= 0.0):
+        raise DomainError(f"{name} must be {'nonnegative' if c < 0.0 else 'finite'}, got {c}")
+
+
+def rate_cap_with_gap(cfg: SystemConfig, c2: float) -> tuple:
+    """(rate_cap_1(cfg, c2), the bound g1 of :func:`resolve` it was found on)."""
+    check_price("rival price", c2)
+    validate_config(cfg)
+    g1 = resolve(cfg)[2]
+    if c2 >= -g1(cfg.lam):
+        return cfg.lam, g1
+    lo, hi = _root_bracket(cfg)
+    if -c2 <= g1(hi):
+        return hi, g1
+    return bisect_decreasing(g1, lo, hi, -c2), g1
+
+
 def rate_cap_1(cfg: SystemConfig, c2: float) -> float:
     """Largest equilibrium rate server 1 can attract given c2 >= 0.
 
     Returns lam when c2 >= -g1(lam) (only possible for a bounded law),
     otherwise the unique root of g1(gamma) = -c2, which is >= gamma+.
     """
-    if c2 < 0.0:
-        raise DomainError(f"rival price must be nonnegative, got {c2}")
-    validate_config(cfg)
-    if c2 >= -price_gap_1(cfg, cfg.lam):
-        return cfg.lam
-    lo, hi = _root_bracket(cfg)
-    if -c2 <= price_gap_1(cfg, hi):
-        return hi
-    return bisect_decreasing(lambda g: price_gap_1(cfg, g), lo, hi, -c2)
+    return rate_cap_with_gap(cfg, c2)[0]
 
 
 def rate_cap_2(cfg: SystemConfig, c1: float) -> float:
@@ -208,11 +232,11 @@ def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
     if gamma1 in (0.0, cfg.lam) and not cfg.dist.bounded:
         raise DomainError(
             f"price diverges at rate {gamma1} for an unbounded sensitivity law")
-    cap = rate_cap_1(cfg, c2)
+    cap, g1 = rate_cap_with_gap(cfg, c2)
     if not 0.0 <= gamma1 <= cap * (1.0 + 1e-12):
         raise DomainError(
             f"rate {gamma1} exceeds the rate cap {cap} (price would be negative)")
-    return c2 + price_gap_1(cfg, gamma1)
+    return c2 + g1(gamma1)
 
 
 def price_of_rate_2(cfg: SystemConfig, c1: float, gamma2: float) -> float:
@@ -228,6 +252,7 @@ def choke_price_1(cfg: SystemConfig, c2: float) -> float:
     """
     if not cfg.dist.bounded:
         raise DomainError("no finite choke price for an unbounded sensitivity law")
+    check_price("rival price", c2)
     validate_config(cfg)
     return c2 + price_gap_1(cfg, 0.0)
 
@@ -245,24 +270,24 @@ def solve_equilibrium(cfg: SystemConfig, prices: PriceVector) -> EquilibriumSpli
     gap = prices.gap
     regime = (Regime.HIGH_BETA_TO_SERVER_1 if gap >= 0.0
               else Regime.HIGH_BETA_TO_SERVER_2)
+    gp, beta1, g1 = resolve(cfg)
     if gap == 0.0:
-        gamma1 = balanced_load(cfg)
-        return EquilibriumSplit(gamma1, cfg.lam, threshold_of_rate(cfg, gamma1), regime)
+        return EquilibriumSplit(gp, cfg.lam, beta1(gp), regime)
     if cfg.dist.bounded:
-        if gap >= price_gap_1(cfg, 0.0):
+        if gap >= g1(0.0):
             return EquilibriumSplit(0.0, cfg.lam, cfg.dist.support[1], regime)
-        if gap <= price_gap_1(cfg, cfg.lam):
+        if gap <= g1(cfg.lam):
             return EquilibriumSplit(cfg.lam, cfg.lam, cfg.dist.support[1], regime)
     lo, hi = _root_bracket(cfg)
     # a gap beyond the value at the clamped endpoints means the true rate
     # sits in the sub-P_MIN probability tail; clamp to the endpoint
-    if gap >= price_gap_1(cfg, lo):
+    if gap >= g1(lo):
         gamma1 = lo
-    elif gap <= price_gap_1(cfg, hi):
+    elif gap <= g1(hi):
         gamma1 = hi
     else:
-        gamma1 = bisect_decreasing(lambda g: price_gap_1(cfg, g), lo, hi, gap)
-    return EquilibriumSplit(gamma1, cfg.lam, threshold_of_rate(cfg, gamma1), regime)
+        gamma1 = bisect_decreasing(g1, lo, hi, gap)
+    return EquilibriumSplit(gamma1, cfg.lam, beta1(gamma1), regime)
 
 
 def kernel_choice(cfg: SystemConfig, split: EquilibriumSplit, beta: float) -> int:

@@ -303,6 +303,20 @@ def test_nonfinite_horizon_or_empty_budget_exits_3(tmp_path, argv, capsys):
     assert out.out == "" and out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["monopoly", "--c2", "nan", "--format", "json"],
+    ["monopoly", "--c2", "inf"],
+    ["duopoly-best-response", "--server", "1", "--other-price", "nan"],
+    ["duopoly-best-response", "--server", "2", "--other-price", "-1"],
+    ["duopoly-symmetric", "--tol", "-1"],
+    ["duopoly-nash", "--tol", "nan"],
+])
+def test_bad_price_or_tolerance_exits_3(ex3_path, argv, capsys):
+    assert main(argv[:1] + ["--config", ex3_path] + argv[1:]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("classes, message", [
     ("4:1,x", "cannot parse --classes"),
     ("4", "cannot parse --classes"),

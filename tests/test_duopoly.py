@@ -119,6 +119,24 @@ def test_best_response_input_checks(ex1_uniform):
         best_response(ex1_uniform, 1, -0.2)
 
 
+@pytest.mark.parametrize("server", [1, 2])
+@pytest.mark.parametrize("other", [math.nan, math.inf, -1.0])
+def test_best_response_rejects_nonfinite_and_negative_rival_price(ex3, server, other):
+    # unchecked, a nan rival price leaves the scan no candidate at all
+    with pytest.raises(DomainError, match="other_price must be"):
+        best_response(ex3, server, other)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_tolerances_must_be_finite_and_positive(ex3, tol):
+    # unchecked, a negative or nan tol turns ex3's confirmed equilibrium
+    # into NECESSARY_ONLY_FAILED, and nash_iterate never converges on nan
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        check_symmetric_nash(ex3, tol=tol)
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        nash_iterate(ex3, PriceVector(1.0, 1.0), tol=tol)
+
+
 def test_stationary_points_contain_optimum(ex4):
     a1, _ = symmetric_alpha(ex4)
     br = best_response(ex4, 1, a1)

@@ -132,6 +132,13 @@ def test_optimize_rejects_bad_inputs(ex1_uniform):
         optimize_monopoly(bad, 1.0)
 
 
+@pytest.mark.parametrize("c2", [np.nan, np.inf, -1.0])
+def test_optimize_rejects_nonfinite_and_negative_c2(ex1_uniform, c2):
+    # unchecked, a nan c2 comes back as c1_star = nan
+    with pytest.raises(DomainError, match="c2 must be"):
+        optimize_monopoly(ex1_uniform, c2)
+
+
 def test_revenue_curve_shape(ex1_uniform):
     c2 = 1.0
     curve = revenue_curve(ex1_uniform, c2, 400)

@@ -18,6 +18,7 @@ from qpk import (DelayModel, DomainError, Exponential, PriceVector, Regime,
                  price_gap_2_deriv, price_of_rate_1, price_of_rate_2,
                  quantile, rate_cap_1, rate_cap_2, revenue_rates,
                  solve_equilibrium, threshold_of_rate)
+from qpk import duopoly, monopoly, wardrop
 from conftest import FIXTURES, random_config
 
 
@@ -234,6 +235,17 @@ def test_rate_cap_rejects_negative_price(ex1_uniform):
         rate_cap_1(ex1_uniform, -0.5)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+def test_price_inputs_reject_nonfinite_and_negative_prices(ex1_uniform, c):
+    # unchecked, a nan rival price bisects to a meaningless cap
+    for call in (lambda: rate_cap_1(ex1_uniform, c), lambda: rate_cap_2(ex1_uniform, c),
+                 lambda: price_of_rate_1(ex1_uniform, c, 1.0),
+                 lambda: price_of_rate_2(ex1_uniform, c, 1.0),
+                 lambda: choke_price_1(ex1_uniform, c)):
+        with pytest.raises(DomainError, match="rival price must be"):
+            call()
+
+
 def test_price_of_rate_examples(ex1_uniform, ex2_uniform):
     gp = balanced_load(ex1_uniform)
     assert price_of_rate_1(ex1_uniform, 1.0, gp) == pytest.approx(1.0, abs=1e-9)
@@ -265,6 +277,41 @@ def test_server_2_errors_name_no_server_1_argument(ex1_uniform):
         price_gap_2(ex1_uniform, 5.0)
     with pytest.raises(DomainError, match=r"^rival price must be nonnegative, got -1$"):
         rate_cap_2(ex1_uniform, -1)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_resolved_maps_are_the_point_functions(name, request):
+    cfg = request.getfixturevalue(name)
+    gp, beta1, g1 = wardrop.resolve(cfg)
+    assert gp == balanced_load(cfg)
+    for g in (0.0, cfg.lam * 1e-12, 0.3 * gp, gp, 0.5 * (gp + cfg.lam), cfg.lam):
+        assert beta1(g) == threshold_of_rate(cfg, g)
+        assert g1(g) == price_gap_1(cfg, g)
+    for g in (-1e-9, cfg.lam * (1.0 + 1e-9), math.nan):
+        for f in (beta1, g1):
+            with pytest.raises(DomainError, match="rate must lie in"):
+                f(g)
+
+
+def test_point_solves_resolve_the_config_once(ex1_uniform, monkeypatch):
+    # one gamma+ lookup for the solve, none per g1 evaluation; the array
+    # scans of the optimizers make the second
+    calls = []
+    lookup = wardrop.balanced_load
+
+    def counted(cfg):
+        calls.append(cfg)
+        return lookup(cfg)
+    for module in (wardrop, monopoly, duopoly):
+        monkeypatch.setattr(module, "balanced_load", counted)
+    for solve in (lambda: monopoly.optimize_monopoly(ex1_uniform, 1.0),
+                  lambda: duopoly.best_response(ex1_uniform, 1, 1.0),
+                  lambda: duopoly.best_response(ex1_uniform, 2, 1.0),
+                  lambda: solve_equilibrium(ex1_uniform, PriceVector(2.0, 1.0)),
+                  lambda: solve_equilibrium(ex1_uniform, PriceVector(1.0, 1.0))):
+        calls.clear()
+        solve()
+        assert 1 <= len(calls) <= 2
 
 
 def test_choke_price_bounded_only(ex1_uniform, ex1_expo):
