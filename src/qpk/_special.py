@@ -14,7 +14,12 @@ elementwise over a numpy array for one shape k: whole-grid scans call
 them once instead of once per point. In each iteration
 where elements meet their stopping rule, their values are written back
 and the arrays are compacted to the rest, so every element takes the
-iterates and the stopping point its scalar counterpart would.
+iterates and the stopping point its scalar counterpart would. Once
+_HANDOFF or fewer elements of a series or continued fraction are left,
+they finish in the scalar recurrences that ``gamma_p`` runs: these use
+only + - * / and comparisons, which round in Python floats as in numpy
+float64, so the bits stay those of the array loop. The exp/log front
+factor and the Halley step's density stay in numpy over the whole array.
 """
 
 import math
@@ -38,6 +43,7 @@ _EPS = 1e-16
 _TINY = 1e-300
 _MAX_ITER = 500
 _BLOCK = 4096
+_HANDOFF = 16  # at this many active elements or fewer, the array loops go scalar
 
 
 def log_gamma(x: float) -> float:
@@ -55,26 +61,24 @@ def log_gamma(x: float) -> float:
     return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _gamma_p_series(k: float, x: float) -> float:
-    """Series expansion of P(k, x); converges fastest for x < k + 1."""
-    ap = k
-    term = 1.0 / k
-    total = term
-    for _ in range(_MAX_ITER):
+def _series(k: float, x: float, i: int, ap: float, total: float, term: float) -> float:
+    """P(k, x) over its front factor by the power series, which converges
+    fastest for x < k + 1, resumed at iteration i from (ap, total, term);
+    a fresh start is i = 1, ap = k, total = term = 1/k."""
+    for _ in range(i, _MAX_ITER + 1):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + k * math.log(x) - log_gamma(k))
+    return total
 
-def _gamma_q_contfrac(k: float, x: float) -> float:
-    """Continued fraction for Q(k, x) = 1 - P(k, x), modified Lentz."""
-    b = x + 1.0 - k
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
+
+def _contfrac(k: float, i: int, h: float, b: float, c: float, d: float) -> float:
+    """Q(k, x) = 1 - P(k, x) over its front factor by the continued
+    fraction (modified Lentz), resumed at iteration i from (h, b, c, d);
+    a fresh start is i = 1, b = x + 1 - k, c = 1/_TINY, h = d = 1/b."""
+    for i in range(i, _MAX_ITER):
         an = -i * (i - k)
         b += 2.0
         d = an * d + b
@@ -88,7 +92,7 @@ def _gamma_q_contfrac(k: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + k * math.log(x) - log_gamma(k))
+    return h
 
 
 def gamma_p(k: float, x: float) -> float:
@@ -99,9 +103,11 @@ def gamma_p(k: float, x: float) -> float:
         raise ValueError(f"gamma_p requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    front = math.exp(-x + k * math.log(x) - log_gamma(k))
     if x < k + 1.0:
-        return _gamma_p_series(k, x)
-    return 1.0 - _gamma_q_contfrac(k, x)
+        return _series(k, x, 1, k, 1.0 / k, 1.0 / k) * front
+    b = x + 1.0 - k
+    return 1.0 - _contfrac(k, 1, 1.0 / b, b, 1.0 / _TINY, 1.0 / b) * front
 
 
 def gamma_p_inverse(k: float, p: float) -> float:
@@ -148,36 +154,39 @@ def gamma_p_inverse(k: float, p: float) -> float:
     return x
 
 
-def _active_loop(inputs, state, max_iter, step):
-    """Iterate ``step`` on the elements that have not yet stopped.
+def _active_loop(inputs, state, max_iter, step, finish=None):
+    """Iterate ``step`` on the elements that have not yet stopped, and
+    return the output array ``state[0]``.
 
     ``inputs`` and ``state`` are tuples of equal-length arrays: the step
     only reads the inputs, and the loop updates the state arrays, which
     the caller owns. ``step(i, *inputs, *state)`` gets the active
     elements, advances their state by iteration i in place, and returns a
     boolean mask of those that stop after it. In each iteration where any
-    stop, their state is written back to the caller's arrays and the
-    survivors' inputs and state go on as compacted copies. On return every
-    state element holds its value from the iteration where it stopped, or
-    from ``max_iter``.
+    stop, their outputs are written back to ``state[0]`` and the
+    survivors' inputs and state go on as compacted copies. With
+    ``finish``, once _HANDOFF or fewer elements are active, the loop calls
+    ``finish(i, *inputs, *state)`` once on them, with i the iteration to
+    resume at (max_iter + 1 if none is left), and writes back the outputs
+    it returns. On return every output holds its value from the iteration
+    where it stopped, or from ``max_iter``.
     """
-    ins, active = inputs, state
-    idx = np.arange(state[0].size)  # positions of the active elements
-    for i in range(1, max_iter + 1):
-        if idx.size == 0:
-            break
+    out, ins, active = state[0], inputs, state
+    idx = np.arange(out.size)  # positions of the active elements
+    least = 0 if finish is None else _HANDOFF
+    i = 0
+    while idx.size > least and i < max_iter:
+        i += 1
         done = step(i, *ins, *active)
-        if not done.any():
-            continue
-        for a, s in zip(state, active):
-            a[idx[done]] = s[done]
-        keep = ~done
-        idx = idx[keep]
-        ins = tuple(s[keep] for s in ins)
-        active = tuple(s[keep] for s in active)
-    for a, s in zip(state, active):
-        a[idx] = s
-    return state
+        if done.any():
+            out[idx[done]] = active[0][done]
+            keep = ~done
+            idx = idx[keep]
+            ins = tuple(s[keep] for s in ins)
+            active = tuple(s[keep] for s in active)
+    if idx.size:
+        out[idx] = active[0] if finish is None else finish(i + 1, *ins, *active)
+    return out
 
 
 def _front_factor(k: float, x: np.ndarray) -> np.ndarray:
@@ -185,24 +194,28 @@ def _front_factor(k: float, x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_p_series_array(k: float, x: np.ndarray) -> np.ndarray:
-    """_gamma_p_series elementwise."""
+    """The series of :func:`gamma_p` elementwise, times the front factor."""
     ap = k
 
-    def step(i, x, term, total):
+    def step(i, x, total, term):
         nonlocal ap
         ap += 1.0
         term *= x / ap
         total += term
         return term < total * _EPS  # x > 0 here, so both are positive
 
+    def finish(i, x, total, term):
+        return [_series(k, v, i, ap, s, t)
+                for v, s, t in zip(x.tolist(), total.tolist(), term.tolist())]
+
     term = np.full(x.shape, 1.0 / k)
-    _, total = _active_loop((x,), (term, term.copy()), _MAX_ITER, step)
+    total = _active_loop((x,), (term.copy(), term), _MAX_ITER, step, finish)
     return total * _front_factor(k, x)
 
 
 def _gamma_q_contfrac_array(k: float, x: np.ndarray) -> np.ndarray:
-    """_gamma_q_contfrac elementwise."""
-    def step(i, b, c, d, h):
+    """The continued fraction of :func:`gamma_p` elementwise, times the front factor."""
+    def step(i, h, b, c, d):
         an = -i * (i - k)
         b += 2.0
         d *= an
@@ -215,10 +228,13 @@ def _gamma_q_contfrac_array(k: float, x: np.ndarray) -> np.ndarray:
         h *= delta
         return np.abs(delta - 1.0) < _EPS
 
+    def finish(i, *state):
+        return [_contfrac(k, i, *row) for row in zip(*(s.tolist() for s in state))]
+
     b = x + 1.0 - k
     d = 1.0 / b
     c = np.full(x.shape, 1.0 / _TINY)
-    h = _active_loop((), (b, c, d, d.copy()), _MAX_ITER - 1, step)[3]
+    h = _active_loop((), (d.copy(), b, c, d), _MAX_ITER - 1, step, finish)
     return h * _front_factor(k, x)
 
 
@@ -288,7 +304,7 @@ def _gamma_p_inverse_block(k: float, p: np.ndarray) -> np.ndarray:
 
     state = (_wilson_hilferty_array(k, p), np.zeros(p.shape), np.full(p.shape, np.inf),
              np.full(p.shape, np.inf))
-    return _active_loop((p,), state, 200, halley)[0]
+    return _active_loop((p,), state, 200, halley)
 
 
 _NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,

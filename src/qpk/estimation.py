@@ -272,7 +272,8 @@ class DiscreteClassOracle:
         self.lam = sum(r for _, r in cl)
         self.d1 = d1
         self.d2 = d2
-        self._delay1, self._delay2 = models.bind_delay(d1), models.bind_delay(d2)
+        # every rate measure() evaluates lies in [0, total], below an mm1 mu
+        self._delay1, self._delay2 = models.delay_formula(d1), models.delay_formula(d2)
         for name, model in (("server 1", d1), ("server 2", d2)):
             if model.family is DelayFamily.MM1 and model.mu <= self.lam:
                 raise DomainError(f"{name}: mm1 needs mu > total rate "

@@ -30,9 +30,9 @@ class DelayModel:
     """A server's mean-delay curve D(rate).
 
     Two families: ``linear`` has D(g) = g/mu, ``mm1`` has D(g) = 1/(mu - g)
-    for g < mu. The family set is closed in v1; evaluation and derivative
-    dispatch through :func:`bind_delay` / :func:`delay_deriv` so a new
-    family is a single-site addition.
+    for g < mu. The family set is closed in v1; evaluation dispatches
+    through :func:`delay_formula` and its array twin, the derivative
+    through :func:`delay_deriv`.
     """
 
     family: DelayFamily
@@ -51,23 +51,29 @@ class DelayModel:
         return cls(DelayFamily.MM1, mu)
 
 
+def delay_formula(model: DelayModel):
+    """The map gamma -> D(gamma) as plain arithmetic, with no domain checks:
+    for rates already known to lie in [0, lam] of a validated config, where
+    an mm1 rate reaches mu only in saturation mode."""
+    mu = model.mu
+    if model.family is DelayFamily.LINEAR:
+        return lambda gamma: gamma / mu
+    return lambda gamma: math.inf if gamma == mu else 1.0 / (mu - gamma)
+
+
 def bind_delay(model: DelayModel, saturation: bool = False):
-    """The map gamma -> D(gamma) of :func:`delay_eval`, with the family and
-    the saturation rule decided once; point solves bind it once per solve."""
-    mu, linear = model.mu, model.family is DelayFamily.LINEAR
+    """The map gamma -> D(gamma) of :func:`delay_eval`: :func:`delay_formula`
+    behind the domain checks, with the family and saturation rule decided once."""
+    mu, mm1, formula = model.mu, model.family is DelayFamily.MM1, delay_formula(model)
 
     def delay(gamma):
         if gamma < 0.0:
             raise DomainError(f"arrival rate must be nonnegative, got {gamma}")
-        if linear:
-            return gamma / mu
-        if gamma > mu or (gamma == mu and not saturation):
+        if mm1 and (gamma > mu or (gamma == mu and not saturation)):
             raise DomainError(
                 f"mm1 delay undefined at gamma={gamma} for mu={mu}"
                 + ("" if saturation else " (outside saturation mode)"))
-        if gamma == mu:
-            return math.inf
-        return 1.0 / (mu - gamma)
+        return formula(gamma)
     return delay
 
 
@@ -80,18 +86,10 @@ def delay_eval(model: DelayModel, gamma: float, saturation: bool = False) -> flo
     return bind_delay(model, saturation)(gamma)
 
 
-def delay_eval_array(model: DelayModel, gamma, saturation: bool = False) -> np.ndarray:
-    """delay_eval elementwise over an array of rates, with the same domain
-    rules; a DomainError if any rate breaks them."""
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0.0):
-        raise DomainError("arrival rates must be nonnegative")
+def delay_formula_array(model: DelayModel, gamma: np.ndarray) -> np.ndarray:
+    """:func:`delay_formula` elementwise over an array, with no checks."""
     if model.family is DelayFamily.LINEAR:
         return gamma / model.mu
-    if np.any(gamma > model.mu) or (not saturation and np.any(gamma == model.mu)):
-        raise DomainError(
-            f"mm1 delay undefined at a rate >= mu={model.mu}"
-            + ("" if saturation else " (outside saturation mode)"))
     with np.errstate(divide="ignore"):
         return 1.0 / (model.mu - gamma)
 
@@ -324,18 +322,6 @@ def cdf(dist: SensitivityDistribution, x: float) -> float:
     return dist._cdf(x)
 
 
-def bind_quantile(dist: SensitivityDistribution):
-    """The map p -> F^{-1}(p) of :func:`quantile`, with the law's
-    clamp decided once; point solves bind it once per solve."""
-    inv = dist._quantile
-    lo, hi = (0.0, 1.0) if dist.bounded else (P_MIN, 1.0 - P_MIN)
-    def q(p):
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"quantile probability must lie in [0, 1], got {p}")
-        return inv(lo if p < lo else hi if p > hi else p)
-    return q
-
-
 def quantile(dist: SensitivityDistribution, p: float) -> float:
     """F^{-1}(p) for one p in [0, 1].
 
@@ -343,10 +329,14 @@ def quantile(dist: SensitivityDistribution, p: float) -> float:
     root-finding on the regularized incomplete gamma for the gamma family,
     to |F(x) - p| < 1e-13 p. For unbounded-support families p is
     clamped to [P_MIN, 1 - P_MIN] so the result stays finite. Point solves
-    bind it once (:func:`bind_quantile`); grid scans use :func:`quantile_array`,
-    which applies the same check and clamp to a whole array at once.
+    apply the same clamp past their own rate check (``wardrop.resolve``);
+    grid scans use :func:`quantile_array`, which applies the same check and
+    clamp to a whole array at once.
     """
-    return bind_quantile(dist)(p)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"quantile probability must lie in [0, 1], got {p}")
+    lo, hi = (0.0, 1.0) if dist.bounded else (P_MIN, 1.0 - P_MIN)
+    return dist._quantile(lo if p < lo else hi if p > hi else p)
 
 
 def quantile_array(dist: SensitivityDistribution, p) -> np.ndarray:
@@ -441,8 +431,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
                     "set saturation_ok for mu == lam")
 
     if not failures:
-        d1_0, d2_0 = cfg.delay1(0.0), cfg.delay2(0.0)
-        d1_lam, d2_lam = cfg.delay1(cfg.lam), cfg.delay2(cfg.lam)
+        d1, d2 = bind_delay(cfg.d1, cfg.saturation_ok), bind_delay(cfg.d2, cfg.saturation_ok)
+        d1_0, d2_0 = d1(0.0), d2(0.0)
+        d1_lam, d2_lam = d1(cfg.lam), d2(cfg.lam)
         if not d1_0 < d2_lam:
             failures.append(
                 f"gap condition D1(0) < D2(lam) fails ({d1_0} >= {d2_lam})")

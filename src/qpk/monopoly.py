@@ -54,6 +54,7 @@ def revenue_curve(cfg: SystemConfig, c2: float, n: int) -> tuple:
     since the price gap vanishes at the balanced load.
     """
     validate_config(cfg)
+    check_price("c2", c2)
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
     xs = uniform_grid(cfg.lam * P_MIN, balanced_load(cfg), n)

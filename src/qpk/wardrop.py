@@ -18,8 +18,8 @@ import numpy as np
 from ._solve import bisect_decreasing
 from .errors import DomainError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
-from .models import (P_MIN, SystemConfig, bind_delay, bind_quantile, delay_eval_array,
-                     density, quantile, quantile_array, validate_config)
+from .models import (P_MIN, SystemConfig, delay_formula, delay_formula_array,
+                     density, quantile, validate_config)
 
 
 class Regime(Enum):
@@ -73,7 +73,7 @@ def balanced_load(cfg: SystemConfig) -> float:
     identical servers the first midpoint lam/2 is exact.
     """
     validate_config(cfg)
-    d1, d2 = bind_delay(cfg.d1, cfg.saturation_ok), bind_delay(cfg.d2, cfg.saturation_ok)
+    d1, d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
     lo, hi = 0.0, cfg.lam
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -90,16 +90,19 @@ def balanced_load(cfg: SystemConfig) -> float:
 def resolve(cfg: SystemConfig) -> tuple:
     """(gamma+, beta1, g1) for a point solve: :func:`threshold_of_rate` and
     :func:`price_gap_1` bound to cfg by one balanced_load lookup, with the
-    law's quantile and both delay curves decided once, not once per point."""
+    law's quantile clamp and both delay curves decided once, not once per
+    point; past their one rate check, beta1 and g1 are plain arithmetic."""
     lam, top = cfg.lam, cfg.dist.support[1]
     gp = balanced_load(cfg)
-    q = bind_quantile(cfg.dist)
-    d1, d2 = bind_delay(cfg.d1, cfg.saturation_ok), bind_delay(cfg.d2, cfg.saturation_ok)
+    inv = cfg.dist._quantile
+    p_lo, p_hi = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
+    d1, d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
 
     def beta1(gamma1):
         if not 0.0 <= gamma1 <= lam:
             raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
-        return q((lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam)
+        p = (lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam
+        return inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
 
     def g1(gamma1):
         if not 0.0 <= gamma1 <= lam:
@@ -107,7 +110,8 @@ def resolve(cfg: SystemConfig) -> tuple:
         delta_d = d2(lam - gamma1) - d1(gamma1)
         if gamma1 == 0.0 or gamma1 == lam:
             return top * delta_d
-        return beta1(gamma1) * delta_d
+        p = (lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam
+        return inv(p_lo if p < p_lo else p_hi if p > p_hi else p) * delta_d
     return gp, beta1, g1
 
 
@@ -138,14 +142,20 @@ def price_gap_1_array(cfg: SystemConfig, gamma1) -> np.ndarray:
     :func:`price_gap_1`, in one pass over the array; grid scans use this,
     point solves the scalar function.
     """
+    lam, dist = cfg.lam, cfg.dist
     g = np.asarray(gamma1, dtype=float)
-    if not np.all((g >= 0.0) & (g <= cfg.lam)):
-        raise DomainError(f"rates must lie in [0, {cfg.lam}]")
-    beta = quantile_array(
-        cfg.dist, np.where(g <= balanced_load(cfg), (cfg.lam - g) / cfg.lam, g / cfg.lam))
-    beta[(g == 0.0) | (g == cfg.lam)] = cfg.dist.support[1]
-    sat = cfg.saturation_ok
-    beta *= delay_eval_array(cfg.d2, cfg.lam - g, sat) - delay_eval_array(cfg.d1, g, sat)
+    lo, hi = g.min(initial=lam), g.max(initial=0.0)  # NaN fails the check
+    if not (lo >= 0.0 and hi <= lam):
+        raise DomainError(f"rates must lie in [0, {lam}]")
+    # past the check every rate, probability and delay is in its domain
+    gp, rest = balanced_load(cfg), lam - g
+    p = rest / lam if hi <= gp else np.where(g <= gp, rest / lam, g / lam)
+    if not dist.bounded:
+        np.clip(p, P_MIN, 1.0 - P_MIN, out=p)
+    beta = dist._quantile_array(p)
+    if lo == 0.0 or hi == lam:
+        beta[(g == 0.0) | (g == lam)] = dist.support[1]
+    beta *= delay_formula_array(cfg.d2, rest) - delay_formula_array(cfg.d1, g)
     return beta
 
 

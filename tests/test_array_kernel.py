@@ -11,6 +11,7 @@ import contextlib
 import math
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform,
                  balanced_load, best_response, optimize_monopoly, rate_cap_1,
                  rate_cap_2, revenue_curve)
 from qpk import _special, estimation, models, wardrop
-from qpk._solve import golden_max, grid_argmax
+from conftest import FIXTURES
+from qpk._solve import golden_max, grid_argmax, uniform_grid
 from qpk.models import P_MIN
 
 RTOL = 1e-13
@@ -72,23 +74,23 @@ def test_quantile_array_rejects_probabilities_outside_unit_interval():
 
 
 @pytest.mark.parametrize("family", ["linear", "mm1"])
-def test_delay_eval_array_matches_scalar(family):
+def test_delay_formulas_match_the_checked_delay(family):
+    # the unchecked formulas run the same + - * / as delay_eval on its
+    # saturated domain, +inf at mu for mm1 included
     model = DelayModel(models.DelayFamily(family), 5.0)
     g = np.linspace(0.0, 5.0, 101)
-    got = models.delay_eval_array(model, g, saturation=True)
     want = _scalar(lambda x: models.delay_eval(model, x, saturation=True), g)
-    assert got[-1] == want[-1]  # +inf at mu for mm1
-    np.testing.assert_allclose(got[:-1], want[:-1], rtol=RTOL, atol=0.0)
-    if family == "mm1":
-        with pytest.raises(models.DomainError):
-            models.delay_eval_array(model, g, saturation=False)
+    np.testing.assert_array_equal(models.delay_formula_array(model, g), want)
+    np.testing.assert_array_equal(_scalar(models.delay_formula(model), g), want)
 
 
 def _rate_points(cfg):
-    """Both branches of g1 and g2, their ties, and grid-like interiors."""
+    """Both branches of g1 and g2, their ties, grid-like interiors, and
+    rates whose probability an unbounded law clamps."""
     lam, gp = cfg.lam, balanced_load(cfg)
     ties = [gp, lam - gp, np.nextafter(gp, 0.0), np.nextafter(gp, lam),
-            np.nextafter(lam - gp, 0.0), np.nextafter(lam - gp, lam)]
+            np.nextafter(lam - gp, 0.0), np.nextafter(lam - gp, lam),
+            lam * 1e-13, lam * (1.0 - 1e-13)]
     lo, hi = (0.0, lam) if cfg.dist.bounded and not cfg.saturation_ok \
         else (lam * P_MIN, lam * (1.0 - P_MIN))
     return np.concatenate([ties, np.linspace(lo, hi, 301)])
@@ -121,6 +123,18 @@ def test_price_gaps_array_at_bounded_endpoints(ex1_uniform):
     for own, scalar in ((cfg, wardrop.price_gap_1), (cfg.swapped(), wardrop.price_gap_2)):
         np.testing.assert_allclose(wardrop.price_gap_1_array(own, ends),
                                    _scalar(lambda x: scalar(cfg, x), ends), rtol=RTOL, atol=0.0)
+
+
+def test_price_gaps_array_at_unbounded_endpoints(ex1_expo):
+    # an unbounded law's quantile is clamped short of its infinite top, so
+    # the endpoint values come from the support, as in the scalar g1
+    cfg = ex1_expo
+    for own in (cfg, cfg.swapped()):
+        assert (wardrop.price_gap_1(own, 0.0), wardrop.price_gap_1(own, cfg.lam)) == (np.inf, -np.inf)
+        for ends in ([0.0], [cfg.lam], [0.0, 1.0, cfg.lam]):
+            got = wardrop.price_gap_1_array(own, np.array(ends))
+            assert (got[0], got[-1]) == (wardrop.price_gap_1(own, ends[0]),
+                                         wardrop.price_gap_1(own, ends[-1]))
 
 
 def test_price_gap_array_rejects_rates_outside_domain(ex1_uniform):
@@ -251,24 +265,88 @@ def test_grid_argmax_ties_go_to_the_lowest_index():
     assert i == 5
 
 
-def test_active_loop_freezes_each_element_where_it_stopped():
+def test_active_loop_freezes_each_element_where_it_stopped(monkeypatch):
     # element j stops after iteration stop[j]; 0 marks one that never stops
     rng = np.random.default_rng(7)
     n, max_iter = 197, 40
     stop = rng.integers(0, max_iter + 1, n)
     seen = []
 
-    def step(i, stop, count):
+    def step(i, stop, count, aux):
         seen.append(stop.copy())
         count += 1.0
+        aux += 1.0
         return stop == i
 
-    count = _special._active_loop((stop,), (np.zeros(n),), max_iter, step)[0]
+    aux = np.zeros(n)
+    count = _special._active_loop((stop,), (np.zeros(n), aux), max_iter, step)
     np.testing.assert_array_equal(count, np.where(stop == 0, max_iter, stop))
+    # only the output is written back: the rest of the state keeps what the
+    # steps before the first compaction did to it in place
+    np.testing.assert_array_equal(aux, np.full(n, stop[stop > 0].min(), dtype=float))
     # exact compaction: iteration i steps only the elements still running
     assert len(seen) == max_iter
     for i, active in enumerate(seen, start=1):
         np.testing.assert_array_equal(active, stop[(stop == 0) | (stop >= i)])
+
+    # with a hand-off, the elements still running when an iteration would
+    # start with _HANDOFF or fewer go to finish once, which resumes there
+    monkeypatch.setattr(_special, "_HANDOFF", 16)
+    resume = next(i for i in range(1, max_iter + 1)
+                  if np.count_nonzero((stop == 0) | (stop >= i)) <= 16)
+    survivors = (stop == 0) | (stop >= resume)
+    calls = []
+
+    def finish(i, stop, count, aux):
+        calls.append((i, stop.copy(), count.copy()))
+        return -1.0 - stop
+
+    count = _special._active_loop((stop,), (np.zeros(n), np.zeros(n)), max_iter, step,
+                                  finish)
+    assert [c[0] for c in calls] == [resume]
+    np.testing.assert_array_equal(calls[0][1], stop[survivors])
+    np.testing.assert_array_equal(calls[0][2], np.full(survivors.sum(), resume - 1.0))
+    np.testing.assert_array_equal(count, np.where(survivors, -1.0 - stop, stop))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", np.geomspace(0.05, 2000.0, 9).tolist())
+def test_gamma_scalar_handoff_keeps_every_bit(k, monkeypatch):
+    # the hand-off runs the same + - * / in Python floats, so it must give
+    # the bits of the all-numpy loops on any CPU
+    rng = np.random.default_rng(11)
+    lam, gp = 3.0, 1.3
+    ps = [rng.random(3000), np.array([1.0 - 1e-12]),
+          (lam - uniform_grid(lam * P_MIN, gp, 4096)) / lam,
+          uniform_grid(gp, lam * (1.0 - P_MIN), 4096) / lam]
+    xs = [k * rng.exponential(1.0, 3000), rng.uniform(0.0, 4.0 * k + 6.0, 3000)]
+
+    def run():
+        return ([_special.gamma_p_inverse_array(k, p) for p in ps]
+                + [_special.gamma_p_array(k, x) for x in xs])
+    handed_off = run()
+    monkeypatch.setattr(_special, "_HANDOFF", 0)
+    for got, want in zip(handed_off, run()):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_price_gap_array_is_the_scalar_g1_on_uniform_laws(name, request):
+    # a uniform law's quantile and both delay curves are + - * / only, so
+    # the array scan and the scalar g1 must agree to the bit on any CPU
+    cfg = request.getfixturevalue(name)
+    if not isinstance(cfg.dist, Uniform):
+        cfg = replace(cfg, dist=Uniform(2.0, 6.0))
+    for own in (cfg, cfg.swapped()):
+        g1 = wardrop.resolve(own)[2]
+        lo = own.lam * P_MIN
+        for hi in (balanced_load(own), rate_cap_1(own, 1.5) * (1.0 - P_MIN)):
+            xs = uniform_grid(lo, hi, 4096)
+            np.testing.assert_array_equal(_bits(wardrop.price_gap_1_array(own, xs)),
+                                          _bits([g1(x) for x in xs.tolist()]))
 
 
 def test_golden_max_stops_on_the_relative_tolerance_at_large_arguments():

@@ -310,6 +310,8 @@ def test_nonfinite_horizon_or_empty_budget_exits_3(tmp_path, argv, capsys):
     ["duopoly-best-response", "--server", "2", "--other-price", "-1"],
     ["duopoly-symmetric", "--tol", "-1"],
     ["duopoly-nash", "--tol", "nan"],
+    ["sweep", "--what", "revenue", "--n", "5", "--c2", "nan"],
+    ["sweep", "--what", "r1-and-c1", "--n", "5", "--c2", "nan"],
 ])
 def test_bad_price_or_tolerance_exits_3(ex3_path, argv, capsys):
     assert main(argv[:1] + ["--config", ex3_path] + argv[1:]) == 3

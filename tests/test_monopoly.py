@@ -139,6 +139,13 @@ def test_optimize_rejects_nonfinite_and_negative_c2(ex1_uniform, c2):
         optimize_monopoly(ex1_uniform, c2)
 
 
+@pytest.mark.parametrize("c2", [np.nan, np.inf, -1.0])
+def test_revenue_curve_rejects_nonfinite_and_negative_c2(ex1_uniform, c2):
+    # unchecked, a nan c2 comes back as a curve of nan revenues
+    with pytest.raises(DomainError, match="c2 must be"):
+        revenue_curve(ex1_uniform, c2, 5)
+
+
 def test_revenue_curve_shape(ex1_uniform):
     c2 = 1.0
     curve = revenue_curve(ex1_uniform, c2, 400)
