@@ -19,6 +19,10 @@ _GOLDEN_ARGUMENT = 1e-9
 #: points of the grid scans in optimize_monopoly and best_response
 DEFAULT_GRID = 4096
 
+#: Relative value slack under which two refined peaks count as tied in
+#: :func:`local_maxima_scan`; ties resolve to the smaller argument.
+TIE_REL = 1e-9
+
 # bisection tolerances; they leave ~4 digits of headroom over the 2-3
 # decimals the reproduced tables report
 _BISECT_RESIDUAL = 1e-10
@@ -112,39 +116,36 @@ def grid_argmax(f, lo: float, hi: float, n: int):
     return xs, fs, int(np.argmax(fs))
 
 
-def refine_peak(f, xs, fs, i: int):
-    """Refine grid point i of a scan (xs, fs) by golden section on f over
-    the bracket of its grid neighbours; the grid point itself is kept when
-    it is strictly better. Returns (x, f(x), tol), floats, where tol is
-    the argument tolerance the refinement closed to (see :func:`_arg_tol`).
-    """
-    b_lo = float(xs[max(i - 1, 0)])
-    b_hi = float(xs[min(i + 1, len(xs) - 1)])
-    x, fx = golden_max(f, b_lo, b_hi)
-    if fs[i] > fx:
-        x, fx = float(xs[i]), float(fs[i])
-    return x, fx, _arg_tol(b_lo, b_hi)
-
-
 def local_maxima_scan(f_grid, f, lo: float, hi: float, n: int):
-    """All interior local maxima of f on [lo, hi], each refined by
-    :func:`refine_peak`.
+    """Scan f on an n-point uniform grid of [lo, hi] and refine every local
+    maximum of the grid by golden section over the bracket of its grid
+    neighbours, keeping the grid point where it is strictly better.
 
     f_grid is the array form of f, used for the grid scan (see
-    :func:`grid_argmax`); f is the scalar form, used for refinement.
-    Returns a list of (x, f(x)) sorted by x; grid endpoints count as local
-    maxima when the function falls away from them.
+    :func:`grid_argmax`); f is the scalar form, used for refinement. Grid
+    endpoints count as local maxima when the function falls away from
+    them, and refined peaks closer than 10 argument tolerances (see
+    :func:`_arg_tol`) merge. Returns (best, peaks): peaks is the list of
+    refined (x, f(x)) sorted by x, best the one with the largest value,
+    where values within TIE_REL of each other tie and go to the smaller x.
     """
     xs, fs, _ = grid_argmax(f_grid, lo, hi, n)
     peak = np.ones(n, dtype=bool)
     peak[1:] &= fs[1:] > fs[:-1]
     peak[:-1] &= fs[:-1] >= fs[1:]
-    out = []
+    peaks = []
     for i in np.flatnonzero(peak).tolist():
-        x_ref, f_ref, tol = refine_peak(f, xs, fs, i)
-        if out and abs(x_ref - out[-1][0]) < 10.0 * tol:
-            if f_ref > out[-1][1]:
-                out[-1] = (x_ref, f_ref)
+        b_lo, b_hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)])
+        x, fx = golden_max(f, b_lo, b_hi)
+        if fs[i] > fx:
+            x, fx = float(xs[i]), float(fs[i])
+        if peaks and abs(x - peaks[-1][0]) < 10.0 * _arg_tol(b_lo, b_hi):
+            if fx > peaks[-1][1]:
+                peaks[-1] = (x, fx)
             continue
-        out.append((x_ref, f_ref))
-    return out
+        peaks.append((x, fx))
+    best = peaks[0]
+    for x, fx in peaks[1:]:
+        if fx > best[1] * (1.0 + TIE_REL) + TIE_REL:
+            best = (x, fx)
+    return best, peaks

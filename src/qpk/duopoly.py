@@ -13,13 +13,9 @@ from enum import Enum
 
 from ._solve import DEFAULT_GRID, local_maxima_scan
 from .errors import DomainError, PreconditionError
-from .models import P_MIN, SystemConfig, validate_config
+from .models import P_MIN, SystemConfig
 from .wardrop import (PriceVector, balanced_load, check_price, price_gap_1_array,
                       price_gap_1_deriv, rate_cap_with_gap)
-
-#: Relative revenue slack under which two local maxima count as tied;
-#: ties resolve to the smaller rate.
-TIE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,23 +52,18 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     ties go to the smaller rate. All stationary candidates are reported so
     multimodal cases are auditable.
     """
-    validate_config(cfg)
     if server not in (1, 2):
         raise DomainError(f"server must be 1 or 2, got {server}")
     check_price("other_price", other_price)
 
     # server 2's problem is server 1's on the swapped system
-    own = (cfg, cfg.swapped())[server - 1]
+    own = cfg if server == 1 else cfg.swapped()
     cap, g1 = rate_cap_with_gap(own, other_price)
     lo = cfg.lam * P_MIN
     hi = cap * (1.0 - P_MIN)
-    candidates = local_maxima_scan(lambda g: (price_gap_1_array(own, g) + other_price) * g,
-                                   lambda g: (g1(g) + other_price) * g,
-                                   lo, hi, grid_size)
-    g_star, r_star = candidates[0]
-    for g, r in candidates[1:]:
-        if r > r_star * (1.0 + TIE_REL) + TIE_REL:
-            g_star, r_star = g, r
+    (g_star, r_star), candidates = local_maxima_scan(
+        lambda g: (price_gap_1_array(own, g) + other_price) * g,
+        lambda g: (g1(g) + other_price) * g, lo, hi, grid_size)
     return BestResponse(
         server=server,
         given_price=other_price,
@@ -90,10 +81,8 @@ def symmetric_alpha(cfg: SystemConfig) -> tuple:
 
     Uses the analytic one-sided derivative (low-rate branch at the
     balanced load, where the delay-gap factor vanishes). Intended for
-    identical servers, where alpha1 == alpha2; computed for any
-    validated config.
+    identical servers, where alpha1 == alpha2; computed for any config.
     """
-    validate_config(cfg)
 
     def server_1_alpha(c):
         gp = balanced_load(c)
@@ -111,7 +100,6 @@ def check_symmetric_nash(cfg: SystemConfig, tol: float = 1e-6) -> NashVerdict:
     tol * lam) and the responding price returns alpha1 (within tol);
     NECESSARY_ONLY_FAILED otherwise. Identical servers required.
     """
-    validate_config(cfg)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if not cfg.identical_servers():
@@ -136,7 +124,6 @@ def nash_iterate(cfg: SystemConfig, init: PriceVector, tol: float = 1e-6,
     Converged when both pre-update residuals drop below tol;
     non-convergence is a reported outcome, not an error.
     """
-    validate_config(cfg)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if not 0.0 < damping <= 1.0:

@@ -17,7 +17,7 @@ import numpy as np
 from . import models
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      NoRootError, PreconditionError, StabilityError)
-from .models import DelayFamily, DelayModel, SystemConfig, validate_config
+from .models import DelayFamily, DelayModel, SystemConfig
 from .wardrop import PriceVector, Regime, solve_equilibrium
 
 _D_TOL = 1e-12
@@ -104,7 +104,7 @@ class ExactOracle:
     """Analytic oracle: solves the equilibrium and reports exact delays."""
 
     def __init__(self, cfg: SystemConfig):
-        self.cfg = validate_config(cfg)
+        self.cfg = cfg
 
     def measure(self, c1: float, c2: float) -> Measurement:
         split = solve_equilibrium(self.cfg, PriceVector(c1, c2))
@@ -184,7 +184,6 @@ class DesOracle:
     """
 
     def __init__(self, cfg: SystemConfig, horizon: float, seed: int):
-        validate_config(cfg)
         if cfg.d1.family is not DelayFamily.MM1 or cfg.d2.family is not DelayFamily.MM1:
             raise PreconditionError(
                 "simulation requires mm1 delay models on both servers")

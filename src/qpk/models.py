@@ -53,8 +53,8 @@ class DelayModel:
 
 def delay_formula(model: DelayModel):
     """The map gamma -> D(gamma) as plain arithmetic, with no domain checks:
-    for rates already known to lie in [0, lam] of a validated config, where
-    an mm1 rate reaches mu only in saturation mode."""
+    for rates already known to lie in [0, lam] of a config, where an mm1
+    rate reaches mu only in saturation mode."""
     mu = model.mu
     if model.family is DelayFamily.LINEAR:
         return lambda gamma: gamma / mu
@@ -365,9 +365,10 @@ class SystemConfig:
     """Total arrival rate plus the two servers' delay models and the
     sensitivity law.
 
-    Construction is permissive beyond per-field checks; run
-    :func:`validate_config` (solvers do) to enforce the joint regularity
-    conditions. ``saturation_ok`` opts into mm1 models with mu == lam,
+    Valid by construction: ``__post_init__`` runs :func:`validate_config`,
+    so building a config that breaks a joint regularity condition raises
+    ValidationError with the complete list, and solvers never check a
+    config again. ``saturation_ok`` opts into mm1 models with mu == lam,
     in which case D(lam) evaluates to +inf and solvers operate strictly
     inside (0, lam).
     """
@@ -377,6 +378,9 @@ class SystemConfig:
     d2: DelayModel
     dist: SensitivityDistribution
     saturation_ok: bool = False
+
+    def __post_init__(self):
+        validate_config(self)
 
     def delay1(self, gamma: float) -> float:
         return delay_eval(self.d1, gamma, self.saturation_ok)
@@ -397,9 +401,10 @@ class SystemConfig:
         """The same system with the servers' labels exchanged.
 
         Server 2's problem is server 1's problem on the swapped system, so
-        every server-2 function runs its server-1 twin on this. Identical
-        servers return self, which keeps cached per-config lookups
-        (``balanced_load``) hitting by identity.
+        every server-2 function runs its server-1 twin on this; the joint
+        conditions are symmetric in the labels, so its check always passes.
+        Identical servers return self, which keeps cached per-config
+        lookups (``balanced_load``) hitting by identity.
         """
         if self.identical_servers():
             return self
@@ -407,7 +412,8 @@ class SystemConfig:
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Return cfg unchanged if every regularity condition holds.
+    """Return cfg unchanged if every regularity condition holds; every
+    SystemConfig runs this once, when it is built.
 
     Raises ValidationError carrying the complete list of violations:
     positive arrival rate, mm1 stability (mu > lam, or mu >= lam in
@@ -529,7 +535,7 @@ def config_from_json(text: str) -> SystemConfig:
     if missing:
         raise ValidationError([f"config key {k!r} is required" for k in missing])
     try:
-        cfg = SystemConfig(
+        return SystemConfig(
             lam=float(doc["lambda"]),
             d1=_delay_from_dict(doc["server1"], "server1"),
             d2=_delay_from_dict(doc["server2"], "server2"),
@@ -538,4 +544,3 @@ def config_from_json(text: str) -> SystemConfig:
         )
     except DomainError as exc:
         raise ValidationError([str(exc)]) from exc
-    return validate_config(cfg)

@@ -21,7 +21,7 @@ from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform,
                  rate_cap_2, revenue_curve)
 from qpk import _special, estimation, models, wardrop
 from conftest import FIXTURES
-from qpk._solve import golden_max, grid_argmax, uniform_grid
+from qpk._solve import golden_max, grid_argmax, local_maxima_scan, uniform_grid
 from qpk.models import P_MIN
 
 RTOL = 1e-13
@@ -263,6 +263,44 @@ def test_grid_point_results_hold_python_floats(sat_power):
 def test_grid_argmax_ties_go_to_the_lowest_index():
     _, _, i = grid_argmax(lambda x: np.minimum(x, 0.5), 0.0, 1.0, 11)
     assert i == 5
+
+
+def _bumps(h1, h2):
+    # narrow gaussian bumps of heights h1 at 0.3, a point of the 11-point
+    # grid of [0, 1], and h2 at 0.75, between two of its points; the
+    # objective serves as its own array and scalar form
+    return lambda x: (h1 * np.exp(-((x - 0.3) / 0.05) ** 2)
+                      + h2 * np.exp(-((x - 0.75) / 0.05) ** 2))
+
+
+def test_local_maxima_scan_returns_the_higher_refined_peak():
+    # the best grid point is the bump at 0.3, but refined, the bump at
+    # 0.75 is higher: the scan must refine both and return the latter
+    f = _bumps(1.0, 1.05)
+    assert grid_argmax(f, 0.0, 1.0, 11)[2] == 3
+    (x, fx), peaks = local_maxima_scan(f, f, 0.0, 1.0, 11)
+    assert len(peaks) == 2
+    assert x == pytest.approx(0.75, abs=1e-8)
+    assert fx == pytest.approx(1.05, rel=1e-12)
+
+
+def test_local_maxima_scan_ties_go_to_the_smaller_argument():
+    f = _bumps(1.0, 1.0 + 1e-10)
+    (x, _), peaks = local_maxima_scan(f, f, 0.0, 1.0, 11)
+    assert len(peaks) == 2
+    assert x == pytest.approx(0.3, abs=1e-8)
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=repr)
+def test_price_gap_array_takes_a_lone_rate(dist):
+    cfg = SystemConfig(3.0, DelayModel.linear(3.3), DelayModel.linear(4.0), dist)
+    gp = balanced_load(cfg)
+    for x in (0.0, 0.5, gp, 2.5, cfg.lam):
+        got = wardrop.price_gap_1_array(cfg, x)
+        assert np.ndim(got) == 0
+        np.testing.assert_array_equal(
+            _bits(got), _bits(wardrop.price_gap_1_array(cfg, np.array([x]))[0]))
+        assert got == pytest.approx(wardrop.price_gap_1(cfg, x), rel=GAMMA_RTOL, abs=1e-15)
 
 
 def test_active_loop_freezes_each_element_where_it_stopped(monkeypatch):

@@ -271,10 +271,13 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
 
 def test_validation_errors_list_everything(tmp_path, capsys):
-    cfg = SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(2.5),
-                       Uniform(2.0, 6.0))
+    # an invalid system cannot be built, so its document is written by hand
+    doc = {"schema": "qpk/1", "lambda": 3.0,
+           "server1": {"delay": {"family": "mm1", "mu": 2.0}},
+           "server2": {"delay": {"family": "mm1", "mu": 2.5}},
+           "beta": {"family": "uniform", "a": 2.0, "b": 6.0}}
     path = tmp_path / "unstable.json"
-    path.write_text(config_to_json(cfg))
+    path.write_text(json.dumps(doc))
     assert main(["monopoly", "--config", str(path), "--c2", "1"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 2  # both servers reported

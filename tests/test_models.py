@@ -194,29 +194,24 @@ def test_validate_example1_config(ex1_uniform):
 
 
 def test_validate_rejects_unstable_mm1():
-    cfg = SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(4.0), Uniform(2, 6))
     with pytest.raises(ValidationError) as err:
-        validate_config(cfg)
+        SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(4.0), Uniform(2, 6))
     assert any("server 1" in f for f in err.value.failures)
 
 
 def test_validate_saturation_mode(sat_power):
     assert validate_config(sat_power) is sat_power
     # same system without the flag is rejected
-    not_flagged = SystemConfig(5.0, DelayModel.mm1(5.0), DelayModel.mm1(5.0),
-                               Power(2.0, 4.0))
     with pytest.raises(ValidationError):
-        validate_config(not_flagged)
+        SystemConfig(5.0, DelayModel.mm1(5.0), DelayModel.mm1(5.0), Power(2.0, 4.0))
 
 
 def test_validate_collects_all_failures():
-    cfg = SystemConfig(-1.0, DelayModel.mm1(0.5), DelayModel.mm1(0.5), Uniform(2, 6))
     with pytest.raises(ValidationError) as err:
-        validate_config(cfg)
+        SystemConfig(-1.0, DelayModel.mm1(0.5), DelayModel.mm1(0.5), Uniform(2, 6))
     assert len(err.value.failures) >= 1
-    cfg2 = SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(2.5), Uniform(2, 6))
     with pytest.raises(ValidationError) as err2:
-        validate_config(cfg2)
+        SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(2.5), Uniform(2, 6))
     assert len(err2.value.failures) == 2
 
 
@@ -224,10 +219,8 @@ def test_gap_conditions_reject_disjoint_linear_servers():
     # D1(0)=0 < D2(lam) always holds for linear, but a huge mu2 makes
     # D2(0)=0 vs D1(lam): both zero at 0 -- construct an actual violation
     # with mm1: D2(0) = 1/mu2 >= D1(lam) = 1/(mu1-lam)
-    cfg = SystemConfig(1.0, DelayModel.mm1(100.0), DelayModel.mm1(1.01),
-                       Uniform(2, 6))
     with pytest.raises(ValidationError) as err:
-        validate_config(cfg)
+        SystemConfig(1.0, DelayModel.mm1(100.0), DelayModel.mm1(1.01), Uniform(2, 6))
     assert any("gap condition" in f for f in err.value.failures)
 
 

@@ -126,10 +126,9 @@ def test_optimize_rejects_bad_inputs(ex1_uniform):
         optimize_monopoly(ex1_uniform, -1.0)
     with pytest.raises(DomainError):
         optimize_monopoly(ex1_uniform, 1.0, grid_size=32)
-    bad = SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(4.0),
-                       Uniform(2.0, 6.0))
+    # an unstable system cannot be built, so it never reaches the solver
     with pytest.raises(ConfigError):
-        optimize_monopoly(bad, 1.0)
+        SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(4.0), Uniform(2.0, 6.0))
 
 
 @pytest.mark.parametrize("c2", [np.nan, np.inf, -1.0])
