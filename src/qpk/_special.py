@@ -13,13 +13,20 @@ the third-order step costs no more evaluations of P than a Newton step
 elementwise over a numpy array for one shape k: whole-grid scans call
 them once instead of once per point. In each iteration
 where elements meet their stopping rule, their values are written back
-and the arrays are compacted to the rest, so every element takes the
-iterates and the stopping point its scalar counterpart would. Once
+and the arrays are compacted to the rest, so every element runs the
+recurrence and the stopping rule of its scalar counterpart. Once
 _HANDOFF or fewer elements of a series or continued fraction are left,
 they finish in the scalar recurrences that ``gamma_p`` runs: these use
 only + - * / and comparisons, which round in Python floats as in numpy
 float64, so the bits stay those of the array loop. The exp/log front
-factor and the Halley step's density stay in numpy over the whole array.
+factor and the Halley step's density stay in numpy over the whole array,
+and numpy's exp and log can differ from math's in the last bit, so the
+array values are the scalar ones only up to rounding: over k in
+{0.2, 0.8, 2, 5, 30, 300} and 4,096 points each, 233 of 24,576
+``gamma_p_array`` values differ from ``gamma_p``, by up to 7e-16
+relative, and 1,112 ``gamma_p_inverse_array`` values from
+``gamma_p_inverse``, by up to 1.5e-14, where a changed last bit moves
+the Halley stop by an iterate.
 """
 
 import math
@@ -266,7 +273,8 @@ def gamma_p_inverse_array(k: float, p) -> np.ndarray:
     """gamma_p_inverse elementwise over an array p in (0, 1), for one k.
 
     The same Wilson-Hilferty start and safeguarded Halley iteration, so
-    each element lands where the scalar call would. The iteration holds
+    each element lands where the scalar call would up to the rounding of
+    numpy's exp and log (see the module docstring). The iteration holds
     about 20 arrays of its input's size, so it runs on at most _BLOCK
     elements at a time.
     """

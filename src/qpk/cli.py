@@ -258,7 +258,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Result:
         return Result(csv=_csv((rate, what), [(g, fn(g)) for g in grid]))
     if what == "revenue":
         return Result(csv=_csv(("gamma1", "revenue"), monopoly.revenue_curve(cfg, c2, n)))
-    cap, g1 = wardrop.rate_cap_with_gap(cfg, c2)
+    cap, g1, _ = wardrop.rate_cap_with_gap(cfg, c2)
     rows = []
     for g in _solve.uniform_grid(cfg.lam * P_MIN, cap * (1.0 - P_MIN), n).tolist():
         gap = g1(g)

@@ -47,10 +47,12 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     """Revenue-maximizing rate and price for one server, rival price fixed.
 
     Scans (g_j(gamma) + other_price) * gamma on a dense grid of
-    (0, rate_cap_j) in one array pass, refines every local maximum by
-    golden section on the scalar g_j, and takes the best; equal-revenue
-    ties go to the smaller rate. All stationary candidates are reported so
-    multimodal cases are auditable.
+    (0, rate_cap_j) in one array pass, refines every local maximum as the
+    root of its derivative g_j + other_price + gamma*g_j' on the scalar
+    g_j, and takes the best; equal-revenue ties go to the smaller rate. At
+    the kink of g_j at server j's balanced load the derivative jumps, and
+    a maximum there is found as that jump. All stationary candidates are
+    reported so multimodal cases are auditable.
     """
     if server not in (1, 2):
         raise DomainError(f"server must be 1 or 2, got {server}")
@@ -58,12 +60,15 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
 
     # server 2's problem is server 1's on the swapped system
     own = cfg if server == 1 else cfg.swapped()
-    cap, g1 = rate_cap_with_gap(own, other_price)
-    lo = cfg.lam * P_MIN
-    hi = cap * (1.0 - P_MIN)
+    cap, g1, g1_slope = rate_cap_with_gap(own, other_price)
+
+    def dr(g):
+        v, s = g1_slope(g)
+        return v + other_price + g * s
     (g_star, r_star), candidates = local_maxima_scan(
         lambda g: (price_gap_1_array(own, g) + other_price) * g,
-        lambda g: (g1(g) + other_price) * g, lo, hi, grid_size)
+        lambda g: (g1(g) + other_price) * g, dr, cfg.lam * P_MIN, cap * (1.0 - P_MIN),
+        grid_size)
     return BestResponse(
         server=server,
         given_price=other_price,

@@ -15,6 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from . import models
+from ._solve import bisect_decreasing
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      NoRootError, PreconditionError, StabilityError)
 from .models import DelayFamily, DelayModel, SystemConfig
@@ -336,11 +337,11 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
     """Fit an exponential sensitivity law from two measurements.
 
     Measures at (c1, c2) and (c1 + delta, c2), infers both thresholds, and
-    solves exp(-b/tau) - exp(-b_d/tau) = (g - g_d)/lam for tau by
-    bisection on [1e-6, 1e6]. The interval equation alone admits up to two
-    roots (the residual peaks at tau = (b_d - b)/ln(b_d/b)); the root
-    consistent with the observed rate level exp(-b/tau) ~ gamma1/lam is
-    returned.
+    solves exp(-b/tau) - exp(-b_d/tau) = (g - g_d)/lam for tau on
+    [1e-6, 1e6]. The interval equation alone admits up to two roots, one on
+    each side of the residual's peak at tau = (b_d - b)/ln(b_d/b), and each
+    side gets its own root search; the root consistent with the observed
+    rate level exp(-b/tau) ~ gamma1/lam is returned.
     """
     if not c1 > c2:
         raise DomainError(f"need c1 > c2, got ({c1}, {c2})")
@@ -362,28 +363,12 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
     tau_lo, tau_hi = 1e-6, 1e6
     tau_peak = (b1 - b0) / math.log(b1 / b0)
     roots = []
-    for a, b, increasing in ((tau_lo, tau_peak, True), (tau_peak, tau_hi, False)):
-        fa, fb = resid(a), resid(b)
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fb == 0.0:
-            roots.append(b)
-            continue
-        if fa * fb > 0.0:
-            continue
-        lo_, hi_ = a, b
-        for _ in range(200):
-            mid = 0.5 * (lo_ + hi_)
-            fm = resid(mid)
-            if abs(fm) < 1e-15 or (hi_ - lo_) < 1e-12 * max(1.0, mid):
-                break
-            rising = fm < 0.0 if increasing else fm > 0.0
-            if rising:
-                lo_ = mid
-            else:
-                hi_ = mid
-        roots.append(0.5 * (lo_ + hi_))
+    # the residual rises up to its peak and falls after it
+    for f, a, b in ((lambda t: -resid(t), tau_lo, tau_peak), (resid, tau_peak, tau_hi)):
+        try:
+            roots.append(bisect_decreasing(f, a, b))
+        except NoRootError:
+            pass
     if not roots:
         raise NoRootError("interval-mass equation has no root in [1e-6, 1e6]")
 

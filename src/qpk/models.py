@@ -4,6 +4,7 @@ Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely across threads.
 """
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -61,20 +62,23 @@ def delay_formula(model: DelayModel):
     return lambda gamma: math.inf if gamma == mu else 1.0 / (mu - gamma)
 
 
-def bind_delay(model: DelayModel, saturation: bool = False):
-    """The map gamma -> D(gamma) of :func:`delay_eval`: :func:`delay_formula`
-    behind the domain checks, with the family and saturation rule decided once."""
-    mu, mm1, formula = model.mu, model.family is DelayFamily.MM1, delay_formula(model)
+def delay_slope(model: DelayModel):
+    """The map gamma -> D'(gamma), :func:`delay_formula`'s twin: plain
+    arithmetic with no domain checks."""
+    mu = model.mu
+    if model.family is DelayFamily.LINEAR:
+        return lambda gamma: 1.0 / mu
+    return lambda gamma: math.inf if gamma == mu else 1.0 / (mu - gamma) ** 2
 
-    def delay(gamma):
-        if gamma < 0.0:
-            raise DomainError(f"arrival rate must be nonnegative, got {gamma}")
-        if mm1 and (gamma > mu or (gamma == mu and not saturation)):
-            raise DomainError(
-                f"mm1 delay undefined at gamma={gamma} for mu={mu}"
-                + ("" if saturation else " (outside saturation mode)"))
-        return formula(gamma)
-    return delay
+
+def _check_rate(model: DelayModel, gamma: float, saturation: bool, what: str) -> None:
+    """DomainError unless gamma lies where the model's curve is defined."""
+    if gamma < 0.0:
+        raise DomainError(f"arrival rate must be nonnegative, got {gamma}")
+    mu = model.mu
+    if model.family is DelayFamily.MM1 and (gamma > mu or (gamma == mu and not saturation)):
+        raise DomainError(f"mm1 {what} undefined at gamma={gamma} for mu={mu}"
+                          + ("" if saturation else " (outside saturation mode)"))
 
 
 def delay_eval(model: DelayModel, gamma: float, saturation: bool = False) -> float:
@@ -83,7 +87,8 @@ def delay_eval(model: DelayModel, gamma: float, saturation: bool = False) -> flo
     For mm1 models the rate must stay below mu, unless ``saturation`` is
     set, which admits gamma == mu and returns +inf there.
     """
-    return bind_delay(model, saturation)(gamma)
+    _check_rate(model, gamma, saturation, "delay")
+    return delay_formula(model)(gamma)
 
 
 def delay_formula_array(model: DelayModel, gamma: np.ndarray) -> np.ndarray:
@@ -96,17 +101,8 @@ def delay_formula_array(model: DelayModel, gamma: np.ndarray) -> np.ndarray:
 
 def delay_deriv(model: DelayModel, gamma: float, saturation: bool = False) -> float:
     """Derivative of the mean delay; strictly positive on the domain."""
-    if gamma < 0.0:
-        raise DomainError(f"arrival rate must be nonnegative, got {gamma}")
-    if model.family is DelayFamily.LINEAR:
-        return 1.0 / model.mu
-    if gamma > model.mu or (gamma == model.mu and not saturation):
-        raise DomainError(
-            f"mm1 delay derivative undefined at gamma={gamma} for mu={model.mu}"
-            + ("" if saturation else " (outside saturation mode)"))
-    if gamma == model.mu:
-        return math.inf
-    return 1.0 / (model.mu - gamma) ** 2
+    _check_rate(model, gamma, saturation, "delay derivative")
+    return delay_slope(model)(gamma)
 
 
 @dataclass(frozen=True)
@@ -388,12 +384,6 @@ class SystemConfig:
     def delay2(self, gamma: float) -> float:
         return delay_eval(self.d2, gamma, self.saturation_ok)
 
-    def delay1_deriv(self, gamma: float) -> float:
-        return delay_deriv(self.d1, gamma, self.saturation_ok)
-
-    def delay2_deriv(self, gamma: float) -> float:
-        return delay_deriv(self.d2, gamma, self.saturation_ok)
-
     def identical_servers(self) -> bool:
         return self.d1 == self.d2
 
@@ -404,8 +394,13 @@ class SystemConfig:
         every server-2 function runs its server-1 twin on this; the joint
         conditions are symmetric in the labels, so its check always passes.
         Identical servers return self, which keeps cached per-config
-        lookups (``balanced_load``) hitting by identity.
+        lookups (``balanced_load``) hitting by identity. The mirror is
+        built, and so checked, once per config.
         """
+        return self._mirror
+
+    @functools.cached_property
+    def _mirror(self) -> "SystemConfig":
         if self.identical_servers():
             return self
         return replace(self, d1=self.d2, d2=self.d1)
@@ -437,9 +432,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
                     "set saturation_ok for mu == lam")
 
     if not failures:
-        d1, d2 = bind_delay(cfg.d1, cfg.saturation_ok), bind_delay(cfg.d2, cfg.saturation_ok)
-        d1_0, d2_0 = d1(0.0), d2(0.0)
-        d1_lam, d2_lam = d1(cfg.lam), d2(cfg.lam)
+        sat = cfg.saturation_ok
+        d1_0, d2_0 = delay_eval(cfg.d1, 0.0, sat), delay_eval(cfg.d2, 0.0, sat)
+        d1_lam, d2_lam = delay_eval(cfg.d1, cfg.lam, sat), delay_eval(cfg.d2, cfg.lam, sat)
         if not d1_0 < d2_lam:
             failures.append(
                 f"gap condition D1(0) < D2(lam) fails ({d1_0} >= {d2_lam})")

@@ -3,8 +3,9 @@
 Works in rate space: total revenue is c2*lam + g1(gamma1)*gamma1, so the
 solver maximizes h(gamma) = g1(gamma)*gamma over [0, gamma+], which is
 where any revenue-improving rate must lie. The grid scan evaluates h on
-the whole grid in one array pass (price_gap_1_array); the golden-section
-refinement and the reported price use the scalar g1 of wardrop.resolve.
+the whole grid in one array pass (price_gap_1_array); each grid peak is
+refined as a root of h' = g1 + gamma*g1', and the reported price read
+off the scalar g1, both from wardrop.resolve.
 """
 
 from dataclasses import dataclass
@@ -27,18 +28,24 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
     """Revenue-maximizing rate and price for server 1 given fixed c2 >= 0.
 
     best_response's scan: a dense grid over [lam * P_MIN, gamma+], then
-    golden-section refinement of every grid local maximum to 1e-9 in the
-    argument. It assumes nothing about unimodality; equal-revenue ties go
-    to the smaller rate, so results are deterministic.
+    every grid local maximum refined to a few ulps as the root of
+    h'(gamma) = g1 + gamma*g1' between its grid neighbours; where h' keeps
+    its sign there, as at the grid floor, the grid point stays. It assumes
+    nothing about unimodality; equal-revenue ties go to the smaller rate,
+    so results are deterministic.
     """
     check_price("c2", c2)
     if grid_size < 64:
         raise DomainError(f"grid_size must be at least 64, got {grid_size}")
 
-    gp, _, g1 = resolve(cfg)
-    lo = cfg.lam * P_MIN
+    gp, _, g1, g1_slope = resolve(cfg)
+
+    def dh(g):
+        v, s = g1_slope(g)
+        return v + g * s
     (g_star, h_star), _ = local_maxima_scan(lambda g: price_gap_1_array(cfg, g) * g,
-                                            lambda g: g1(g) * g, lo, gp, grid_size)
+                                            lambda g: g1(g) * g, dh, cfg.lam * P_MIN, gp,
+                                            grid_size)
     return MonopolyResult(
         gamma1_star=g_star,
         c1_star=c2 + g1(g_star),

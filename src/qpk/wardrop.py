@@ -16,10 +16,10 @@ from enum import Enum
 import numpy as np
 
 from ._solve import bisect_decreasing
-from .errors import DomainError
+from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
 from .models import (P_MIN, SystemConfig, delay_formula, delay_formula_array,
-                     density, quantile)
+                     delay_slope, quantile)
 
 
 class Regime(Enum):
@@ -87,15 +87,19 @@ def balanced_load(cfg: SystemConfig) -> float:
 
 
 def resolve(cfg: SystemConfig) -> tuple:
-    """(gamma+, beta1, g1) for a point solve: :func:`threshold_of_rate` and
-    :func:`price_gap_1` bound to cfg by one balanced_load lookup, with the
-    law's quantile clamp and both delay curves decided once, not once per
-    point; past their one rate check, beta1 and g1 are plain arithmetic."""
+    """(gamma+, beta1, g1, g1_slope) for a point solve: :func:`threshold_of_rate`,
+    :func:`price_gap_1` and the pair (g1, g1') of :func:`price_gap_1_deriv`
+    bound to cfg by one balanced_load lookup, with the law's quantile clamp
+    and both delay curves decided once, not once per point. Past their one
+    rate check, beta1 and g1 are plain arithmetic; g1_slope has no check,
+    for rates already known to lie in (0, lam), and reads both values off
+    one quantile."""
     lam, top = cfg.lam, cfg.dist.support[1]
     gp = balanced_load(cfg)
-    inv = cfg.dist._quantile
+    inv, dens = cfg.dist._quantile, cfg.dist._density
     p_lo, p_hi = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
     d1, d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
+    s1, s2 = delay_slope(cfg.d1), delay_slope(cfg.d2)
 
     def beta1(gamma1):
         if not 0.0 <= gamma1 <= lam:
@@ -104,14 +108,22 @@ def resolve(cfg: SystemConfig) -> tuple:
         return inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
 
     def g1(gamma1):
-        if not 0.0 <= gamma1 <= lam:
-            raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
-        delta_d = d2(lam - gamma1) - d1(gamma1)
-        if gamma1 == 0.0 or gamma1 == lam:
-            return top * delta_d
-        p = (lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam
-        return inv(p_lo if p < p_lo else p_hi if p > p_hi else p) * delta_d
-    return gp, beta1, g1
+        beta = top if gamma1 == 0.0 or gamma1 == lam else beta1(gamma1)
+        return beta * (d2(lam - gamma1) - d1(gamma1))
+
+    def g1_slope(gamma1):
+        # the branch containing gamma1, the left one at the kink gamma+;
+        # the quantile's derivative is -+1/(lam f(beta))
+        rest = lam - gamma1
+        if gamma1 <= gp:
+            p, sign = rest / lam, -1.0
+        else:
+            p, sign = gamma1 / lam, 1.0
+        beta = inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
+        delta_d = d2(rest) - d1(gamma1)
+        return beta * delta_d, (sign / (lam * dens(beta)) * delta_d
+                                + beta * (-s2(rest) - s1(gamma1)))
+    return gp, beta1, g1, g1_slope
 
 
 def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
@@ -178,13 +190,7 @@ def price_gap_1_deriv(cfg: SystemConfig, gamma1: float) -> float:
     """
     if not 0.0 < gamma1 < cfg.lam:
         raise DomainError(f"rate must lie in (0, {cfg.lam}), got {gamma1}")
-    gp, beta1, _ = resolve(cfg)
-    beta = beta1(gamma1)
-    f_beta = density(cfg.dist, beta)
-    beta_prime = (-1.0 if gamma1 <= gp else 1.0) / (cfg.lam * f_beta)
-    delta_d = cfg.delay2(cfg.lam - gamma1) - cfg.delay1(gamma1)
-    delta_d_prime = -cfg.delay2_deriv(cfg.lam - gamma1) - cfg.delay1_deriv(gamma1)
-    return beta_prime * delta_d + beta * delta_d_prime
+    return resolve(cfg)[3](gamma1)[1]
 
 
 def price_gap_2_deriv(cfg: SystemConfig, gamma2: float) -> float:
@@ -207,15 +213,15 @@ def check_price(name: str, c: float) -> None:
 
 
 def rate_cap_with_gap(cfg: SystemConfig, c2: float) -> tuple:
-    """(rate_cap_1(cfg, c2), the bound g1 of :func:`resolve` it was found on)."""
+    """(rate_cap_1(cfg, c2), g1, g1_slope): the cap and the bound maps of
+    :func:`resolve` it was found on."""
     check_price("rival price", c2)
-    g1 = resolve(cfg)[2]
-    if c2 >= -g1(cfg.lam):
-        return cfg.lam, g1
+    _, _, g1, g1_slope = resolve(cfg)
     lo, hi = _root_bracket(cfg)
-    if -c2 <= g1(hi):
-        return hi, g1
-    return bisect_decreasing(g1, lo, hi, -c2), g1
+    try:
+        return bisect_decreasing(g1, lo, hi, -c2), g1, g1_slope
+    except NoRootError:  # g1 stays above -c2 up to the bracket's top
+        return hi, g1, g1_slope
 
 
 def rate_cap_1(cfg: SystemConfig, c2: float) -> float:
@@ -242,7 +248,7 @@ def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
     if gamma1 in (0.0, cfg.lam) and not cfg.dist.bounded:
         raise DomainError(
             f"price diverges at rate {gamma1} for an unbounded sensitivity law")
-    cap, g1 = rate_cap_with_gap(cfg, c2)
+    cap, g1, _ = rate_cap_with_gap(cfg, c2)
     if not 0.0 <= gamma1 <= cap * (1.0 + 1e-12):
         raise DomainError(
             f"rate {gamma1} exceeds the rate cap {cap} (price would be negative)")
@@ -272,29 +278,25 @@ def solve_equilibrium(cfg: SystemConfig, prices: PriceVector) -> EquilibriumSpli
     With gap = c1 - c2: rates hit the boundary when the gap escapes
     [g1(lam), g1(0)] (bounded laws only); equal prices return the
     balanced load under the single-threshold convention; otherwise the
-    unique interior root of g1(gamma) = gap, located by bisection with
-    residual below 1e-10 * max(1, |gap|).
+    unique interior root of g1(gamma) = gap, located by
+    :func:`~qpk._solve.bisect_decreasing` to a few ulps.
     """
     gap = prices.gap
     regime = (Regime.HIGH_BETA_TO_SERVER_1 if gap >= 0.0
               else Regime.HIGH_BETA_TO_SERVER_2)
-    gp, beta1, g1 = resolve(cfg)
+    gp, beta1, g1, _ = resolve(cfg)
     if gap == 0.0:
         return EquilibriumSplit(gp, cfg.lam, beta1(gp), regime)
-    if cfg.dist.bounded:
-        if gap >= g1(0.0):
-            return EquilibriumSplit(0.0, cfg.lam, cfg.dist.support[1], regime)
-        if gap <= g1(cfg.lam):
-            return EquilibriumSplit(cfg.lam, cfg.lam, cfg.dist.support[1], regime)
     lo, hi = _root_bracket(cfg)
-    # a gap beyond the value at the clamped endpoints means the true rate
-    # sits in the sub-P_MIN probability tail; clamp to the endpoint
-    if gap >= g1(lo):
-        gamma1 = lo
-    elif gap <= g1(hi):
-        gamma1 = hi
-    else:
+    try:
         gamma1 = bisect_decreasing(g1, lo, hi, gap)
+    except NoRootError:
+        # the gap escapes g1's range on the bracket: the rate is a boundary
+        # for a bounded law, and otherwise sits in the sub-P_MIN
+        # probability tail, clamped to the bracket's end
+        gamma1 = lo if gap > 0.0 else hi
+    if gamma1 == 0.0 or gamma1 == cfg.lam:
+        return EquilibriumSplit(gamma1, cfg.lam, cfg.dist.support[1], regime)
     return EquilibriumSplit(gamma1, cfg.lam, beta1(gamma1), regime)
 
 

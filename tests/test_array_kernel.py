@@ -21,7 +21,7 @@ from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform,
                  rate_cap_2, revenue_curve)
 from qpk import _special, estimation, models, wardrop
 from conftest import FIXTURES
-from qpk._solve import golden_max, grid_argmax, local_maxima_scan, uniform_grid
+from qpk._solve import bisect_decreasing, grid_argmax, local_maxima_scan, uniform_grid
 from qpk.models import P_MIN
 
 RTOL = 1e-13
@@ -251,7 +251,7 @@ def test_results_hold_python_floats(ex1_gamma):
 
 def test_grid_point_results_hold_python_floats(sat_power):
     # here revenue peaks at the grid floor lam * P_MIN, so the grid point
-    # itself, not the golden-section refinement, becomes the result
+    # itself, not a root of the revenue's derivative, becomes the result
     res = optimize_monopoly(sat_power, 1.0)
     assert res.gamma1_star == sat_power.lam * P_MIN
     assert _all_floats([res.gamma1_star, res.c1_star, res.rt_star])
@@ -268,25 +268,29 @@ def test_grid_argmax_ties_go_to_the_lowest_index():
 def _bumps(h1, h2):
     # narrow gaussian bumps of heights h1 at 0.3, a point of the 11-point
     # grid of [0, 1], and h2 at 0.75, between two of its points; the
-    # objective serves as its own array and scalar form
-    return lambda x: (h1 * np.exp(-((x - 0.3) / 0.05) ** 2)
-                      + h2 * np.exp(-((x - 0.75) / 0.05) ** 2))
+    # objective serves as its own array and scalar form. Returns it and
+    # its derivative.
+    bumps = ((h1, 0.3), (h2, 0.75))
+    f = lambda x: sum(h * np.exp(-((x - c) / 0.05) ** 2) for h, c in bumps)
+    df = lambda x: sum(-800.0 * (x - c) * h * math.exp(-((x - c) / 0.05) ** 2)
+                       for h, c in bumps)
+    return f, df
 
 
 def test_local_maxima_scan_returns_the_higher_refined_peak():
     # the best grid point is the bump at 0.3, but refined, the bump at
     # 0.75 is higher: the scan must refine both and return the latter
-    f = _bumps(1.0, 1.05)
+    f, df = _bumps(1.0, 1.05)
     assert grid_argmax(f, 0.0, 1.0, 11)[2] == 3
-    (x, fx), peaks = local_maxima_scan(f, f, 0.0, 1.0, 11)
+    (x, fx), peaks = local_maxima_scan(f, f, df, 0.0, 1.0, 11)
     assert len(peaks) == 2
     assert x == pytest.approx(0.75, abs=1e-8)
     assert fx == pytest.approx(1.05, rel=1e-12)
 
 
 def test_local_maxima_scan_ties_go_to_the_smaller_argument():
-    f = _bumps(1.0, 1.0 + 1e-10)
-    (x, _), peaks = local_maxima_scan(f, f, 0.0, 1.0, 11)
+    f, df = _bumps(1.0, 1.0 + 1e-10)
+    (x, _), peaks = local_maxima_scan(f, f, df, 0.0, 1.0, 11)
     assert len(peaks) == 2
     assert x == pytest.approx(0.3, abs=1e-8)
 
@@ -387,24 +391,24 @@ def test_price_gap_array_is_the_scalar_g1_on_uniform_laws(name, request):
                                           _bits([g1(x) for x in xs.tolist()]))
 
 
-def test_golden_max_stops_on_the_relative_tolerance_at_large_arguments():
-    # at 1e8 adjacent doubles lie 1.5e-8 apart, wider than the 1e-9
-    # argument tolerance; the bracket must still close by its tolerance,
-    # well before the cap
+def test_bisect_decreasing_stops_on_the_relative_tolerance_at_large_arguments():
+    # at 1e8 adjacent doubles lie 1.5e-8 apart; the bracket must close to
+    # a few ulps of the root, well before the iteration cap
     calls = []
+    root = 1.00000123e8 + 0.123
 
     def f(x):
         calls.append(x)
-        return -(x - 1.00000123e8) ** 2
-    x, _ = golden_max(f, 1e8, 1e8 + 2e4)
-    assert x == pytest.approx(1.00000123e8, rel=1e-14)
-    assert len(calls) < 100
+        return math.atan(root - x)
+    x = bisect_decreasing(f, 1e8, 1e8 + 2e4)
+    assert abs(x - root) <= 4 * math.ulp(root)
+    assert len(calls) < 20
 
 
 def test_gamma_monopoly_scan_makes_no_per_point_quantile_calls(ex1_gamma, monkeypatch):
     # tooling guard: the scan must stay on the array path. A per-point
-    # scan makes 4,128 scalar gamma_p_inverse calls here; the golden-section
-    # refinement and the reported price make about 32.
+    # scan makes 4,128 scalar gamma_p_inverse calls here; the refinement on
+    # the revenue's derivative and the reported price make about 8.
     calls = []
     scalar = _special.gamma_p_inverse
 
@@ -480,8 +484,7 @@ def _scaled(s):
 def test_large_rates_finish_and_scale():
     # with linear delays, scaling lam and both mu together leaves every
     # price and every rate share unchanged; at lam = 1e8 adjacent doubles
-    # lie further apart than the 1e-9 argument tolerance, which alone never
-    # closes a golden-section bracket
+    # lie 1.5e-8 apart, so only a stop relative to the rate ends the solves
     small, big = _scaled(1.0), _scaled(1e8)
     with _wall_bound(20):
         start = time.perf_counter()

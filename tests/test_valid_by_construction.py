@@ -38,9 +38,22 @@ def test_solvers_do_not_check_a_built_config(name, request, monkeypatch):
 
 @pytest.mark.parametrize("name", ["ex1_uniform", "ex3"])
 def test_server_2_best_response_checks_only_the_swapped_system(name, request, monkeypatch):
-    # identical servers swap to themselves, so they make no check at all
+    # the swapped system is built, and checked, before the count starts;
+    # the best response reuses it
     cfg = request.getfixturevalue(name)
-    swapped = cfg.swapped()
+    cfg.swapped()
     checks = count_checks(monkeypatch)
     best_response(cfg, 2, 1.0)
+    assert checks == []
+
+
+@pytest.mark.parametrize("name", ["ex1_uniform", "ex3"])
+def test_repeated_server_2_best_responses_check_the_swapped_system_once(
+        name, request, monkeypatch):
+    # identical servers swap to themselves, so they make no check at all
+    cfg = request.getfixturevalue(name)
+    checks = count_checks(monkeypatch)
+    for c in (0.5, 1.0, 2.0):
+        best_response(cfg, 2, c)
+    swapped = cfg.swapped()
     assert checks == ([] if swapped is cfg else [swapped])

@@ -282,11 +282,13 @@ def test_server_2_errors_name_no_server_1_argument(ex1_uniform):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_resolved_maps_are_the_point_functions(name, request):
     cfg = request.getfixturevalue(name)
-    gp, beta1, g1 = wardrop.resolve(cfg)
+    gp, beta1, g1, g1_slope = wardrop.resolve(cfg)
     assert gp == balanced_load(cfg)
     for g in (0.0, cfg.lam * 1e-12, 0.3 * gp, gp, 0.5 * (gp + cfg.lam), cfg.lam):
         assert beta1(g) == threshold_of_rate(cfg, g)
         assert g1(g) == price_gap_1(cfg, g)
+        if 0.0 < g < cfg.lam:
+            assert g1_slope(g) == (price_gap_1(cfg, g), price_gap_1_deriv(cfg, g))
     for g in (-1e-9, cfg.lam * (1.0 + 1e-9), math.nan):
         for f in (beta1, g1):
             with pytest.raises(DomainError, match="rate must lie in"):
