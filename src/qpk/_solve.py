@@ -85,43 +85,43 @@ def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return xs
 
 
-def grid_argmax(f, lo: float, hi: float, n: int):
-    """Scan f on an n-point uniform grid of [lo, hi].
+def grid_argmax(scan, lo: float, hi: float, n: int):
+    """Sample an objective over [lo, hi] in one pass and take the best sample.
 
-    f is an array objective: it takes the whole grid as one numpy array
-    and returns the array of values. Returns (xs, fs, i_best), two arrays
-    and an int, with the lowest-index tie-break so results are
-    deterministic.
+    scan(lo, hi, n) samples at up to n points and returns (xs, fs): the
+    points it sampled, increasing from exactly lo to exactly hi, and the
+    objective's values there. Returns (xs, fs, i_best), two arrays and an
+    int, with the lowest-index tie-break so results are deterministic.
     """
     if n < 2:
         raise ValueError("grid_argmax needs n >= 2")
-    xs = uniform_grid(lo, hi, n)
-    fs = np.asarray(f(xs), dtype=float)
+    xs, fs = scan(lo, hi, n)
     return xs, fs, int(np.argmax(fs))
 
 
-def local_maxima_scan(f_grid, f, df, lo: float, hi: float, n: int):
-    """Scan f on an n-point uniform grid of [lo, hi] and refine every local
-    maximum of the grid as the root of df, f's derivative, between its grid
-    neighbours.
+def local_maxima_scan(scan, f, df, lo: float, hi: float, n: int):
+    """Scan f over [lo, hi] and refine every local maximum of the samples
+    as the root of df, f's derivative, between its neighbouring samples.
 
-    f_grid is the array form of f, used for the grid scan (see
-    :func:`grid_argmax`); f and df are scalar forms, used for refinement.
-    Grid endpoints count as local maxima when the function falls away from
-    them. Where df keeps its sign over the bracket the maximum lies on the
-    edge of [lo, hi], and the grid point stays; refined peaks that land on
-    the same point merge. Returns (best, peaks): peaks is the list of
-    (x, f(x)) sorted by x, best the one with the largest value, where
-    values within TIE_REL of each other tie and go to the smaller x.
+    scan is the array form of f (see :func:`grid_argmax`), whose samples
+    need not be evenly spaced; f and df are scalar forms, used for
+    refinement. The end samples count as local maxima when the function
+    falls away from them. Where df keeps its sign over the bracket the
+    maximum lies on the edge of [lo, hi], and the sample stays; refined
+    peaks that land on the same point merge. Returns (best, peaks): peaks
+    is the list of (x, f(x)) sorted by x, best the one with the largest
+    value, where values within TIE_REL of each other tie and go to the
+    smaller x.
     """
-    xs, fs, _ = grid_argmax(f_grid, lo, hi, n)
-    peak = np.ones(n, dtype=bool)
+    xs, fs, _ = grid_argmax(scan, lo, hi, n)
+    last = xs.size - 1
+    peak = np.ones(xs.size, dtype=bool)
     peak[1:] &= fs[1:] > fs[:-1]
     peak[:-1] &= fs[:-1] >= fs[1:]
     peaks = []
     for i in np.flatnonzero(peak).tolist():
         try:
-            x = bisect_decreasing(df, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)]))
+            x = bisect_decreasing(df, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, last)]))
         except NoRootError:
             x, fx = float(xs[i]), float(fs[i])
         else:

@@ -62,13 +62,16 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     own = cfg if server == 1 else cfg.swapped()
     cap, g1, g1_slope = rate_cap_with_gap(own, other_price)
 
+    def r_scan(lo, hi, n):
+        xs, g = price_gap_1_array(own, lo, hi, n)
+        return xs, (g + other_price) * xs
+
     def dr(g):
         v, s = g1_slope(g)
         return v + other_price + g * s
     (g_star, r_star), candidates = local_maxima_scan(
-        lambda g: (price_gap_1_array(own, g) + other_price) * g,
-        lambda g: (g1(g) + other_price) * g, dr, cfg.lam * P_MIN, cap * (1.0 - P_MIN),
-        grid_size)
+        r_scan, lambda g: (g1(g) + other_price) * g, dr, cfg.lam * P_MIN,
+        cap * (1.0 - P_MIN), grid_size)
     return BestResponse(
         server=server,
         given_price=other_price,

@@ -166,9 +166,9 @@ def _fcfs_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
 
 
 def _sample_sensitivities(dist, u: np.ndarray) -> np.ndarray:
-    """Inverse-transform samples at uniforms u: the reference DesOracle's
-    routing must match, and the arrival-count hook of the bench tracer."""
-    return models.quantile_array(dist, u)
+    """Inverse-transform samples at uniforms u by the scalar quantile: the
+    reference DesOracle's routing must match, and the bench tracer's hook."""
+    return np.array([models.quantile(dist, v) for v in u.tolist()])
 
 
 class DesOracle:
@@ -176,11 +176,11 @@ class DesOracle:
 
     Arrivals are Poisson with the configured total rate; each arrival
     routes through the analytic threshold kernel for the queried prices
-    by comparing its uniform, clamped as quantile_array clamps it, with
-    F(beta1) (F^{-1}(u) > beta1 iff u > F(beta1)). Rates and mean
-    sojourn times are measured over [warmup, horizon], warmup = 10% of
-    the horizon. Deterministic per seed (counter-based generator, one
-    stream per measure call); a single instance is not safe for
+    by comparing its uniform, clamped as :func:`~qpk.models.quantile`
+    clamps it, with F(beta1) (F^{-1}(u) > beta1 iff u > F(beta1)). Rates
+    and mean sojourn times are measured over [warmup, horizon], warmup =
+    10% of the horizon. Deterministic per seed (counter-based generator,
+    one stream per measure call); a single instance is not safe for
     concurrent measure calls.
     """
 

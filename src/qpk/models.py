@@ -115,12 +115,13 @@ class SensitivityDistribution:
     ``__post_init__`` raises DomainError outside their domain.
 
     Subclasses implement ``_cdf``/``_quantile``/``_density`` on the support
-    interior; use the module-level :func:`cdf`, :func:`quantile`,
-    :func:`quantile_array` and :func:`density` entry points, which own the
-    domain checks and the quantile clamp for unbounded families.
-    ``_quantile_array`` is the elementwise quantile on a numpy array; it
-    defaults to ``_quantile``, which serves as is wherever the scalar
-    formula is plain arithmetic.
+    interior; use the module-level :func:`cdf`, :func:`quantile` and
+    :func:`density` entry points, which own the domain checks and the
+    quantile clamp for unbounded families. ``_scan_points`` is the grid
+    scans' hook: for a numpy array of levels p it returns thresholds at or
+    near their quantiles and the levels F there, p itself when the
+    thresholds are the quantiles. It defaults to (``_quantile``(p), p),
+    which serves as is wherever the scalar quantile is plain arithmetic.
     """
 
     family: ClassVar[str]
@@ -152,8 +153,8 @@ class SensitivityDistribution:
     def _quantile(self, p: float) -> float:
         raise NotImplementedError
 
-    def _quantile_array(self, p: np.ndarray) -> np.ndarray:
-        return self._quantile(p)
+    def _scan_points(self, p: np.ndarray) -> tuple:
+        return self._quantile(p), p
 
     def _density(self, x: float) -> float:
         raise NotImplementedError
@@ -218,8 +219,8 @@ class Exponential(SensitivityDistribution):
     def _quantile(self, p):
         return -self.tau * math.log1p(-p)
 
-    def _quantile_array(self, p):
-        return -self.tau * np.log1p(-p)
+    def _scan_points(self, p):
+        return -self.tau * np.log1p(-p), p
 
     def _density(self, x):
         return math.exp(-x / self.tau) / self.tau
@@ -254,8 +255,10 @@ class Gamma(SensitivityDistribution):
     def _quantile(self, p):
         return _special.gamma_p_inverse(self.k, p) * self.theta
 
-    def _quantile_array(self, p):
-        return _special.gamma_p_inverse_array(self.k, p) * self.theta
+    def _scan_points(self, p):
+        # no inversion: Halley steps, and the level where they land
+        x, level = _special.gamma_p_inverse_steps_array(self.k, p)
+        return x * self.theta, level
 
     def _density(self, x):
         if x == 0.0:
@@ -323,30 +326,18 @@ def quantile(dist: SensitivityDistribution, p: float) -> float:
 
     Exact inverse for the uniform, exponential and power families; Halley
     root-finding on the regularized incomplete gamma for the gamma family,
-    to |F(x) - p| < 1e-13 p. For unbounded-support families p is
-    clamped to [P_MIN, 1 - P_MIN] so the result stays finite. Point solves
-    apply the same clamp past their own rate check (``wardrop.resolve``);
-    grid scans use :func:`quantile_array`, which applies the same check and
-    clamp to a whole array at once.
+    which stops once |F(x) - p| < 1e-13 p. That stop is absolute in 1 - p
+    near p = 1, and below shape k ~ 0.1 it is not reached (the ``_special``
+    docstring has the measured limits). For unbounded-support families p
+    is clamped to [P_MIN, 1 - P_MIN] so the result stays finite. Point
+    solves apply the same clamp past their own rate check
+    (``wardrop.resolve``), and grid scans to the levels they sample
+    (``wardrop.price_gap_1_array``).
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"quantile probability must lie in [0, 1], got {p}")
     lo, hi = (0.0, 1.0) if dist.bounded else (P_MIN, 1.0 - P_MIN)
     return dist._quantile(lo if p < lo else hi if p > hi else p)
-
-
-def quantile_array(dist: SensitivityDistribution, p) -> np.ndarray:
-    """F^{-1}(p) elementwise over an array of p in [0, 1].
-
-    Agrees with :func:`quantile` point by point up to rounding: numpy's
-    log1p, pow, exp and log can differ from math's in the last bit.
-    """
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise DomainError("quantile probabilities must lie in [0, 1]")
-    if not dist.bounded:
-        p = np.clip(p, P_MIN, 1.0 - P_MIN)
-    return dist._quantile_array(p)
 
 
 def density(dist: SensitivityDistribution, x: float) -> float:

@@ -10,7 +10,7 @@ off the scalar g1, both from wardrop.resolve.
 
 from dataclasses import dataclass
 
-from ._solve import DEFAULT_GRID, local_maxima_scan, uniform_grid
+from ._solve import DEFAULT_GRID, local_maxima_scan
 from .errors import DomainError
 from .models import P_MIN, SystemConfig
 from .wardrop import balanced_load, check_price, price_gap_1_array, resolve
@@ -40,12 +40,15 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
 
     gp, _, g1, g1_slope = resolve(cfg)
 
+    def h_scan(lo, hi, n):
+        xs, g = price_gap_1_array(cfg, lo, hi, n)
+        return xs, g * xs
+
     def dh(g):
         v, s = g1_slope(g)
         return v + g * s
-    (g_star, h_star), _ = local_maxima_scan(lambda g: price_gap_1_array(cfg, g) * g,
-                                            lambda g: g1(g) * g, dh, cfg.lam * P_MIN, gp,
-                                            grid_size)
+    (g_star, h_star), _ = local_maxima_scan(h_scan, lambda g: g1(g) * g, dh,
+                                            cfg.lam * P_MIN, gp, grid_size)
     return MonopolyResult(
         gamma1_star=g_star,
         c1_star=c2 + g1(g_star),
@@ -54,14 +57,16 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
 
 
 def revenue_curve(cfg: SystemConfig, c2: float, n: int) -> tuple:
-    """n uniformly spaced (gamma1, RT) samples on [lam * P_MIN, gamma+].
+    """(gamma1, RT) samples on [lam * P_MIN, gamma+]: the optimizers' scan.
 
     Plot-ready data for the revenue-vs-rate figure; RT(gamma+) = c2*lam
-    since the price gap vanishes at the balanced load.
+    since the price gap vanishes at the balanced load. Closed-form laws give
+    n evenly spaced samples; a gamma law's are the scan's exact points on
+    the curve, at most n of them and close to even.
     """
     check_price("c2", c2)
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    xs = uniform_grid(cfg.lam * P_MIN, balanced_load(cfg), n)
-    rt = c2 * cfg.lam + price_gap_1_array(cfg, xs) * xs
+    xs, g = price_gap_1_array(cfg, cfg.lam * P_MIN, balanced_load(cfg), n)
+    rt = c2 * cfg.lam + g * xs
     return tuple(zip(xs.tolist(), rt.tolist()))

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._solve import bisect_decreasing
+from ._solve import bisect_decreasing, uniform_grid
 from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
 from .models import (P_MIN, SystemConfig, delay_formula, delay_formula_array,
@@ -146,30 +146,44 @@ def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
     return resolve(cfg)[2](gamma1)
 
 
-def price_gap_1_array(cfg: SystemConfig, gamma1) -> np.ndarray:
-    """g1 elementwise over an array of rates in [0, lam].
+def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int) -> tuple:
+    """(rates, g1 at them) at up to n increasing rates from exactly lo to
+    exactly hi, in one array pass: the grid scan of the optimizers.
 
-    The same branches, tie at gamma+ and endpoint values as
-    :func:`price_gap_1`, in one pass over the array; grid scans use this,
-    point solves the scalar function. A lone rate gives a numpy scalar.
+    Each rate of the n-point uniform grid maps to its level as in
+    :func:`threshold_of_rate`, and the law's ``_scan_points`` returns a
+    threshold at or near each level's quantile with the level F there.
+    A closed-form law's thresholds are the quantiles: its scan is the grid.
+    Otherwise a point off its level by more than 1e-13, relative in the
+    nearer tail, moves to the rate of the level F it has, lam * (1 - F) up
+    to gamma+ and lam * F above, or drops if that leaves (lo, hi) or its
+    branch; and the ends take the scalar threshold, as point solves do.
     """
     lam, dist = cfg.lam, cfg.dist
-    g = np.asarray(gamma1, dtype=float)
-    if g.ndim == 0:  # the in-place steps below need an array
-        return price_gap_1_array(cfg, g[None])[0]
-    lo, hi = g.min(initial=lam), g.max(initial=0.0)  # NaN fails the check
-    if not (lo >= 0.0 and hi <= lam):
-        raise DomainError(f"rates must lie in [0, {lam}]")
-    # past the check every rate, probability and delay is in its domain
-    gp, rest = balanced_load(cfg), lam - g
-    p = rest / lam if hi <= gp else np.where(g <= gp, rest / lam, g / lam)
+    if not 0.0 <= lo < hi <= lam:  # NaN fails the check
+        raise DomainError(f"rates must satisfy 0 <= lo < hi <= {lam}, got [{lo}, {hi}]")
+    gp = balanced_load(cfg)
+    g = uniform_grid(lo, hi, n)
+    low = g <= gp
+    p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
     if not dist.bounded:
         np.clip(p, P_MIN, 1.0 - P_MIN, out=p)
-    beta = dist._quantile_array(p)
-    if lo == 0.0 or hi == lam:
+    beta, level = dist._scan_points(p)
+    if level is not p:  # the thresholds are near the quantiles, not on them
+        moved = np.abs(level - p) > 1e-13 * np.minimum(p, 1.0 - p)
+        rates = np.where(low, lam * (1.0 - level), lam * level)
+        keep = ~moved | ((rates > lo) & (rates < hi) & ((rates <= gp) == low))
+        g = np.where(moved, rates, g)
+        beta1 = resolve(cfg)[1]
+        keep[[0, -1]] = True
+        g[[0, -1]] = lo, hi
+        beta[[0, -1]] = beta1(lo), beta1(hi)
+        g, first = np.unique(g[keep], return_index=True)
+        beta = beta[keep][first]
+    if g[0] == 0.0 or g[-1] == lam:
         beta[(g == 0.0) | (g == lam)] = dist.support[1]
-    beta *= delay_formula_array(cfg.d2, rest) - delay_formula_array(cfg.d1, g)
-    return beta
+    beta *= delay_formula_array(cfg.d2, lam - g) - delay_formula_array(cfg.d1, g)
+    return g, beta
 
 
 def price_gap_2(cfg: SystemConfig, gamma2: float) -> float:

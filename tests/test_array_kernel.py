@@ -1,10 +1,11 @@
 """The array kernel behind the grid scans, checked against the scalar path.
 
-Every array entry point must agree with its scalar counterpart point by
-point, and each scan must pick the grid point that a point-by-point scan
-of the scalar objective picks. References: the scalar functions, and
-scipy.special for the incomplete gamma (tests only; skipped when scipy is
-absent).
+The scan's g1 must be the scalar g1 at every rate it samples, and each
+scan must pick the sample that a point-by-point scan of the scalar
+objective over the same rates picks. A gamma law's scan samples exact
+(threshold, rate) pairs near the uniform grid, and must cover its range.
+References: the scalar functions, and scipy.special for the incomplete
+gamma (tests only; skipped when scipy is absent).
 """
 
 import contextlib
@@ -25,9 +26,9 @@ from qpk._solve import bisect_decreasing, grid_argmax, local_maxima_scan, unifor
 from qpk.models import P_MIN
 
 RTOL = 1e-13
-# the gamma inverses stop once |P(x) - p| < 1e-13 p; a last-bit difference
-# between numpy's and math's exp or log can move that stop by a Halley
-# iterate, which moves x by up to a few 1e-15 relative
+# a gamma law's scan keeps a point's rate where its level is within 1e-13
+# of the target, relative in the nearer tail, and the scalar inverse stops
+# once |P(x) - p| < 1e-13 p: either leaves x up to a few 1e-15 relative off
 GAMMA_RTOL = 1e-12
 LAWS = [Uniform(2.0, 6.0), Exponential(4.0), Gamma(2.0, 2.0), Gamma(0.7, 1.5),
         Power(2.0, 4.0)]
@@ -37,6 +38,14 @@ SCAN_CONFIGS = ["ex1_uniform", "ex1_expo", "ex1_gamma", "ex2_uniform", "ex2_expo
 
 def _scalar(fn, xs):
     return np.array([fn(float(x)) for x in xs])
+
+
+def _on_grid(f):
+    """A scan (see grid_argmax) of the array objective f on the uniform grid."""
+    def scan(lo, hi, n):
+        xs = uniform_grid(lo, hi, n)
+        return xs, f(xs)
+    return scan
 
 
 def _assert_matches(got, want):
@@ -50,27 +59,34 @@ def _assert_matches(got, want):
 
 @pytest.mark.parametrize("dist", LAWS, ids=repr)
 def test_quantile_array_matches_scalar(dist):
-    p = np.concatenate([[0.0, 1e-13, P_MIN, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - P_MIN, 1.0],
-                        np.linspace(0.0, 1.0, 257)])
-    got = models.quantile_array(dist, p)
-    want = _scalar(lambda q: models.quantile(dist, q), p)
-    rtol = GAMMA_RTOL if isinstance(dist, Gamma) else RTOL
-    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
-    assert got.shape == p.shape
+    # the scans' quantile array is the law's _scan_points hook: closed-form
+    # laws return their quantiles at the very levels asked for; a gamma law
+    # returns points near them and the levels the scalar cdf gives there
+    p = np.concatenate([[P_MIN, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - P_MIN],
+                        np.linspace(0.01, 0.99, 99)])
+    beta, level = dist._scan_points(p)
+    assert beta.shape == level.shape == p.shape
+    if isinstance(dist, Gamma):
+        np.testing.assert_allclose(level, _scalar(lambda b: models.cdf(dist, b), beta),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(level, p, rtol=1e-6, atol=0.0)
+    else:
+        assert level is p
+        np.testing.assert_allclose(beta, _scalar(lambda q: models.quantile(dist, q), p),
+                                   rtol=RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("dist", LAWS, ids=repr)
 def test_des_sampler_is_the_array_quantile(dist):
     u = np.random.default_rng(3).random(2000)
     got = estimation._sample_sensitivities(dist, u)
-    want = _scalar(lambda q: models.quantile(dist, q), u)
-    rtol = GAMMA_RTOL if isinstance(dist, Gamma) else RTOL
-    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+    np.testing.assert_array_equal(got, _scalar(lambda q: models.quantile(dist, q), u))
 
 
 def test_quantile_array_rejects_probabilities_outside_unit_interval():
+    # the DES reference sampler is the array quantile that remains
     with pytest.raises(models.DomainError):
-        models.quantile_array(Exponential(1.0), np.array([0.5, 1.5]))
+        estimation._sample_sensitivities(Exponential(1.0), np.array([0.5, 1.5]))
 
 
 @pytest.mark.parametrize("family", ["linear", "mm1"])
@@ -84,45 +100,68 @@ def test_delay_formulas_match_the_checked_delay(family):
     np.testing.assert_array_equal(_scalar(models.delay_formula(model), g), want)
 
 
-def _rate_points(cfg):
-    """Both branches of g1 and g2, their ties, grid-like interiors, and
-    rates whose probability an unbounded law clamps."""
-    lam, gp = cfg.lam, balanced_load(cfg)
-    ties = [gp, lam - gp, np.nextafter(gp, 0.0), np.nextafter(gp, lam),
-            np.nextafter(lam - gp, 0.0), np.nextafter(lam - gp, lam),
-            lam * 1e-13, lam * (1.0 - 1e-13)]
-    lo, hi = (0.0, lam) if cfg.dist.bounded and not cfg.saturation_ok \
-        else (lam * P_MIN, lam * (1.0 - P_MIN))
-    return np.concatenate([ties, np.linspace(lo, hi, 301)])
+def _assert_is_scalar_g1(cfg, xs, got):
+    """The scan's g1 is the scalar g1 at each rate it sampled.
+
+    A closed-form law's scan runs the scalar arithmetic, to RTOL of the
+    curve's size. A gamma law's scalar threshold solves F(beta) = p only
+    to the inverse's stop, |F - p| < 1e-13 p, which is absolute in 1 - p
+    near p = 1, and p carries the rounding of the rate it is read off;
+    through the density that level error is a threshold error, which the
+    check allows on top of 1e-12 relative.
+    """
+    gp, beta1, g1, _ = wardrop.resolve(cfg)  # price_gap_1 and threshold_of_rate
+    want = _scalar(g1, xs)
+    if not isinstance(cfg.dist, Gamma):
+        _assert_matches(got, want)
+        return
+    lam = cfg.lam
+    p = np.where(xs <= gp, (lam - xs) / lam, xs / lam)
+    beta = _scalar(beta1, xs)
+    density = _scalar(lambda b: models.density(cfg.dist, b), beta)
+    delay_gap = (models.delay_formula_array(cfg.d2, lam - xs)
+                 - models.delay_formula_array(cfg.d1, xs))
+    stop = (1e-13 * p + 4.0 * np.finfo(float).eps) / density * np.abs(delay_gap)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + stop)
+
+
+def _scan_ranges(cfg):
+    """The bracket of g1's root searches, the monopoly range and a best
+    response's range past gamma+."""
+    lam = cfg.lam
+    return [wardrop._root_bracket(cfg), (lam * P_MIN, balanced_load(cfg)),
+            (lam * P_MIN, rate_cap_1(cfg, 1.5) * (1.0 - P_MIN))]
 
 
 @pytest.mark.parametrize("name", SCAN_CONFIGS + ["fig_threshold"])
 def test_price_gaps_array_match_scalar(name, request):
     cfg = request.getfixturevalue(name)
-    xs = _rate_points(cfg)
-    gp = balanced_load(cfg)
-    assert np.any(xs < gp) and np.any(xs > gp)
-    _assert_matches(wardrop.price_gap_1_array(cfg, xs),
-                    _scalar(lambda x: wardrop.price_gap_1(cfg, x), xs))
-    _assert_matches(wardrop.price_gap_1_array(cfg.swapped(), xs),
-                    _scalar(lambda x: wardrop.price_gap_2(cfg, x), xs))
+    for own in (cfg, cfg.swapped()):
+        for lo, hi in _scan_ranges(own):
+            xs, got = wardrop.price_gap_1_array(own, lo, hi, 301)
+            _assert_is_scalar_g1(own, xs, got)
 
 
 def test_price_gap_1_array_tie_takes_the_low_branch(fig_threshold):
-    # the threshold jumps at gamma+ for non-identical servers; the tie must
-    # take the low-rate branch exactly as the scalar function does
+    # the threshold jumps at gamma+ for non-identical servers; a scan that
+    # ends or starts at the tie must take the low-rate branch there exactly
+    # as the scalar function does
     cfg = fig_threshold
-    gp = balanced_load(cfg)
-    got = wardrop.price_gap_1_array(cfg, np.array([gp]))[0]
-    assert got == wardrop.price_gap_1(cfg, gp)
+    gp, g_tie = balanced_load(cfg), wardrop.price_gap_1(cfg, balanced_load(cfg))
+    xs, got = wardrop.price_gap_1_array(cfg, cfg.lam * P_MIN, gp, 9)
+    assert (xs[-1], got[-1]) == (gp, g_tie)
+    xs, got = wardrop.price_gap_1_array(cfg, gp, 2.5, 9)
+    assert (xs[0], got[0]) == (gp, g_tie)
 
 
 def test_price_gaps_array_at_bounded_endpoints(ex1_uniform):
     cfg = ex1_uniform
-    ends = np.array([0.0, cfg.lam])
     for own, scalar in ((cfg, wardrop.price_gap_1), (cfg.swapped(), wardrop.price_gap_2)):
-        np.testing.assert_allclose(wardrop.price_gap_1_array(own, ends),
-                                   _scalar(lambda x: scalar(cfg, x), ends), rtol=RTOL, atol=0.0)
+        xs, got = wardrop.price_gap_1_array(own, 0.0, cfg.lam, 5)
+        ends = np.array([xs[0], xs[-1]])
+        np.testing.assert_array_equal(ends, [0.0, cfg.lam])
+        np.testing.assert_allclose([got[0], got[-1]], _scalar(lambda x: scalar(cfg, x), ends),
+                                   rtol=RTOL, atol=0.0)
 
 
 def test_price_gaps_array_at_unbounded_endpoints(ex1_expo):
@@ -131,15 +170,16 @@ def test_price_gaps_array_at_unbounded_endpoints(ex1_expo):
     cfg = ex1_expo
     for own in (cfg, cfg.swapped()):
         assert (wardrop.price_gap_1(own, 0.0), wardrop.price_gap_1(own, cfg.lam)) == (np.inf, -np.inf)
-        for ends in ([0.0], [cfg.lam], [0.0, 1.0, cfg.lam]):
-            got = wardrop.price_gap_1_array(own, np.array(ends))
-            assert (got[0], got[-1]) == (wardrop.price_gap_1(own, ends[0]),
-                                         wardrop.price_gap_1(own, ends[-1]))
+        for lo, hi in ((0.0, cfg.lam), (0.0, 1.0), (1.0, cfg.lam)):
+            _, got = wardrop.price_gap_1_array(own, lo, hi, 5)
+            assert (got[0], got[-1]) == (wardrop.price_gap_1(own, lo),
+                                         wardrop.price_gap_1(own, hi))
 
 
 def test_price_gap_array_rejects_rates_outside_domain(ex1_uniform):
-    with pytest.raises(models.DomainError):
-        wardrop.price_gap_1_array(ex1_uniform, np.array([1.0, 3.5]))
+    for lo, hi in ((1.0, 3.5), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(models.DomainError):
+            wardrop.price_gap_1_array(ex1_uniform, lo, hi, 8)
 
 
 @pytest.mark.parametrize("k", [0.7, 1.0, 1.7, 2.0, 3.1, 4.0])
@@ -151,11 +191,11 @@ def test_gamma_p_array_matches_scipy(k):
 
 
 @pytest.mark.parametrize("k", [0.7, 1.0, 1.7, 2.0, 3.1, 4.0])
-def test_gamma_p_inverse_array_matches_scipy(k):
+def test_gamma_p_inverse_matches_scipy(k):
     sp = pytest.importorskip("scipy.special")
     tail = np.geomspace(1e-12, 0.5, 200)
     p = np.concatenate([tail, 1.0 - tail, np.linspace(0.01, 0.99, 99)])
-    x = _special.gamma_p_inverse_array(k, p)
+    x = _scalar(lambda q: _special.gamma_p_inverse(k, q), p)
     x_ref = sp.gammaincinv(k, p)
     # the inverse is accurate in probability: its error in x, weighed by
     # the density there, stays below the scalar's 1e-13 stopping rule
@@ -169,20 +209,13 @@ def test_gamma_p_inverses_are_relative_in_the_lower_tail(k):
     # at k = 4, p = 1e-12 an absolute stop on |P(x) - p| left P 3.2% off
     sp = pytest.importorskip("scipy.special")
     p = np.geomspace(1e-12, 0.5, 200)
-    for x in (_special.gamma_p_inverse_array(k, p),
-              _scalar(lambda q: _special.gamma_p_inverse(k, q), p)):
-        np.testing.assert_allclose(sp.gammainc(k, x), p, rtol=1e-12, atol=0.0)
+    x = _scalar(lambda q: _special.gamma_p_inverse(k, q), p)
+    np.testing.assert_allclose(sp.gammainc(k, x), p, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("k", [0.7, 1.0, 2.0, 3.8])
 def test_gamma_array_functions_match_scalar(k):
     rng = np.random.default_rng(int(k * 10))
-    # more than one block, so the inverse runs block by block, and both tails
-    tail = np.geomspace(1e-12, 0.5, 200)
-    p = np.concatenate([rng.random(_special._BLOCK + 7), tail, 1.0 - tail])
-    np.testing.assert_allclose(_special.gamma_p_inverse_array(k, p),
-                               _scalar(lambda q: _special.gamma_p_inverse(k, q), p),
-                               rtol=GAMMA_RTOL, atol=0.0)
     x = rng.uniform(0.0, 4.0 * k + 6.0, 3000)
     np.testing.assert_allclose(_special.gamma_p_array(k, x),
                                _scalar(lambda v: _special.gamma_p(k, v), x),
@@ -190,35 +223,43 @@ def test_gamma_array_functions_match_scalar(k):
 
 
 def test_gamma_array_functions_keep_shape_and_check_domain():
-    p = np.full((3, 4), 0.25)
-    assert _special.gamma_p_inverse_array(2.0, p).shape == (3, 4)
-    assert _special.gamma_p_inverse_array(2.0, np.array([])).shape == (0,)
-    with pytest.raises(ValueError):
-        _special.gamma_p_inverse_array(2.0, np.array([0.5, 1.0]))
+    x = np.full((3, 4), 0.25)
+    assert _special.gamma_p_array(2.0, x).shape == (3, 4)
+    assert _special.gamma_p_array(2.0, np.array([])).shape == (0,)
     with pytest.raises(ValueError):
         _special.gamma_p_array(2.0, np.array([-1.0]))
     with pytest.raises(ValueError):
         _special.gamma_p_array(0.0, np.array([1.0]))
 
 
-def _scalar_scan_index(f, lo, hi, n):
-    """The grid index the point-by-point scan picks: first strict maximum."""
-    step = (hi - lo) / (n - 1)
-    xs = [hi if i == n - 1 else lo + i * step for i in range(n)]
+def _scalar_scan_index(f, xs):
+    """The index the point-by-point scan of f over xs picks: the first
+    strict maximum."""
     best, i_best = f(xs[0]), 0
-    for i in range(1, n):
-        v = f(xs[i])
+    for i, x in enumerate(xs.tolist()):
+        v = f(x)
         if v > best:
             best, i_best = v, i
     return i_best
+
+
+def _scan(own, c):
+    """The revenue scan of best_response at rival price c (c = 0 is the
+    monopoly's h)."""
+    def scan(lo, hi, n):
+        xs, g = wardrop.price_gap_1_array(own, lo, hi, n)
+        return xs, (g + c) * xs
+    return scan
 
 
 @pytest.mark.parametrize("name", SCAN_CONFIGS)
 def test_monopoly_scan_picks_the_scalar_grid_point(name, request):
     cfg = request.getfixturevalue(name)
     lo, gp, n = cfg.lam * P_MIN, balanced_load(cfg), 4096
-    _, _, i = grid_argmax(lambda g: wardrop.price_gap_1_array(cfg, g) * g, lo, gp, n)
-    assert i == _scalar_scan_index(lambda g: wardrop.price_gap_1(cfg, g) * g, lo, gp, n)
+    xs, _, i = grid_argmax(_scan(cfg, 0.0), lo, gp, n)
+    if not isinstance(cfg.dist, Gamma):
+        np.testing.assert_array_equal(xs, uniform_grid(lo, gp, n))
+    assert i == _scalar_scan_index(lambda g: wardrop.price_gap_1(cfg, g) * g, xs)
 
 
 @pytest.mark.parametrize("name", SCAN_CONFIGS)
@@ -231,8 +272,48 @@ def test_best_response_scan_picks_the_scalar_grid_point(name, server, request):
     else:
         cap, gap, own = rate_cap_2(cfg, c), wardrop.price_gap_2, cfg.swapped()
     lo, hi, n = cfg.lam * P_MIN, cap * (1.0 - P_MIN), 4096
-    _, _, i = grid_argmax(lambda g: (wardrop.price_gap_1_array(own, g) + c) * g, lo, hi, n)
-    assert i == _scalar_scan_index(lambda g: (gap(cfg, g) + c) * g, lo, hi, n)
+    xs, _, i = grid_argmax(_scan(own, c), lo, hi, n)
+    if not isinstance(cfg.dist, Gamma):
+        np.testing.assert_array_equal(xs, uniform_grid(lo, hi, n))
+    assert i == _scalar_scan_index(lambda g: (gap(cfg, g) + c) * g, xs)
+
+
+def _gamma_config(k, delays):
+    """The ex1 (linear) or ex2 (mm1) servers with a Gamma(k, 2) law."""
+    model = DelayModel.linear if delays == "linear" else DelayModel.mm1
+    return SystemConfig(3.0, model(3.3), model(4.0), Gamma(k, 2.0))
+
+
+@pytest.mark.parametrize("k", [0.2, 0.8, 2.0, 30.0, 1e3])
+@pytest.mark.parametrize("delays", ["linear", "mm1"])
+def test_gamma_scan_covers_its_range_on_exact_pairs(k, delays):
+    # the monopoly range ends at gamma+; a best response's runs past it, so
+    # its scan crosses the kink, where points that leave their branch drop
+    cfg = _gamma_config(k, delays)
+    lo, n = cfg.lam * P_MIN, 4096
+    for hi in (balanced_load(cfg), rate_cap_1(cfg, 1.0) * (1.0 - P_MIN)):
+        xs, got = wardrop.price_gap_1_array(cfg, lo, hi, n)
+        assert (xs[0], xs[-1]) == (lo, hi)
+        spacing = np.diff(xs)
+        assert np.all(spacing > 0.0)
+        assert spacing.max() <= 1.5 * (hi - lo) / (n - 1)
+        _assert_is_scalar_g1(cfg, xs, got)
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.05])
+def test_small_gamma_shapes_scan_in_order(k):
+    # below k ~ 0.1 neither start is good everywhere: points land off the
+    # grid and out of its order, and are sorted. The scalar inverse, which
+    # gives the ends and the refinement, is wrong there (ROADMAP item 1),
+    # so only order, ends and finite results are checked.
+    cfg = _gamma_config(k, "mm1")
+    lo = cfg.lam * P_MIN
+    for hi in (balanced_load(cfg), rate_cap_1(cfg, 1.0) * (1.0 - P_MIN)):
+        xs, got = wardrop.price_gap_1_array(cfg, lo, hi, 4096)
+        assert (xs[0], xs[-1]) == (lo, hi)
+        assert np.all(np.diff(xs) > 0.0) and np.all(np.isfinite(got))
+    res = optimize_monopoly(cfg, 1.0)
+    assert all(math.isfinite(v) for v in (res.gamma1_star, res.c1_star, res.rt_star))
 
 
 def _all_floats(values):
@@ -261,7 +342,7 @@ def test_grid_point_results_hold_python_floats(sat_power):
 
 
 def test_grid_argmax_ties_go_to_the_lowest_index():
-    _, _, i = grid_argmax(lambda x: np.minimum(x, 0.5), 0.0, 1.0, 11)
+    _, _, i = grid_argmax(_on_grid(lambda x: np.minimum(x, 0.5)), 0.0, 1.0, 11)
     assert i == 5
 
 
@@ -281,8 +362,8 @@ def test_local_maxima_scan_returns_the_higher_refined_peak():
     # the best grid point is the bump at 0.3, but refined, the bump at
     # 0.75 is higher: the scan must refine both and return the latter
     f, df = _bumps(1.0, 1.05)
-    assert grid_argmax(f, 0.0, 1.0, 11)[2] == 3
-    (x, fx), peaks = local_maxima_scan(f, f, df, 0.0, 1.0, 11)
+    assert grid_argmax(_on_grid(f), 0.0, 1.0, 11)[2] == 3
+    (x, fx), peaks = local_maxima_scan(_on_grid(f), f, df, 0.0, 1.0, 11)
     assert len(peaks) == 2
     assert x == pytest.approx(0.75, abs=1e-8)
     assert fx == pytest.approx(1.05, rel=1e-12)
@@ -290,21 +371,23 @@ def test_local_maxima_scan_returns_the_higher_refined_peak():
 
 def test_local_maxima_scan_ties_go_to_the_smaller_argument():
     f, df = _bumps(1.0, 1.0 + 1e-10)
-    (x, _), peaks = local_maxima_scan(f, f, df, 0.0, 1.0, 11)
+    (x, _), peaks = local_maxima_scan(_on_grid(f), f, df, 0.0, 1.0, 11)
     assert len(peaks) == 2
     assert x == pytest.approx(0.3, abs=1e-8)
 
 
 @pytest.mark.parametrize("dist", LAWS, ids=repr)
-def test_price_gap_array_takes_a_lone_rate(dist):
+def test_price_gap_scan_ends_are_the_scalar_g1(dist):
+    # a scan starts and ends exactly at the rates asked for, on both
+    # branches, at the tie and at the domain's ends, for every law
     cfg = SystemConfig(3.0, DelayModel.linear(3.3), DelayModel.linear(4.0), dist)
     gp = balanced_load(cfg)
-    for x in (0.0, 0.5, gp, 2.5, cfg.lam):
-        got = wardrop.price_gap_1_array(cfg, x)
-        assert np.ndim(got) == 0
-        np.testing.assert_array_equal(
-            _bits(got), _bits(wardrop.price_gap_1_array(cfg, np.array([x]))[0]))
-        assert got == pytest.approx(wardrop.price_gap_1(cfg, x), rel=GAMMA_RTOL, abs=1e-15)
+    for lo, hi in ((0.0, 0.5), (0.5, gp), (gp, 2.5), (2.5, cfg.lam), (0.0, cfg.lam)):
+        for n in (2, 17):
+            xs, got = wardrop.price_gap_1_array(cfg, lo, hi, n)
+            assert (xs[0], xs[-1]) == (lo, hi)
+            for x, g in ((lo, got[0]), (hi, got[-1])):
+                assert g == pytest.approx(wardrop.price_gap_1(cfg, x), rel=GAMMA_RTOL, abs=1e-15)
 
 
 def test_active_loop_freezes_each_element_where_it_stopped(monkeypatch):
@@ -358,7 +441,8 @@ def _bits(a):
 @pytest.mark.parametrize("k", np.geomspace(0.05, 2000.0, 9).tolist())
 def test_gamma_scalar_handoff_keeps_every_bit(k, monkeypatch):
     # the hand-off runs the same + - * / in Python floats, so it must give
-    # the bits of the all-numpy loops on any CPU
+    # the bits of the all-numpy loops on any CPU, also where the scans'
+    # Halley steps evaluate P
     rng = np.random.default_rng(11)
     lam, gp = 3.0, 1.3
     ps = [rng.random(3000), np.array([1.0 - 1e-12]),
@@ -367,7 +451,7 @@ def test_gamma_scalar_handoff_keeps_every_bit(k, monkeypatch):
     xs = [k * rng.exponential(1.0, 3000), rng.uniform(0.0, 4.0 * k + 6.0, 3000)]
 
     def run():
-        return ([_special.gamma_p_inverse_array(k, p) for p in ps]
+        return ([_special.gamma_p_inverse_steps_array(k, p)[0] for p in ps]
                 + [_special.gamma_p_array(k, x) for x in xs])
     handed_off = run()
     monkeypatch.setattr(_special, "_HANDOFF", 0)
@@ -386,9 +470,9 @@ def test_price_gap_array_is_the_scalar_g1_on_uniform_laws(name, request):
         g1 = wardrop.resolve(own)[2]
         lo = own.lam * P_MIN
         for hi in (balanced_load(own), rate_cap_1(own, 1.5) * (1.0 - P_MIN)):
-            xs = uniform_grid(lo, hi, 4096)
-            np.testing.assert_array_equal(_bits(wardrop.price_gap_1_array(own, xs)),
-                                          _bits([g1(x) for x in xs.tolist()]))
+            xs, got = wardrop.price_gap_1_array(own, lo, hi, 4096)
+            np.testing.assert_array_equal(_bits(xs), _bits(uniform_grid(lo, hi, 4096)))
+            np.testing.assert_array_equal(_bits(got), _bits([g1(x) for x in xs.tolist()]))
 
 
 def test_bisect_decreasing_stops_on_the_relative_tolerance_at_large_arguments():
@@ -424,10 +508,10 @@ def test_gamma_monopoly_scan_makes_no_per_point_quantile_calls(ex1_gamma, monkey
 def test_gamma_inverses_evaluate_p_few_times_per_quantile(ex1_gamma, monkeypatch):
     # cost guard: Halley steps from the Wilson-Hilferty start take about 3
     # evaluations of P per quantile here; a bracket expansion pass followed
-    # by Newton steps took 8.4 on the array path and 10 on the scalar one.
-    # On this config P is evaluated only inside the inverses.
-    counts = dict.fromkeys(["gamma_p_inverse", "gamma_p", "gamma_p_inverse_array",
-                            "gamma_p_array"], 0)
+    # by Newton steps took 10. The scan inverts nothing: it evaluates P at
+    # each grid point's two starts, after its first Halley step and where
+    # its second lands. On this config nothing else evaluates P.
+    counts = dict.fromkeys(["gamma_p_inverse", "gamma_p", "gamma_p_array"], 0)
     for name in counts:
         def counted(k, v, name=name, fn=getattr(_special, name)):
             counts[name] += np.size(v)
@@ -435,8 +519,8 @@ def test_gamma_inverses_evaluate_p_few_times_per_quantile(ex1_gamma, monkeypatch
         monkeypatch.setattr(_special, name, counted)
     balanced_load.cache_clear()
     optimize_monopoly(ex1_gamma, 1.0)
-    assert counts["gamma_p_inverse"] > 0 and counts["gamma_p_inverse_array"] > 0
-    assert counts["gamma_p_array"] <= 4 * counts["gamma_p_inverse_array"]
+    assert counts["gamma_p_inverse"] > 0
+    assert counts["gamma_p_array"] == 4 * 4096
     assert counts["gamma_p"] <= 4 * counts["gamma_p_inverse"]
 
 
@@ -463,17 +547,18 @@ def _wall_bound(seconds):
 def test_gamma_inverses_finish_at_extreme_shapes_and_tails():
     # the iteration closes its own bracket from (0, inf); at every shape
     # and in both tails it must do so without overflow or a runaway x
+    # the scans' Halley steps, which have no bracket, must stay finite and
+    # positive there too
     ps = np.array([1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12])
     with _wall_bound(20):
         for k in (1e-3, 0.01, 0.1, 1.0, 100.0, 1e4):
-            for x in (_special.gamma_p_inverse_array(k, ps),
+            for x in (_special.gamma_p_inverse_steps_array(k, ps)[0],
                       _scalar(lambda q: _special.gamma_p_inverse(k, q), ps)):
                 assert np.all(np.isfinite(x) & (x > 0.0)), (k, x)
         # from a start near 1e21 the flat upper tail must be bisected, not
         # crept back along by Halley steps of about 2 (scipy: 5.1200250838)
-        for x in (_special.gamma_p_inverse_array(1e-3, np.array([1.0 - 1e-6]))[0],
-                  _special.gamma_p_inverse(1e-3, 1.0 - 1e-6)):
-            assert x == pytest.approx(5.1200250838, rel=1e-9)
+        x = _special.gamma_p_inverse(1e-3, 1.0 - 1e-6)
+        assert x == pytest.approx(5.1200250838, rel=1e-9)
 
 
 def _scaled(s):

@@ -140,11 +140,22 @@ def test_des_routing_by_cdf_matches_inverse_transform(name, prices, request):
 
 
 def test_des_oracle_gamma_makes_no_inversion(ex2_gamma, monkeypatch):
+    # the equilibrium solve inverts the gamma cdf at each rate it tries;
+    # routing the arrivals compares uniforms with F(beta1) and inverts nothing
     def forbidden(*args):
-        raise AssertionError("the simulation inverted the gamma cdf")
-    monkeypatch.setattr(models, "quantile_array", forbidden)
-    monkeypatch.setattr(_special, "gamma_p_inverse_array", forbidden)
+        raise AssertionError("the simulation called the quantile")
+    calls = []
+    inverse = _special.gamma_p_inverse
+
+    def counted(k, p):
+        calls.append(p)
+        return inverse(k, p)
+    monkeypatch.setattr(models, "quantile", forbidden)
+    monkeypatch.setattr(_special, "gamma_p_inverse", counted)
+    solve_equilibrium(ex2_gamma, PriceVector(3.0, 1.0))
+    solve_calls = len(calls)
     m = des_oracle(ex2_gamma, horizon=1e4, seed=3).measure(3.0, 1.0)
+    assert len(calls) == 2 * solve_calls
     assert 0.0 < m.gamma1 < m.gamma2
 
 
