@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .errors import NoRootError
+from .errors import DomainError, NoRootError
 
 _EPS = sys.float_info.epsilon
 # a guard only: a bracket of [-1, 1] closes on a root at 0 in about 1,100 steps
@@ -19,6 +19,8 @@ _MAX_ITER = 5000
 
 #: points of the grid scans in optimize_monopoly and best_response
 DEFAULT_GRID = 4096
+#: the fewest grid points either optimizer accepts
+MIN_GRID = 64
 
 #: Relative value slack under which two refined peaks count as tied in
 #: :func:`local_maxima_scan`; ties resolve to the smaller argument.
@@ -83,6 +85,12 @@ def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
     xs = lo + np.arange(n) * ((hi - lo) / (n - 1))
     xs[-1] = hi
     return xs
+
+
+def check_grid_size(grid_size: int) -> None:
+    """DomainError unless an optimizer's scan has at least MIN_GRID points."""
+    if not grid_size >= MIN_GRID:
+        raise DomainError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
 
 
 def grid_argmax(scan, lo: float, hi: float, n: int):

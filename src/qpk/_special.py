@@ -18,8 +18,8 @@ The inverse stops once |P(x) - p| < 1e-13 p, which has three limits:
   over k in [0.13, 1e3] and 1 - p in [1e-12, 1e-3], Q is up to 9.3% off;
 - it inherits ``gamma_p``'s error at large k.
 
-``gamma_p_array`` runs the same algorithm elementwise over a numpy array
-for one shape k: whole-grid scans call it once instead of once per
+``gamma_pq_array`` runs the same algorithm elementwise over a numpy
+array for one k, for P and Q: whole-grid scans call it once, not once per
 point. In each iteration where elements meet their stopping rule, their
 values are written back and the arrays are compacted to the rest, so
 every element runs the recurrence and the stopping rule of its scalar
@@ -32,8 +32,8 @@ numpy's exp and log can differ from math's in the last bit, so the array
 values are the scalar ones only up to rounding: over k in
 {0.2, 0.8, 2, 5, 30, 300} and 4,096 points each, 233 of 24,576 values
 differ from ``gamma_p``, by up to 7e-16 relative. Grid scans need no
-array inverse: ``gamma_p_inverse_steps_array`` takes two Halley steps
-and reads P back where they land.
+array inverse: ``gamma_scan_points`` places its points in closed form
+and reads P and Q once where they land.
 """
 
 import math
@@ -57,6 +57,9 @@ _EPS = 1e-16
 _TINY = 1e-300
 _MAX_ITER = 500
 _HANDOFF = 16  # at this many active elements or fewer, the array loops go scalar
+#: a gamma scan's Halley steps run while its largest gap between rates is
+#: over this many uniform spacings
+_SCAN_GAP = 1.5
 
 
 def log_gamma(x: float) -> float:
@@ -252,52 +255,71 @@ def _gamma_q_contfrac_array(k: float, x: np.ndarray) -> np.ndarray:
     return h * _front_factor(k, x)
 
 
-def gamma_p_array(k: float, x) -> np.ndarray:
-    """gamma_p elementwise over an array x >= 0, for one shape k > 0."""
+def gamma_pq_array(k: float, x) -> tuple:
+    """(P(k, x), Q(k, x)) elementwise over an array x >= 0, for one k > 0:
+    the series of :func:`gamma_p` gives P below k + 1, its continued
+    fraction gives Q above, so Q keeps its relative accuracy in the upper
+    tail, and each is 1 minus the other elsewhere."""
     if k <= 0.0:
         raise ValueError(f"gamma_p requires k > 0, got {k}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("gamma_p requires x >= 0")
-    out = np.zeros(x.shape)
-    series = (x > 0.0) & (x < k + 1.0)
-    upper = x >= k + 1.0
-    out[series] = _gamma_p_series_array(k, x[series])
-    out[upper] = 1.0 - _gamma_q_contfrac_array(k, x[upper])
-    return out
+    lower, upper = np.zeros(x.shape), np.ones(x.shape)
+    series, tail = (x > 0.0) & (x < k + 1.0), x >= k + 1.0
+    lower[series] = _gamma_p_series_array(k, x[series])
+    upper[tail] = _gamma_q_contfrac_array(k, x[tail])
+    return np.where(tail, 1.0 - upper, lower), np.where(series, 1.0 - lower, upper)
 
 
-def _wilson_hilferty_array(k: float, p: np.ndarray) -> np.ndarray:
-    """gamma_p_inverse's starting point, elementwise."""
+def gamma_scan_points(k: float, p: np.ndarray, low: np.ndarray) -> tuple:
+    """(x, share) at the levels p in (0, 1) of a grid scan uniform in rate,
+    for one k: points x near the solutions of P(k, x) = p, and each one's
+    rate as a share of the total, Q(k, x) where ``low`` (the first points,
+    rated lam * (1 - F)) and P(k, x) elsewhere. The last point is the
+    scalar inverse at its level, which gives the scan's top end.
+
+    The start is the small-x lower bound (p * Gamma(k + 1))**(1/k)
+    (DiDonato & Morris 1986), or the Wilson-Hilferty start k * t**3 where
+    t > 0 and that is larger. Its error in log x, from scalar inverses at
+    the upper branch's ends and at the low branch's end next to it, is
+    taken off: held over the low branch, linear in the normal quantile of
+    p over the upper one, so no point crosses a branch end. While the
+    largest gap between rates, the ends at their targets, exceeds
+    _SCAN_GAP uniform spacings, at most twice, every point takes a Halley
+    step (kept if finite and positive) and is read again.
+    """
+    n, edge = p.size, np.count_nonzero(low)
     z = _normal_quantile_array(p)
     t = 1.0 - 1.0 / (9.0 * k) + z * math.sqrt(1.0 / (9.0 * k))
-    with np.errstate(over="ignore"):
-        x = np.where(t > 0.0, k * t * t * t, k * np.exp((z - 3.0) / math.sqrt(k)))
-    return np.maximum(x, 1e-300)
+    small = np.exp((np.log(p) + log_gamma(k + 1.0)) / k)
+    x = np.maximum(np.where(t > 0.0, np.maximum(k * t * t * t, small), small), 1e-300)
 
-
-def gamma_p_inverse_steps_array(k: float, p: np.ndarray) -> tuple:
-    """(x, P(k, x)) for points x near the solutions of P(k, x) = p,
-    elementwise over an array of p in (0, 1) for one k: two Halley steps,
-    with no bracket and no stopping rule, from the better of two starts.
-    Wilson-Hilferty is the scalar inverse's start; (p * Gamma(k + 1))**(1/k),
-    the small-x start, is a lower bound on the solution, and the better
-    start in the lower tail of small shapes (DiDonato & Morris 1986). A
-    step that is not finite and positive keeps its point.
-    """
+    def anchor(i):  # the scalar inverse at p[i], and the start's error in log
+        at = gamma_p_inverse(k, float(p[i]))  # x there, 0 where it misses p[i]
+        return at, math.log(at / x[i]) if abs(gamma_p(k, at) - p[i]) < 1e-12 else 0.0
+    top, e_top = anchor(n - 1)
+    if edge < n:
+        e_lo = anchor(edge)[1]
+        w = (z[edge:] - z[edge]) / (z[-1] - z[edge]) if z[-1] != z[edge] else 0.0
+        x[edge:] *= np.exp(e_lo + w * (e_top - e_lo))
+    if edge:
+        x[:edge] *= math.exp(e_top if edge == n else anchor(edge - 1)[1])
+    np.maximum(x, 1e-300, out=x)
+    ends = np.where(low[[0, -1]], 1.0 - p[[0, -1]], p[[0, -1]])
+    widest = _SCAN_GAP * (ends[1] - ends[0]) / max(n - 1, 1)
     log_gamma_k = log_gamma(k)
-    x = _wilson_hilferty_array(k, p)
-    small = np.maximum(np.exp((np.log(p) + log_gamma(k + 1.0)) / k), 1e-300)
-    level, level_small = gamma_p_array(k, x), gamma_p_array(k, small)
-    better = np.abs(level_small - p) < np.abs(level - p)
-    x, level = np.where(better, small, x), np.where(better, level_small, level)
-    for _ in range(2):
+    for step in range(3):
+        lower, upper = gamma_pq_array(k, x)
+        share = np.where(low, upper, lower)
+        if step == 2 or np.abs(np.diff(np.concatenate(
+                (ends[:1], share[1:-1], ends[1:])))).max() <= widest:
+            x[-1], share[-1] = top, ends[1]
+            return x, share
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = (level - p) / np.exp((k - 1.0) * np.log(x) - x - log_gamma_k)
-            step = x - u / (1.0 - 0.5 * u * ((k - 1.0) / x - 1.0))
-        x = np.where(np.isfinite(step) & (step > 0.0), step, x)
-        level = gamma_p_array(k, x)
-    return x, level
+            u = (lower - p) / np.exp((k - 1.0) * np.log(x) - x - log_gamma_k)
+            halley = x - u / (1.0 - 0.5 * u * ((k - 1.0) / x - 1.0))
+        x = np.where(np.isfinite(halley) & (halley > 0.0), halley, x)
 
 
 _NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._solve import DEFAULT_GRID, local_maxima_scan
+from ._solve import DEFAULT_GRID, check_grid_size, local_maxima_scan
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig
 from .wardrop import (PriceVector, balanced_load, check_price, price_gap_1_array,
@@ -57,6 +57,7 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     if server not in (1, 2):
         raise DomainError(f"server must be 1 or 2, got {server}")
     check_price("other_price", other_price)
+    check_grid_size(grid_size)
 
     # server 2's problem is server 1's on the swapped system
     own = cfg if server == 1 else cfg.swapped()

@@ -117,11 +117,14 @@ class SensitivityDistribution:
     Subclasses implement ``_cdf``/``_quantile``/``_density`` on the support
     interior; use the module-level :func:`cdf`, :func:`quantile` and
     :func:`density` entry points, which own the domain checks and the
-    quantile clamp for unbounded families. ``_scan_points`` is the grid
-    scans' hook: for a numpy array of levels p it returns thresholds at or
-    near their quantiles and the levels F there, p itself when the
-    thresholds are the quantiles. It defaults to (``_quantile``(p), p),
-    which serves as is wherever the scalar quantile is plain arithmetic.
+    quantile clamp for unbounded families. ``_scan_points(p, low)`` is the
+    grid scans' hook: for a numpy array of levels p it returns thresholds
+    at or near their quantiles and each one's rate as a share of lam,
+    1 - F where ``low`` and F elsewhere, or None when the thresholds are
+    the quantiles; with shares, its last threshold is ``_quantile`` at
+    the last level, the scan's top end. It defaults to (``_quantile``(p),
+    None), which serves as is wherever the scalar quantile is plain
+    arithmetic.
     """
 
     family: ClassVar[str]
@@ -153,8 +156,8 @@ class SensitivityDistribution:
     def _quantile(self, p: float) -> float:
         raise NotImplementedError
 
-    def _scan_points(self, p: np.ndarray) -> tuple:
-        return self._quantile(p), p
+    def _scan_points(self, p: np.ndarray, low: np.ndarray) -> tuple:
+        return self._quantile(p), None
 
     def _density(self, x: float) -> float:
         raise NotImplementedError
@@ -219,8 +222,8 @@ class Exponential(SensitivityDistribution):
     def _quantile(self, p):
         return -self.tau * math.log1p(-p)
 
-    def _scan_points(self, p):
-        return -self.tau * np.log1p(-p), p
+    def _scan_points(self, p, low):
+        return -self.tau * np.log1p(-p), None
 
     def _density(self, x):
         return math.exp(-x / self.tau) / self.tau
@@ -255,10 +258,10 @@ class Gamma(SensitivityDistribution):
     def _quantile(self, p):
         return _special.gamma_p_inverse(self.k, p) * self.theta
 
-    def _scan_points(self, p):
-        # no inversion: Halley steps, and the level where they land
-        x, level = _special.gamma_p_inverse_steps_array(self.k, p)
-        return x * self.theta, level
+    def _scan_points(self, p, low):
+        # no inversion: points placed in closed form, and the rates they give
+        x, share = _special.gamma_scan_points(self.k, p, low)
+        return x * self.theta, share
 
     def _density(self, x):
         if x == 0.0:

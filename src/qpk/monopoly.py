@@ -10,7 +10,7 @@ off the scalar g1, both from wardrop.resolve.
 
 from dataclasses import dataclass
 
-from ._solve import DEFAULT_GRID, local_maxima_scan
+from ._solve import DEFAULT_GRID, check_grid_size, local_maxima_scan
 from .errors import DomainError
 from .models import P_MIN, SystemConfig
 from .wardrop import balanced_load, check_price, price_gap_1_array, resolve
@@ -35,8 +35,7 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
     so results are deterministic.
     """
     check_price("c2", c2)
-    if grid_size < 64:
-        raise DomainError(f"grid_size must be at least 64, got {grid_size}")
+    check_grid_size(grid_size)
 
     gp, _, g1, g1_slope = resolve(cfg)
 
@@ -62,7 +61,8 @@ def revenue_curve(cfg: SystemConfig, c2: float, n: int) -> tuple:
     Plot-ready data for the revenue-vs-rate figure; RT(gamma+) = c2*lam
     since the price gap vanishes at the balanced load. Closed-form laws give
     n evenly spaced samples; a gamma law's are the scan's exact points on
-    the curve, at most n of them and close to even.
+    the curve, at most n of them, each at the rate its threshold gives,
+    with no gap over 1.5 uniform spacings from shape 0.2 up.
     """
     check_price("c2", c2)
     if n < 2:

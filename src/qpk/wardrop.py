@@ -152,12 +152,11 @@ def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int) -> tuple:
 
     Each rate of the n-point uniform grid maps to its level as in
     :func:`threshold_of_rate`, and the law's ``_scan_points`` returns a
-    threshold at or near each level's quantile with the level F there.
-    A closed-form law's thresholds are the quantiles: its scan is the grid.
-    Otherwise a point off its level by more than 1e-13, relative in the
-    nearer tail, moves to the rate of the level F it has, lam * (1 - F) up
-    to gamma+ and lam * F above, or drops if that leaves (lo, hi) or its
-    branch; and the ends take the scalar threshold, as point solves do.
+    threshold at or near each level's quantile. A closed-form law's
+    thresholds are the quantiles: its scan is the grid. Otherwise each
+    point takes the rate its threshold gives, lam * (1 - F) up to gamma+
+    and lam * F above, and drops if that leaves (lo, hi) or its branch;
+    the ends take the scalar threshold, as point solves do.
     """
     lam, dist = cfg.lam, cfg.dist
     if not 0.0 <= lo < hi <= lam:  # NaN fails the check
@@ -168,16 +167,13 @@ def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int) -> tuple:
     p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
     if not dist.bounded:
         np.clip(p, P_MIN, 1.0 - P_MIN, out=p)
-    beta, level = dist._scan_points(p)
-    if level is not p:  # the thresholds are near the quantiles, not on them
-        moved = np.abs(level - p) > 1e-13 * np.minimum(p, 1.0 - p)
-        rates = np.where(low, lam * (1.0 - level), lam * level)
-        keep = ~moved | ((rates > lo) & (rates < hi) & ((rates <= gp) == low))
-        g = np.where(moved, rates, g)
-        beta1 = resolve(cfg)[1]
+    beta, share = dist._scan_points(p, low)
+    if share is not None:  # the thresholds are near the quantiles, not on them
+        g = lam * share
+        keep = (g > lo) & (g < hi) & ((g <= gp) == low)
         keep[[0, -1]] = True
         g[[0, -1]] = lo, hi
-        beta[[0, -1]] = beta1(lo), beta1(hi)
+        beta[0] = resolve(cfg)[1](lo)  # the hook's last threshold is beta1(hi)
         g, first = np.unique(g[keep], return_index=True)
         beta = beta[keep][first]
     if g[0] == 0.0 or g[-1] == lam:

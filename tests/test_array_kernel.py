@@ -26,9 +26,8 @@ from qpk._solve import bisect_decreasing, grid_argmax, local_maxima_scan, unifor
 from qpk.models import P_MIN
 
 RTOL = 1e-13
-# a gamma law's scan keeps a point's rate where its level is within 1e-13
-# of the target, relative in the nearer tail, and the scalar inverse stops
-# once |P(x) - p| < 1e-13 p: either leaves x up to a few 1e-15 relative off
+# a scan's ends take the scalar threshold, which the scalar inverse finds
+# once |P(x) - p| < 1e-13 p: that leaves x up to a few 1e-15 relative off
 GAMMA_RTOL = 1e-12
 LAWS = [Uniform(2.0, 6.0), Exponential(4.0), Gamma(2.0, 2.0), Gamma(0.7, 1.5),
         Power(2.0, 4.0)]
@@ -60,20 +59,35 @@ def _assert_matches(got, want):
 @pytest.mark.parametrize("dist", LAWS, ids=repr)
 def test_quantile_array_matches_scalar(dist):
     # the scans' quantile array is the law's _scan_points hook: closed-form
-    # laws return their quantiles at the very levels asked for; a gamma law
-    # returns points near them and the levels the scalar cdf gives there
-    p = np.concatenate([[P_MIN, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - P_MIN],
-                        np.linspace(0.01, 0.99, 99)])
-    beta, level = dist._scan_points(p)
-    assert beta.shape == level.shape == p.shape
-    if isinstance(dist, Gamma):
-        np.testing.assert_allclose(level, _scalar(lambda b: models.cdf(dist, b), beta),
-                                   rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(level, p, rtol=1e-6, atol=0.0)
-    else:
-        assert level is p
+    # laws return their quantiles at the very levels asked for, whatever
+    # the branch mask
+    if not isinstance(dist, Gamma):
+        p = np.concatenate([[P_MIN, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - P_MIN],
+                            np.linspace(0.01, 0.99, 99)])
+        beta, share = dist._scan_points(p, p < 0.5)
+        assert share is None
         np.testing.assert_allclose(beta, _scalar(lambda q: models.quantile(dist, q), p),
                                    rtol=RTOL, atol=0.0)
+        return
+    # a gamma law returns points near them and the shares of lam their
+    # rates are, 1 - F up to gamma+ and F above, as the scalar cdf gives
+    # them, in order and close to even; its last point is the scalar
+    # quantile. Here on a full scan's levels (lam = 1, both clamps), with
+    # gamma+ at either end and inside, so both tails of both branches run.
+    g = uniform_grid(P_MIN, 1.0 - P_MIN, 4096)
+    for gp in (P_MIN, 0.05, 0.4, 0.95, 1.0):
+        low = g <= gp
+        p = np.clip(np.where(low, 1.0 - g, g), P_MIN, 1.0 - P_MIN)
+        beta, share = dist._scan_points(p, low)
+        assert beta.shape == share.shape == p.shape
+        level = _scalar(lambda b: models.cdf(dist, b), beta)
+        np.testing.assert_allclose(share[~low], level[~low], rtol=1e-14, atol=0.0)
+        # 1 - Q carries the rounding of a number near 1
+        np.testing.assert_allclose(1.0 - share[low], level[low], rtol=1e-14, atol=1e-15)
+        assert beta[-1] == dist._quantile(float(p[-1]))
+        inner = np.concatenate(([g[0]], share[1:-1], [g[-1]]))
+        assert np.all(np.diff(inner) > 0.0), gp
+        assert np.diff(inner).max() <= 1.5 * (g[-1] - g[0]) / 4095, gp
 
 
 @pytest.mark.parametrize("dist", LAWS, ids=repr)
@@ -186,8 +200,10 @@ def test_price_gap_array_rejects_rates_outside_domain(ex1_uniform):
 def test_gamma_p_array_matches_scipy(k):
     sp = pytest.importorskip("scipy.special")
     x = np.concatenate([[0.0, k + 1.0], np.geomspace(1e-8, 60.0, 400)])
-    np.testing.assert_allclose(_special.gamma_p_array(k, x), sp.gammainc(k, x),
-                               rtol=1e-13, atol=1e-15)
+    lower, upper = _special.gamma_pq_array(k, x)
+    np.testing.assert_allclose(lower, sp.gammainc(k, x), rtol=1e-13, atol=1e-15)
+    # Q is relative down the upper tail, where 1 - P would be all rounding
+    np.testing.assert_allclose(upper, sp.gammaincc(k, x), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("k", [0.7, 1.0, 1.7, 2.0, 3.1, 4.0])
@@ -217,19 +233,19 @@ def test_gamma_p_inverses_are_relative_in_the_lower_tail(k):
 def test_gamma_array_functions_match_scalar(k):
     rng = np.random.default_rng(int(k * 10))
     x = rng.uniform(0.0, 4.0 * k + 6.0, 3000)
-    np.testing.assert_allclose(_special.gamma_p_array(k, x),
+    np.testing.assert_allclose(_special.gamma_pq_array(k, x)[0],
                                _scalar(lambda v: _special.gamma_p(k, v), x),
                                rtol=RTOL, atol=1e-300)
 
 
 def test_gamma_array_functions_keep_shape_and_check_domain():
     x = np.full((3, 4), 0.25)
-    assert _special.gamma_p_array(2.0, x).shape == (3, 4)
-    assert _special.gamma_p_array(2.0, np.array([])).shape == (0,)
+    assert all(v.shape == (3, 4) for v in _special.gamma_pq_array(2.0, x))
+    assert all(v.shape == (0,) for v in _special.gamma_pq_array(2.0, np.array([])))
     with pytest.raises(ValueError):
-        _special.gamma_p_array(2.0, np.array([-1.0]))
+        _special.gamma_pq_array(2.0, np.array([-1.0]))
     with pytest.raises(ValueError):
-        _special.gamma_p_array(0.0, np.array([1.0]))
+        _special.gamma_pq_array(0.0, np.array([1.0]))
 
 
 def _scalar_scan_index(f, xs):
@@ -284,11 +300,13 @@ def _gamma_config(k, delays):
     return SystemConfig(3.0, model(3.3), model(4.0), Gamma(k, 2.0))
 
 
-@pytest.mark.parametrize("k", [0.2, 0.8, 2.0, 30.0, 1e3])
+@pytest.mark.parametrize("k", [0.05, 0.1, 0.2, 0.8, 2.0, 30.0, 1e3])
 @pytest.mark.parametrize("delays", ["linear", "mm1"])
 def test_gamma_scan_covers_its_range_on_exact_pairs(k, delays):
     # the monopoly range ends at gamma+; a best response's runs past it, so
-    # its scan crosses the kink, where points that leave their branch drop
+    # its scan crosses the kink, where points that leave their branch drop.
+    # At k = 0.05 and 0.1 the closed-form points leave gaps of up to 3
+    # uniform spacings, which the scan's Halley steps close.
     cfg = _gamma_config(k, delays)
     lo, n = cfg.lam * P_MIN, 4096
     for hi in (balanced_load(cfg), rate_cap_1(cfg, 1.0) * (1.0 - P_MIN)):
@@ -441,18 +459,20 @@ def _bits(a):
 @pytest.mark.parametrize("k", np.geomspace(0.05, 2000.0, 9).tolist())
 def test_gamma_scalar_handoff_keeps_every_bit(k, monkeypatch):
     # the hand-off runs the same + - * / in Python floats, so it must give
-    # the bits of the all-numpy loops on any CPU, also where the scans'
-    # Halley steps evaluate P
+    # the bits of the all-numpy loops on any CPU, for P and Q, also where
+    # the scans' Halley steps evaluate them
     rng = np.random.default_rng(11)
     lam, gp = 3.0, 1.3
-    ps = [rng.random(3000), np.array([1.0 - 1e-12]),
-          (lam - uniform_grid(lam * P_MIN, gp, 4096)) / lam,
-          uniform_grid(gp, lam * (1.0 - P_MIN), 4096) / lam]
+    g = uniform_grid(lam * P_MIN, lam * (1.0 - P_MIN), 4096)
+    # random levels are far from a scan's, so both Halley steps run there
+    scans = [(rng.random(3000), np.arange(3000) < 1500),
+             (np.array([1.0 - 1e-12]), np.array([True])),
+             (np.where(g <= gp, lam - g, g) / lam, g <= gp)]
     xs = [k * rng.exponential(1.0, 3000), rng.uniform(0.0, 4.0 * k + 6.0, 3000)]
 
     def run():
-        return ([_special.gamma_p_inverse_steps_array(k, p)[0] for p in ps]
-                + [_special.gamma_p_array(k, x) for x in xs])
+        return ([v for p, low in scans for v in _special.gamma_scan_points(k, p, low)]
+                + [v for x in xs for v in _special.gamma_pq_array(k, x)])
     handed_off = run()
     monkeypatch.setattr(_special, "_HANDOFF", 0)
     for got, want in zip(handed_off, run()):
@@ -508,10 +528,10 @@ def test_gamma_monopoly_scan_makes_no_per_point_quantile_calls(ex1_gamma, monkey
 def test_gamma_inverses_evaluate_p_few_times_per_quantile(ex1_gamma, monkeypatch):
     # cost guard: Halley steps from the Wilson-Hilferty start take about 3
     # evaluations of P per quantile here; a bracket expansion pass followed
-    # by Newton steps took 10. The scan inverts nothing: it evaluates P at
-    # each grid point's two starts, after its first Halley step and where
-    # its second lands. On this config nothing else evaluates P.
-    counts = dict.fromkeys(["gamma_p_inverse", "gamma_p", "gamma_p_array"], 0)
+    # by Newton steps took 10. The scan inverts nothing: it reads P and Q
+    # once where its closed-form points land, and its spacing needs no
+    # Halley step. On this config nothing else evaluates P.
+    counts = dict.fromkeys(["gamma_p_inverse", "gamma_p", "gamma_pq_array"], 0)
     for name in counts:
         def counted(k, v, name=name, fn=getattr(_special, name)):
             counts[name] += np.size(v)
@@ -520,7 +540,7 @@ def test_gamma_inverses_evaluate_p_few_times_per_quantile(ex1_gamma, monkeypatch
     balanced_load.cache_clear()
     optimize_monopoly(ex1_gamma, 1.0)
     assert counts["gamma_p_inverse"] > 0
-    assert counts["gamma_p_array"] == 4 * 4096
+    assert counts["gamma_pq_array"] == 4096
     assert counts["gamma_p"] <= 4 * counts["gamma_p_inverse"]
 
 
@@ -547,12 +567,13 @@ def _wall_bound(seconds):
 def test_gamma_inverses_finish_at_extreme_shapes_and_tails():
     # the iteration closes its own bracket from (0, inf); at every shape
     # and in both tails it must do so without overflow or a runaway x
-    # the scans' Halley steps, which have no bracket, must stay finite and
-    # positive there too
-    ps = np.array([1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12])
+    # the scans' closed-form points and Halley steps, which have no
+    # bracket, must stay finite and positive there too
+    ps = np.array([1.0 - 1e-12, 1.0 - 1e-6, 0.5, 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12])
+    low = np.arange(ps.size) < 3  # both tails on both branches
     with _wall_bound(20):
         for k in (1e-3, 0.01, 0.1, 1.0, 100.0, 1e4):
-            for x in (_special.gamma_p_inverse_steps_array(k, ps)[0],
+            for x in (_special.gamma_scan_points(k, ps, low)[0],
                       _scalar(lambda q: _special.gamma_p_inverse(k, q), ps)):
                 assert np.all(np.isfinite(x) & (x > 0.0)), (k, x)
         # from a start near 1e21 the flat upper tail must be bisected, not

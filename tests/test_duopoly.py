@@ -119,6 +119,14 @@ def test_best_response_input_checks(ex1_uniform):
         best_response(ex1_uniform, 1, -0.2)
 
 
+@pytest.mark.parametrize("grid_size", [1, 10])
+@pytest.mark.parametrize("server", [1, 2])
+def test_best_response_rejects_small_grids(ex1_uniform, server, grid_size):
+    # the monopoly's bound: 10 points ran silently, 1 failed in the scan
+    with pytest.raises(DomainError, match="grid_size must be at least 64"):
+        best_response(ex1_uniform, server, 1.0, grid_size=grid_size)
+
+
 @pytest.mark.parametrize("server", [1, 2])
 @pytest.mark.parametrize("other", [math.nan, math.inf, -1.0])
 def test_best_response_rejects_nonfinite_and_negative_rival_price(ex3, server, other):

@@ -67,9 +67,9 @@ PINNED = {
         '0x1.2666666666666p+0', '0x1.0af4c51643c30p+2', '0x1.0043650f3b143p-1',
         '0x1.9dee8345e7e3cp+2', '0x1.e00db71c7d4f2p+0', '0x1.0f249ccbb07c3p+2',
         '0x1.873bf905454c0p-2', '0x1.dd58fa2a067c8p+1', '0x1.02bc97ad52870p+2',
-        '0x1.2ba2c18018f14p-1', '0x1.4b6d16cfa31dep+1', '0x1.83eb1f3007f1ap+0',
-        '0x1.2ba2c18018f14p-1', '0x1.ac82f87c0f612p-2', '0x1.16d57ec290530p+3',
-        '0x1.d2bb96fd9b0e4p+1', '0x1.ac82f87c0f612p-2',
+        '0x1.2ba2c18018f13p-1', '0x1.4b6d16cfa31dep+1', '0x1.83eb1f3007f19p+0',
+        '0x1.2ba2c18018f13p-1', '0x1.ac82f87c0f610p-2', '0x1.16d57ec290530p+3',
+        '0x1.d2bb96fd9b0e2p+1', '0x1.ac82f87c0f610p-2',
     ),
     'ex3': (
         '0x1.8000000000000p+0', '0x1.efbdeb14f4edap+0', '0x1.efbdeb14f4edap+0',

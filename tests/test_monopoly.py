@@ -131,6 +131,12 @@ def test_optimize_rejects_bad_inputs(ex1_uniform):
         SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(4.0), Uniform(2.0, 6.0))
 
 
+@pytest.mark.parametrize("grid_size", [1, 10])
+def test_optimize_rejects_small_grids(ex1_uniform, grid_size):
+    with pytest.raises(DomainError, match="grid_size must be at least 64"):
+        optimize_monopoly(ex1_uniform, 1.0, grid_size=grid_size)
+
+
 @pytest.mark.parametrize("c2", [np.nan, np.inf, -1.0])
 def test_optimize_rejects_nonfinite_and_negative_c2(ex1_uniform, c2):
     # unchecked, a nan c2 comes back as c1_star = nan
