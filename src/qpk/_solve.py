@@ -7,6 +7,7 @@ root of the objective's derivative, so there is no separate maximizer.
 """
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -88,9 +89,14 @@ def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def check_grid_size(grid_size: int) -> None:
-    """DomainError unless an optimizer's scan has at least MIN_GRID points."""
-    if not grid_size >= MIN_GRID:
-        raise DomainError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
+    """DomainError unless an optimizer's scan has an integer number of
+    points, at least MIN_GRID."""
+    try:
+        if operator.index(grid_size) >= MIN_GRID:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"grid_size must be at least {MIN_GRID} and an integer, got {grid_size}")
 
 
 def grid_argmax(scan, lo: float, hi: float, n: int):

@@ -219,18 +219,14 @@ def _cmd_discover_classes(args: argparse.Namespace) -> Result:
     # replaced by the discrete classes under discovery, and the total rate
     # is the sum of the class rates.
     classes = _parse_classes(args.classes)
-    eps = args.eps
-    if eps is None:
-        # the class rates in input order; oracle.lam sums them sorted,
-        # which can differ in the last bit
-        eps = 1e-3 * sum(r for _, r in classes)
     cfg = _load_config(args.config)
     try:
         oracle = estimation.discrete_class_oracle(classes, cfg.d1, cfg.d2)
+        eps = 1e-3 * oracle.lam if args.eps is None else args.eps
+        dc = estimation.discover_classes(oracle, lam=oracle.lam, delta=args.delta,
+                                         eps=eps, c1_init=args.c1_init)
     except DomainError as exc:
         raise ValidationError([str(exc)]) from exc
-    dc = estimation.discover_classes(oracle, lam=oracle.lam, delta=args.delta, eps=eps,
-                                     c1_init=args.c1_init)
     pairs = [(f"class_{i + 1}", f"beta={_fmt4(b)} rate={_fmt4(r)}")
              for i, (b, r) in enumerate(dc.classes)]
     pairs += [("complete", str(dc.complete).lower()),

@@ -254,22 +254,28 @@ def des_oracle(cfg: SystemConfig, horizon: float, seed: int) -> DesOracle:
 class DiscreteClassOracle:
     """Analytic equilibrium oracle for a finite set of customer classes.
 
-    classes are (beta, rate) point masses. At prices (c1, c2) a class
-    prefers server 1 iff beta * (d2 - d1) exceeds c1 - c2; the equilibrium
-    rate is the unique fixed point of that preference map, located by
-    bisection on the excess-demand function (one class may split).
+    classes are (beta, rate) point masses with finite positive entries. At
+    prices (c1, c2) a class prefers server 1 iff beta * gap(gamma1) exceeds
+    c1 - c2, where gap(gamma1) = D2(total - gamma1) - D1(gamma1) falls as
+    gamma1 rises. The classes therefore leave server 1 in a fixed order --
+    beta increasing when c1 >= c2, decreasing otherwise -- and measure()
+    walks their cumulative rates in that order: the equilibrium rate is
+    either such a sum exactly (a plateau), or inside one class's step,
+    where that class splits and the rate is the root of
+    beta * gap(gamma1) = c1 - c2.
     """
 
     def __init__(self, classes, d1: DelayModel, d2: DelayModel):
         cl = sorted(((float(b), float(r)) for b, r in classes), reverse=True)
         if not cl:
             raise DomainError("at least one customer class is required")
-        if any(b <= 0.0 or r <= 0.0 for b, r in cl):
-            raise DomainError("class sensitivities and rates must be positive")
+        if not all(0.0 < v < math.inf for c in cl for v in c):
+            raise DomainError("class sensitivities and rates must be finite and positive")
         if len({b for b, _ in cl}) != len(cl):
             raise DomainError("class sensitivities must be distinct")
         self.classes = tuple(cl)
-        self.lam = sum(r for _, r in cl)
+        # correctly rounded, so the total is the same on every Python version
+        self.lam = math.fsum(r for _, r in cl)
         self.d1 = d1
         self.d2 = d2
         # every rate measure() evaluates lies in [0, total], below an mm1 mu
@@ -284,24 +290,18 @@ class DiscreteClassOracle:
 
     def measure(self, c1: float, c2: float) -> Measurement:
         delta = c1 - c2
-        def demand(g):
-            gap = self._delay_gap(g)
-            return sum(r for b, r in self.classes if b * gap > delta)
-        lo, hi = 0.0, self.lam
-        if demand(0.0) <= 0.0:
-            gamma1 = 0.0
-        elif demand(self.lam) >= self.lam:
-            gamma1 = self.lam
+        gamma1, gap = 0.0, self._delay_gap(0.0)
+        for b, r in self.classes if delta >= 0.0 else self.classes[::-1]:
+            if not b * gap > delta:
+                break  # a plateau: this class and every later one prefer server 2
+            top = min(gamma1 + r, self.lam)
+            gap = self._delay_gap(top)
+            if not b * gap > delta:  # the class splits inside its own step
+                gamma1 = bisect_decreasing(lambda g: b * self._delay_gap(g), gamma1, top, delta)
+                break
+            gamma1 = top
         else:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break  # lo and hi are adjacent doubles: no step narrows them
-                if demand(mid) - mid > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            gamma1 = 0.5 * (lo + hi)
+            gamma1 = self.lam
         return Measurement(
             c1=c1, c2=c2, gamma1=gamma1, gamma2=self.lam - gamma1,
             d1=self._delay1(gamma1),
@@ -544,9 +544,10 @@ def discover_classes(oracle, lam: float, delta: float, eps: float,
     the class's rate as the level jump. The walk stops at c1 <= 0 or full
     migration. A class still migrating at the end receives the remaining
     mass (total rate is known a priori) but does not count as confirmed.
+    A step too small to lower c1 in floating point raises DomainError.
     """
-    if delta <= 0.0 or eps <= 0.0:
-        raise DomainError("delta and eps must be positive")
+    if not (all(map(math.isfinite, (delta, eps, c1_init))) and delta > 0.0 and eps > 0.0):
+        raise DomainError("delta, eps and c1_init must be finite, delta and eps positive")
     first = oracle.measure(c1_init, 0.0)
     if first.gamma1 >= eps:
         raise PreconditionError(
@@ -560,6 +561,8 @@ def discover_classes(oracle, lam: float, delta: float, eps: float,
     c1 = c1_init
 
     while True:
+        if not c1 - delta < c1:
+            raise DomainError(f"a step of {delta} does not lower c1 from {c1}")
         c1 -= delta
         if c1 <= 0.0:
             break

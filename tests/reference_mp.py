@@ -189,3 +189,35 @@ class System:
     def best_response_argmax(self, other_price):
         """Server 1's best-response rate to the rival price."""
         return self.argmax(other_price, self.rate_cap(other_price))
+
+
+# --- discrete classes -----------------------------------------------------------
+
+def discrete_equilibrium_rate(classes, d1, d2, c1, c2):
+    """The server-1 rate at prices (c1, c2) when the customers are
+    (beta, rate) point masses and lam is the sum of the rates.
+
+    A class prefers server 1 iff beta * (D2(lam - g) - D1(g)) > c1 - c2,
+    which holds for g below its exit rate: the root of that inequality's
+    two sides on [0, lam], or 0 or lam when they do not cross there. With
+    the exit rates e_j in decreasing order and S_j the sum of the first j
+    class rates, the demand at g exceeds g exactly when g < min(e_j, S_j)
+    for some j, so the fixed point is the largest of those minima."""
+    lam = mp.fsum(mp.mpf(r) for _, r in classes)
+    price_gap = mp.mpf(c1) - mp.mpf(c2)
+    exits = []
+    for b, r in classes:
+        def excess(g, b=mp.mpf(b)):
+            return b * (delay(d2, lam - g) - delay(d1, g)) - price_gap
+        if excess(mp.zero) <= 0:
+            exit_rate = mp.zero
+        elif excess(lam) > 0:
+            exit_rate = lam
+        else:
+            exit_rate = root(excess, mp.zero, lam)
+        exits.append((exit_rate, mp.mpf(r)))
+    rate, total = mp.zero, mp.zero
+    for exit_rate, r in sorted(exits, reverse=True):
+        total += r
+        rate = max(rate, min(exit_rate, total))
+    return rate

@@ -337,6 +337,19 @@ def test_bad_classes_exit_2(tmp_path, classes, message, capsys):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("option", [["--delta", "nan"], ["--delta", "1e-300"],
+                                    ["--eps", "inf"]])
+def test_discover_classes_bad_step_exits_2(tmp_path, option, capsys):
+    # unchecked, such a step never lowers c1 and discovery loops forever
+    cfg = SystemConfig(2.5, DelayModel.mm1(4.0), DelayModel.mm1(4.0), Uniform(2.0, 6.0))
+    path = tmp_path / "mm1.json"
+    path.write_text(config_to_json(cfg))
+    assert main(["discover-classes", "--config", str(path), "--classes", "4:1,2:1.5",
+                 "--c1-init", "2"] + option) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["monopoly", "--c2", "1", "--output"],
     ["estimate-density", "--c2", "1", "--c1-start", "3.0", "--delta", "0.2",

@@ -118,16 +118,16 @@ CASES = [
      '{\n'
      '  "classes": [\n'
      '    {\n'
-     '      "beta": 3.999999999999999,\n'
-     '      "rate": 0.29999999999999993\n'
+     '      "beta": 4.0,\n'
+     '      "rate": 0.3\n'
      '    },\n'
      '    {\n'
      '      "beta": 3.0,\n'
-     '      "rate": 0.8000000000000002\n'
+     '      "rate": 0.7999999999999998\n'
      '    }\n'
      '  ],\n'
      '  "complete": false,\n'
-     '  "residual_rate": 0.8000000000000002\n'
+     '  "residual_rate": 0.7999999999999998\n'
      '}\n'),
     ('ex1', 'sweep --what beta1 --n 5',
      'gamma1,beta1\n'

@@ -7,6 +7,8 @@ simulation oracle is compared against the analytic one statistically.
 
 import math
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qpk.estimation import Measurement, _sample_sensitivities
 from qpk.wardrop import Regime, price_of_rate_1
 
 from conftest import random_config
+from test_array_kernel import _wall_bound
 
 
 # --- exact oracle -------------------------------------------------------------
@@ -442,8 +445,8 @@ def test_discrete_oracle_equilibrium():
 
 
 def _rate_by_200_halvings(oracle, c1, c2):
-    """DiscreteClassOracle.measure's rate by the full 200-step bisection,
-    kept here as the reference."""
+    """The equilibrium rate by a 200-step bisection of the excess demand:
+    the accuracy the oracle's walk must match."""
     delta = c1 - c2
     demand = lambda g: sum(r for b, r in oracle.classes if b * oracle._delay_gap(g) > delta)
     lo, hi = 0.0, oracle.lam
@@ -460,20 +463,26 @@ def _rate_by_200_halvings(oracle, c1, c2):
     return 0.5 * (lo + hi)
 
 
-def test_discrete_oracle_bisection_matches_200_halvings():
-    # measure stops halving once lo and hi are adjacent doubles, about 55
-    # halvings, and must land where all 200 do
+def test_discrete_oracle_walk_matches_the_reference():
+    # every rate within 4 eps * lam of the 40-digit fixed point, the
+    # sample's worst no worse than the bisection's, in a few evaluations
+    # of the delay gap where the bisection took about 52
+    pytest.importorskip("mpmath")
+    import reference_mp
     rng = np.random.default_rng(5)
-    bisected = 0
+    eps = np.finfo(float).eps
+    worst_walk = worst_bisection = 0.0
+    evaluations, split = [], 0
     for _ in range(100):
         n = int(rng.integers(1, 5))
         betas = rng.choice(np.arange(1, 20), n, replace=False) * rng.uniform(0.1, 2.0)
-        classes = list(zip(betas, rng.uniform(0.1, 2.0, n)))
+        classes = list(zip(betas.tolist(), rng.uniform(0.1, 2.0, n).tolist()))
         lam = sum(r for _, r in classes)
-        oracle = discrete_class_oracle(classes, DelayModel.mm1(lam * rng.uniform(1.1, 3.0)),
-                                       DelayModel.linear(rng.uniform(0.5, 3.0)))
+        d1, d2 = (DelayModel.mm1(lam * rng.uniform(1.1, 3.0)) if rng.random() < 0.5
+                  else DelayModel.linear(rng.uniform(0.5, 3.0)) for _ in range(2))
+        oracle = discrete_class_oracle(classes, d1, d2)
         gap = oracle._delay_gap
-        spread = max(betas) * max(gap(0.0), -gap(oracle.lam))
+        spread = max(betas) * max(abs(gap(0.0)), abs(gap(oracle.lam)))
         c1 = float(rng.uniform(-spread, spread))
         calls = []
 
@@ -482,13 +491,18 @@ def test_discrete_oracle_bisection_matches_200_halvings():
             return gap(g)
         oracle._delay_gap = counted
         gamma1 = oracle.measure(c1, 0.0).gamma1
-        n_measure = len(calls)
-        calls.clear()
-        assert gamma1 == _rate_by_200_halvings(oracle, c1, 0.0)
-        if len(calls) > 2 * n:  # the rate was bisected
-            bisected += 1
-            assert n_measure < len(calls) // 2
-    assert bisected > 50
+        evaluations.append(len(calls))
+        split += len(calls) > n + 1  # more than the walk's own steps
+        oracle._delay_gap = gap
+        want = reference_mp.discrete_equilibrium_rate(classes, d1, d2, c1, 0.0)
+        err = float(abs(gamma1 - want)) / oracle.lam
+        assert err <= 4.0 * eps
+        worst_walk = max(worst_walk, err)
+        worst_bisection = max(worst_bisection, float(
+            abs(_rate_by_200_halvings(oracle, c1, 0.0) - want)) / oracle.lam)
+    assert worst_walk <= worst_bisection
+    assert split > 30
+    assert np.mean(evaluations) < 10 and max(evaluations) <= 30
 
 
 def test_discover_two_classes():
@@ -527,3 +541,30 @@ def test_discover_classes_error_paths():
         discover_classes(tiny, lam=1.0, delta=0.01, eps=1e-3, c1_init=2.0)
     with pytest.raises(DomainError):
         discover_classes(oracle, lam=1.0, delta=-0.01, eps=1e-3, c1_init=2.0)
+
+
+@pytest.mark.parametrize("delta, eps, c1_init", [
+    (math.nan, 1e-3, 2.0), (math.inf, 1e-3, 2.0), (0.01, math.nan, 2.0),
+    (0.01, 1e-3, math.nan), (0.01, 1e-3, math.inf),
+    (1e-300, 1e-3, 2.0),  # 2.0 - 1e-300 == 2.0: no step lowers c1
+])
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_discover_classes_rejects_steps_that_never_end(delta, eps, c1_init):
+    # unchecked, each of these steps loops forever
+    oracle = discrete_class_oracle([(4.0, 1.0)],
+                                   DelayModel.mm1(4.0), DelayModel.mm1(4.0))
+    start = time.perf_counter()
+    with _wall_bound(5), pytest.raises(DomainError):
+        discover_classes(oracle, lam=1.0, delta=delta, eps=eps, c1_init=c1_init)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("classes", [
+    [(math.nan, 1.0), (2.0, 1.5)], [(4.0, math.nan)],
+    [(math.inf, 1.0)], [(4.0, math.inf), (2.0, 1.5)],
+    [(4.0, 0.0)], [(-4.0, 1.0)],
+])
+def test_discrete_oracle_rejects_nonfinite_or_nonpositive_classes(classes):
+    # unchecked, a NaN sensitivity counts in the total rate but never in demand
+    with pytest.raises(DomainError, match="finite and positive"):
+        discrete_class_oracle(classes, DelayModel.linear(4.0), DelayModel.linear(4.0))

@@ -137,6 +137,14 @@ def test_optimize_rejects_small_grids(ex1_uniform, grid_size):
         optimize_monopoly(ex1_uniform, 1.0, grid_size=grid_size)
 
 
+def test_optimize_takes_integer_grid_sizes_only(ex1_uniform):
+    # unchecked, 100.5 points run on a 101-point grid spaced (hi - lo) / 99.5
+    with pytest.raises(DomainError, match="an integer"):
+        optimize_monopoly(ex1_uniform, 1.0, grid_size=100.5)
+    want = optimize_monopoly(ex1_uniform, 1.0, grid_size=4096)
+    assert optimize_monopoly(ex1_uniform, 1.0, grid_size=np.int64(4096)) == want
+
+
 @pytest.mark.parametrize("c2", [np.nan, np.inf, -1.0])
 def test_optimize_rejects_nonfinite_and_negative_c2(ex1_uniform, c2):
     # unchecked, a nan c2 comes back as c1_star = nan
