@@ -96,16 +96,20 @@ def _series(k: float, x: float, i: int, ap: float, total: float, term: float) ->
 def _contfrac(k: float, i: int, h: float, b: float, c: float, d: float) -> float:
     """Q(k, x) = 1 - P(k, x) over its front factor by the continued
     fraction (modified Lentz), resumed at iteration i from (h, b, c, d);
-    a fresh start is i = 1, b = x + 1 - k, c = 1/_TINY, h = d = 1/b."""
+    a fresh start is i = 1, b = x + 1 - k, c = 1/_TINY, h = d = 1/b.
+
+    Lentz guards D_i = b_i + a_i / D_(i-1) and c_i = b_i + a_i / c_(i-1)
+    against zero; here neither can come near it. Callers pass x >= k + 1,
+    so b_i = x + 1 - k + 2i >= 2 + 2i, and a_i = -i (i - k) is negative
+    only where i > k, with |a_i| = i (i - k) < i (x - k + i). By
+    induction D_i >= x + 1 - k + i >= 2 + i and c_i >= x - k + i + 1 >= 2,
+    so the fraction runs without the guards and rounds as it did with them.
+    """
     for i in range(i, _MAX_ITER):
         an = -i * (i - k)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
@@ -235,18 +239,18 @@ def _gamma_p_series_array(k: float, x: np.ndarray) -> np.ndarray:
 
 def _gamma_q_contfrac_array(k: float, x: np.ndarray) -> np.ndarray:
     """The continued fraction of :func:`gamma_p` elementwise, times the front factor."""
-    def step(i, h, b, c, d):
+    def step(i, h, b, c, d):  # unguarded, as in _contfrac
         an = -i * (i - k)
         b += 2.0
         d *= an
         d += b
-        d[np.abs(d) < _TINY] = _TINY
-        c[:] = b + an / c
-        c[np.abs(c) < _TINY] = _TINY
         np.divide(1.0, d, out=d)
+        np.divide(an, c, out=c)
+        c += b
         delta = d * c
         h *= delta
-        return np.abs(delta - 1.0) < _EPS
+        delta -= 1.0
+        return np.abs(delta, out=delta) < _EPS
 
     def finish(i, *state):
         return [_contfrac(k, i, *row) for row in zip(*(s.tolist() for s in state))]
