@@ -113,19 +113,31 @@ def grid_argmax(scan, lo: float, hi: float, n: int):
     return xs, fs, int(np.argmax(fs))
 
 
-def local_maxima_scan(scan, f, df, lo: float, hi: float, n: int):
-    """Scan f over [lo, hi] and refine every local maximum of the samples
-    as the root of df, f's derivative, between its neighbouring samples.
+def derivative_root(df, lo: float, hi: float):
+    """The root of a peak's derivative df, falling through 0 on [lo, hi],
+    or None where df keeps its sign there."""
+    try:
+        return bisect_decreasing(df, lo, hi)
+    except NoRootError:
+        return None
 
-    scan is the array form of f (see :func:`grid_argmax`), whose samples
-    need not be evenly spaced; f and df are scalar forms, used for
-    refinement. The end samples count as local maxima when the function
-    falls away from them. Where df keeps its sign over the bracket the
-    maximum lies on the edge of [lo, hi], and the sample stays; refined
-    peaks that land on the same point merge. Returns (best, peaks): peaks
-    is the list of (x, f(x)) sorted by x, best the one with the largest
-    value, where values within TIE_REL of each other tie and go to the
-    smaller x.
+
+def local_maxima_scan(scan, refine, lo: float, hi: float, n: int):
+    """Scan an objective over [lo, hi] and refine every local maximum of
+    the samples between its neighbouring samples.
+
+    scan is the array form of the objective (see :func:`grid_argmax`),
+    whose samples need not be evenly spaced. For a peak at sample i,
+    refine(xs, fs, i, a, b) returns the refined peak as a tuple
+    (x, f(x), ...), its first two entries the point and the value, found
+    between samples a and b, its neighbours, typically with
+    :func:`derivative_root`; where the derivative keeps its sign there the
+    maximum lies on the edge of [lo, hi], and the sample stays. The end
+    samples count as local maxima when the function falls away from them,
+    and refined peaks that land on the same point merge. Returns
+    (best, peaks): peaks is the list of peak tuples sorted by x, best the
+    one with the largest value, where values within TIE_REL of each other
+    tie and go to the smaller x.
     """
     xs, fs, _ = grid_argmax(scan, lo, hi, n)
     last = xs.size - 1
@@ -134,18 +146,13 @@ def local_maxima_scan(scan, f, df, lo: float, hi: float, n: int):
     peak[:-1] &= fs[:-1] >= fs[1:]
     peaks = []
     for i in np.flatnonzero(peak).tolist():
-        try:
-            x = bisect_decreasing(df, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, last)]))
-        except NoRootError:
-            x, fx = float(xs[i]), float(fs[i])
-        else:
-            fx = f(x)
-        if not peaks or x != peaks[-1][0]:
-            peaks.append((x, fx))
+        found = refine(xs, fs, i, max(i - 1, 0), min(i + 1, last))
+        if not peaks or found[0] != peaks[-1][0]:
+            peaks.append(found)
     best = peaks[0]
-    for x, fx in peaks[1:]:
-        if fx > best[1] * (1.0 + TIE_REL) + TIE_REL:
-            best = (x, fx)
+    for found in peaks[1:]:
+        if found[1] > best[1] * (1.0 + TIE_REL) + TIE_REL:
+            best = found
     return best, peaks
 
 

@@ -2,20 +2,26 @@
 
 Log-gamma uses the Lanczos approximation (g = 7, 9 coefficients); the
 regularized lower incomplete gamma uses the power series for x < k + 1
-and a modified Lentz continued fraction for the upper tail otherwise.
-The inverse takes bracketed Halley steps from the Wilson-Hilferty start:
-P''/P' = (k - 1)/x - 1 is closed-form, so the third-order step costs no
-more evaluations of P than a Newton step (Numerical Recipes 3rd ed.,
-section 6.2.1).
+and a modified Lentz continued fraction for the upper tail otherwise,
+run without Lentz's zero guards, which cannot fire there (``_contfrac``).
+``gamma_q`` takes the fraction from max(k, 1) up, so that Q keeps its
+relative accuracy wherever 1 - P would cancel. From k = 100 up the front
+factor x**k e**-x / Gamma(k) takes Stirling's series for log Gamma, whose
+direct form lost up to 2e-12 to rounding at k ~ 1e3. The inverse takes
+bracketed Halley steps from the Wilson-Hilferty start: P''/P' =
+(k - 1)/x - 1 is closed-form, so the third-order step costs no more
+evaluations of P than a Newton step (Numerical Recipes 3rd ed., section
+6.2.1).
 
 Accuracy, measured against scipy.special: ``gamma_p`` is within 7e-15
-relative in the lower tail for k in [1e-3, 0.1], but off by up to 6.9e-7
+relative in the lower tail for k in [1e-3, 0.1], but off by up to 3.3e-8
 relative for k in [1e3, 1e4] within 5 standard deviations of the mean.
-The inverse stops once |P(x) - p| < 1e-13 p, which has three limits:
+The inverse stops once |P(x) - p| < 1e-13 p, or for p > 0.5 once
+|Q(x) - q| < 1e-13 q with q = 1 - p, so both tails are relative: over
+300 pairs with k in [0.13, 1e3] and q in [1e-12, 1e-3], Q is within
+2.6e-13 of q. That stop has two limits:
 - below k ~ 0.1 the start is too poor for it (DiDonato & Morris 1986,
   ACM TOMS 12:377): at k = 1e-3, p = 0.5 it returns x with P(x) = 0.787;
-- P is 1 - Q above k + 1, so near p = 1 the stop is absolute in 1 - p:
-  over k in [0.13, 1e3] and 1 - p in [1e-12, 1e-3], Q is up to 9.3% off;
 - it inherits ``gamma_p``'s error at large k.
 
 ``gamma_pq_array`` runs the same algorithm elementwise over a numpy
@@ -33,10 +39,10 @@ values are the scalar ones only up to rounding. A last-bit difference in
 log x enters the exponent k log x - x - log Gamma(k + 1) multiplied by k,
 so P differs from ``gamma_p`` by up to about 2 eps (1 + k |log x|)
 relative: over k in {0.2, 0.8, 2, 5, 30, 300} and 4,096 points geometric
-in [0.2k, 3k] each, 825 of 24,576 values differ, by up to 8.3e-16 for
-k <= 30 and 2.3e-13 at k = 300 (x = 235.7); off that grid, by 1.4e-14 at
-k = 30, x = 21.75. Grid scans need no array inverse: ``gamma_scan_points``
-places its points in closed form and reads P and Q once where they land.
+in [0.2k, 3k] each, 831 of 24,576 values differ, by up to 7.8e-16 for
+k <= 30 and 5.7e-14 at k = 300 (x = 161.7). Grid scans need no array
+inverse: ``gamma_scan_points`` places its points in closed form and reads
+P and Q once where they land.
 """
 
 import math
@@ -57,6 +63,10 @@ _LANCZOS_COEF = (
 )
 
 _EPS = 1e-16
+#: from this shape up the incomplete gamma's front factor takes Stirling's
+#: series for log Gamma(k); _STIRLING holds its coefficients, highest first
+_STIRLING_K = 100.0
+_STIRLING = (1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
 _TINY = 1e-300
 _MAX_ITER = 500
 _HANDOFF = 16  # at this many active elements or fewer, the array loops go scalar
@@ -99,11 +109,12 @@ def _contfrac(k: float, i: int, h: float, b: float, c: float, d: float) -> float
     a fresh start is i = 1, b = x + 1 - k, c = 1/_TINY, h = d = 1/b.
 
     Lentz guards D_i = b_i + a_i / D_(i-1) and c_i = b_i + a_i / c_(i-1)
-    against zero; here neither can come near it. Callers pass x >= k + 1,
-    so b_i = x + 1 - k + 2i >= 2 + 2i, and a_i = -i (i - k) is negative
-    only where i > k, with |a_i| = i (i - k) < i (x - k + i). By
-    induction D_i >= x + 1 - k + i >= 2 + i and c_i >= x - k + i + 1 >= 2,
-    so the fraction runs without the guards and rounds as it did with them.
+    against zero; here neither can come near it. Callers pass x >= k, and
+    b_i = x + 1 - k + 2i, while a_i = -i (i - k) is negative only where
+    i > k, with |a_i| = i (i - k) <= i (x - k + i). By induction
+    D_i >= x + 1 - k + i >= 1 + i and c_i >= x - k + i + 1 >= 1 + i (for
+    x >= k + 1, where :func:`gamma_p` takes the fraction, >= 2 + i), so the
+    fraction runs without the guards and rounds as it did with them.
     """
     for i in range(i, _MAX_ITER):
         an = -i * (i - k)
@@ -118,34 +129,74 @@ def _contfrac(k: float, i: int, h: float, b: float, c: float, d: float) -> float
     return h
 
 
+def _log_front(k: float, x: float) -> float:
+    """log(x**k e**-x / Gamma(k)), for x > 0: below _STIRLING_K as written;
+    from it up as k log(x/k) + (k - x) + 0.5 log(k / (2 pi)) - R(k), with
+    R the Stirling series of log Gamma, so that no term of the size of
+    log Gamma(k) cancels and the rounding does not grow with log Gamma."""
+    if k < _STIRLING_K:
+        return -x + k * math.log(x) - log_gamma(k)
+    return k * math.log(x / k) + (k - x) + _stirling_rest(k)
+
+
+def _stirling_rest(k: float) -> float:
+    """0.5 log(k / (2 pi)) - R(k), R(k) = log Gamma(k) - (k - 1/2) log k + k
+    - 0.5 log(2 pi) by five terms of its series, under 1e-20 for k >= 100."""
+    r = 1.0 / (k * k)
+    series = 0.0
+    for c in _STIRLING:
+        series = series * r + c
+    return 0.5 * math.log(k / (2.0 * math.pi)) - series / k
+
+
+def _tail(k: float, x: float, name: str, switch: float) -> tuple:
+    """(lower, v): v = P(k, x) by the series below the switch (lower is
+    True), Q(k, x) by the continued fraction from it up; x >= k + 1 is
+    always past the switch."""
+    if k <= 0.0:
+        raise ValueError(f"{name} requires k > 0, got {k}")
+    if x < 0.0:
+        raise ValueError(f"{name} requires x >= 0, got {x}")
+    if x == 0.0:
+        return True, 0.0
+    front = math.exp(_log_front(k, x))
+    if x < switch:
+        return True, _series(k, x, 1, k, 1.0 / k, 1.0 / k) * front
+    b = x + 1.0 - k
+    return False, _contfrac(k, 1, 1.0 / b, b, 1.0 / _TINY, 1.0 / b) * front
+
+
 def gamma_p(k: float, x: float) -> float:
     """Regularized lower incomplete gamma P(k, x) for k > 0, x >= 0."""
-    if k <= 0.0:
-        raise ValueError(f"gamma_p requires k > 0, got {k}")
-    if x < 0.0:
-        raise ValueError(f"gamma_p requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    front = math.exp(-x + k * math.log(x) - log_gamma(k))
-    if x < k + 1.0:
-        return _series(k, x, 1, k, 1.0 / k, 1.0 / k) * front
-    b = x + 1.0 - k
-    return 1.0 - _contfrac(k, 1, 1.0 / b, b, 1.0 / _TINY, 1.0 / b) * front
+    lower, v = _tail(k, x, "gamma_p", k + 1.0)
+    return v if lower else 1.0 - v
+
+
+def gamma_q(k: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(k, x) = 1 - P(k, x) for k > 0,
+    x >= 0. It is the continued fraction of :func:`gamma_p` from max(k, 1)
+    up, where P is over one half (the fraction takes at most 200 steps
+    there for k up to 1e4), so Q keeps its relative accuracy down the upper
+    tail and 1 - P, below, cancels no more than a bit."""
+    lower, v = _tail(k, x, "gamma_q", max(k, 1.0))
+    return 1.0 - v if lower else v
 
 
 def gamma_p_inverse(k: float, p: float) -> float:
-    """Solve P(k, x) = p for x, stopping once |P(x) - p| < 1e-13 * p;
-    the module docstring gives where that stop is not reached.
+    """Solve P(k, x) = p for x, stopping once |P(x) - p| < 1e-13 * p, or,
+    for p > 0.5, once |Q(x) - q| < 1e-13 * q with q = 1 - p; the module
+    docstring gives where that stop is not reached.
 
     Halley iteration seeded by the Wilson-Hilferty normal approximation.
-    The bracket starts as (0, inf) and the sign of P(x) - p closes it. A
-    step that leaves the bracket, is not finite, or is not under half the
-    step before it gives way to 2x while the bracket is open above, and
-    to bisection once it is closed. P is computed as 1 - Q above k + 1,
-    so near p = 1 the stop is in effect 1e-13 absolute in 1 - p.
+    The bracket starts as (0, inf) and the sign of P(x) - p, read as
+    q - Q(x) above p = 0.5, closes it. A step that leaves the bracket, is
+    not finite, or is not under half the step before it gives way to 2x
+    while the bracket is open above, and to bisection once it is closed.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"gamma_p_inverse requires 0 < p < 1, got {p}")
+    q = 1.0 - p  # exact for p > 0.5
+    upper = p > 0.5
 
     # Wilson-Hilferty start: x ~ k * (1 - 1/(9k) + z*sqrt(1/(9k)))^3
     z = _normal_quantile(p)
@@ -156,8 +207,8 @@ def gamma_p_inverse(k: float, p: float) -> float:
     log_gamma_k = log_gamma(k)
     lo, hi, step = 0.0, math.inf, math.inf
     for _ in range(200):
-        f = gamma_p(k, x) - p
-        if abs(f) < 1e-13 * p:
+        f = q - gamma_q(k, x) if upper else gamma_p(k, x) - p
+        if abs(f) < 1e-13 * (q if upper else p):
             return x
         if f > 0.0:
             hi = x
@@ -214,7 +265,10 @@ def _active_loop(inputs, state, max_iter, step, finish=None):
 
 
 def _front_factor(k: float, x: np.ndarray) -> np.ndarray:
-    return np.exp(-x + k * np.log(x) - log_gamma(k))
+    """exp(:func:`_log_front`) elementwise."""
+    if k < _STIRLING_K:
+        return np.exp(-x + k * np.log(x) - log_gamma(k))
+    return np.exp(k * np.log(x / k) + (k - x) + _stirling_rest(k))
 
 
 def _gamma_p_series_array(k: float, x: np.ndarray) -> np.ndarray:
@@ -279,39 +333,49 @@ def gamma_pq_array(k: float, x) -> tuple:
     return np.where(tail, 1.0 - upper, lower), np.where(series, 1.0 - lower, upper)
 
 
-def gamma_scan_points(k: float, p: np.ndarray, low: np.ndarray) -> tuple:
-    """(x, share) at the levels p in (0, 1) of a grid scan uniform in rate,
-    for one k: points x near the solutions of P(k, x) = p, and each one's
-    rate as a share of the total, Q(k, x) where ``low`` (the first points,
-    rated lam * (1 - F)) and P(k, x) elsewhere. The last point is the
-    scalar inverse at its level, which gives the scan's top end.
-
-    The start is the small-x lower bound (p * Gamma(k + 1))**(1/k)
-    (DiDonato & Morris 1986), or the Wilson-Hilferty start k * t**3 where
-    t > 0 and that is larger. Its error in log x, from scalar inverses at
-    the upper branch's ends and at the low branch's end next to it, is
-    taken off: held over the low branch, linear in the normal quantile of
-    p over the upper one, so no point crosses a branch end. While the
-    largest gap between rates, the ends at their targets, exceeds
-    _SCAN_GAP uniform spacings, at most twice, every point takes a Halley
-    step (kept if finite and positive) and is read again.
-    """
-    n, edge = p.size, np.count_nonzero(low)
+def _scan_start(k: float, p: np.ndarray) -> tuple:
+    """(x, z): the closed-form start of :func:`gamma_scan_points` at the
+    levels p, and their normal quantiles z."""
     z = _normal_quantile_array(p)
     t = 1.0 - 1.0 / (9.0 * k) + z * math.sqrt(1.0 / (9.0 * k))
     small = np.exp((np.log(p) + log_gamma(k + 1.0)) / k)
-    x = np.maximum(np.where(t > 0.0, np.maximum(k * t * t * t, small), small), 1e-300)
+    return np.maximum(np.where(t > 0.0, np.maximum(k * t * t * t, small), small), 1e-300), z
 
-    def anchor(i):  # the scalar inverse at p[i], and the start's error in log
-        at = gamma_p_inverse(k, float(p[i]))  # x there, 0 where it misses p[i]
-        return at, math.log(at / x[i]) if abs(gamma_p(k, at) - p[i]) < 1e-12 else 0.0
-    top, e_top = anchor(n - 1)
+
+def gamma_scan_points(k: float, p: np.ndarray, low: np.ndarray, anchors: tuple) -> tuple:
+    """(x, share) at the levels p in (0, 1) of a grid scan uniform in rate,
+    for one k: points x near the solutions of P(k, x) = p, and each one's
+    rate as a share of the total, Q(k, x) where ``low`` (the first points,
+    rated lam * (1 - F)) and P(k, x) elsewhere.
+
+    ``anchors`` holds three (level, x) pairs, each x the scalar inverse at
+    its level: the low branch's end next to gamma+ (or the top, if every
+    point is low), the upper branch's start at gamma+, and the top, which
+    is the last level of p and becomes the scan's last point. A pair for a
+    branch with no points may be None.
+
+    The start is the small-x lower bound (p * Gamma(k + 1))**(1/k)
+    (DiDonato & Morris 1986), or the Wilson-Hilferty start k * t**3 where
+    t > 0 and that is larger. Its error in log x at the anchors is taken
+    off: held over the low branch, linear in the normal quantile of p over
+    the upper one, so no point crosses a branch end; an anchor whose x
+    misses its level corrects nothing. While the largest gap between
+    rates, the ends at their targets, exceeds _SCAN_GAP uniform spacings,
+    at most twice, every point takes a Halley step (kept if finite and
+    positive) and is read again.
+    """
+    n, edge = p.size, np.count_nonzero(low)
+    x, z = _scan_start(k, p)
+    start, z_at = _scan_start(k, np.array([a[0] if a else 0.5 for a in anchors]))
+    e_low, e_high, e_top = (
+        math.log(a[1] / s) if a and abs(gamma_p(k, a[1]) - a[0]) < 1e-12 else 0.0
+        for a, s in zip(anchors, start.tolist()))
     if edge < n:
-        e_lo = anchor(edge)[1]
-        w = (z[edge:] - z[edge]) / (z[-1] - z[edge]) if z[-1] != z[edge] else 0.0
-        x[edge:] *= np.exp(e_lo + w * (e_top - e_lo))
+        span = z_at[2] - z_at[1]
+        w = (z[edge:] - z_at[1]) / span if span != 0.0 else 0.0
+        x[edge:] *= np.exp(e_high + w * (e_top - e_high))
     if edge:
-        x[:edge] *= math.exp(e_top if edge == n else anchor(edge - 1)[1])
+        x[:edge] *= math.exp(e_low)
     np.maximum(x, 1e-300, out=x)
     ends = np.where(low[[0, -1]], 1.0 - p[[0, -1]], p[[0, -1]])
     widest = _SCAN_GAP * (ends[1] - ends[0]) / max(n - 1, 1)
@@ -321,7 +385,7 @@ def gamma_scan_points(k: float, p: np.ndarray, low: np.ndarray) -> tuple:
         share = np.where(low, upper, lower)
         if step == 2 or np.abs(np.diff(np.concatenate(
                 (ends[:1], share[1:-1], ends[1:])))).max() <= widest:
-            x[-1], share[-1] = top, ends[1]
+            x[-1], share[-1] = anchors[2][1], ends[1]
             return x, share
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             u = (lower - p) / np.exp((k - 1.0) * np.log(x) - x - log_gamma_k)

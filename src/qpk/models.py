@@ -117,17 +117,24 @@ class SensitivityDistribution:
     Subclasses implement ``_cdf``/``_quantile``/``_density`` on the support
     interior; use the module-level :func:`cdf`, :func:`quantile` and
     :func:`density` entry points, which own the domain checks and the
-    quantile clamp for unbounded families. ``_scan_points(p, low)`` is the
-    grid scans' hook: for a numpy array of levels p it returns thresholds
-    at or near their quantiles and each one's rate as a share of lam,
-    1 - F where ``low`` and F elsewhere, or None when the thresholds are
-    the quantiles; with shares, its last threshold is ``_quantile`` at
-    the last level, the scan's top end. It defaults to (``_quantile``(p),
-    None), which serves as is wherever the scalar quantile is plain
-    arithmetic.
+    quantile clamp for unbounded families. ``_scan_points(p, low, anchors)``
+    is the grid scans' hook: for a numpy array of levels p it returns
+    thresholds at or near their quantiles and each one's rate as a share of
+    lam, 1 - F where ``low`` and F elsewhere, or None when the thresholds
+    are the quantiles. It defaults to (``_quantile``(p), None), which
+    serves as is wherever the scalar quantile is plain arithmetic.
+
+    A law whose quantile is a numerical inverse sets ``numeric_quantile``
+    and implements ``_sf`` = 1 - F. Its scan returns shares, and gets as
+    ``anchors`` (level, threshold) pairs of scalar quantiles: the low
+    branch's end at gamma+ (the top, if every level is low), the upper
+    branch's start at gamma+ and the top, its last level, which is its last
+    threshold; a pair for a branch with no levels is None. Its point solves
+    run in threshold space (``wardrop.resolve``).
     """
 
     family: ClassVar[str]
+    numeric_quantile: ClassVar[bool] = False
 
     @classmethod
     def param_names(cls) -> tuple:
@@ -156,7 +163,7 @@ class SensitivityDistribution:
     def _quantile(self, p: float) -> float:
         raise NotImplementedError
 
-    def _scan_points(self, p: np.ndarray, low: np.ndarray) -> tuple:
+    def _scan_points(self, p: np.ndarray, low: np.ndarray, anchors) -> tuple:
         return self._quantile(p), None
 
     def _density(self, x: float) -> float:
@@ -222,7 +229,7 @@ class Exponential(SensitivityDistribution):
     def _quantile(self, p):
         return -self.tau * math.log1p(-p)
 
-    def _scan_points(self, p, low):
+    def _scan_points(self, p, low, anchors):
         return -self.tau * np.log1p(-p), None
 
     def _density(self, x):
@@ -234,6 +241,7 @@ class Gamma(SensitivityDistribution):
     """Gamma law with shape k and scale theta."""
 
     family: ClassVar[str] = "gamma"
+    numeric_quantile: ClassVar[bool] = True
     k: float
     theta: float
 
@@ -255,13 +263,18 @@ class Gamma(SensitivityDistribution):
     def _cdf(self, x):
         return _special.gamma_p(self.k, x / self.theta)
 
+    def _sf(self, x):
+        return _special.gamma_q(self.k, x / self.theta)
+
     def _quantile(self, p):
         return _special.gamma_p_inverse(self.k, p) * self.theta
 
-    def _scan_points(self, p, low):
+    def _scan_points(self, p, low, anchors):
         # no inversion: points placed in closed form, and the rates they give
-        x, share = _special.gamma_scan_points(self.k, p, low)
-        return x * self.theta, share
+        theta = self.theta
+        x, share = _special.gamma_scan_points(
+            self.k, p, low, tuple(a and (a[0], a[1] / theta) for a in anchors))
+        return x * theta, share
 
     def _density(self, x):
         if x == 0.0:
@@ -329,13 +342,15 @@ def quantile(dist: SensitivityDistribution, p: float) -> float:
 
     Exact inverse for the uniform, exponential and power families; Halley
     root-finding on the regularized incomplete gamma for the gamma family,
-    which stops once |F(x) - p| < 1e-13 p. That stop is absolute in 1 - p
-    near p = 1, and below shape k ~ 0.1 it is not reached (the ``_special``
-    docstring has the measured limits). For unbounded-support families p
-    is clamped to [P_MIN, 1 - P_MIN] so the result stays finite. Point
-    solves apply the same clamp past their own rate check
-    (``wardrop.resolve``), and grid scans to the levels they sample
-    (``wardrop.price_gap_1_array``).
+    which stops once |F(x) - p| < 1e-13 p, or for p > 0.5 once
+    |(1 - F(x)) - (1 - p)| < 1e-13 (1 - p), so both tails are relative.
+    Below shape k ~ 0.1 the stop is not reached (the ``_special`` docstring
+    has the measured limits). For unbounded-support families p is clamped
+    to [P_MIN, 1 - P_MIN] so the result stays finite. The rate-space maps
+    of ``wardrop.resolve`` apply the same clamp past their own rate check,
+    and grid scans to the levels they sample (``wardrop.price_gap_1_array``).
+    The gamma family's point solves invert only the ends of their brackets
+    and read each rate off its threshold (``wardrop.Resolved``).
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"quantile probability must lie in [0, 1], got {p}")

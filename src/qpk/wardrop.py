@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._solve import bisect_decreasing, uniform_grid
+from ._solve import bisect_decreasing, derivative_root, local_maxima_scan, uniform_grid
 from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
 from .models import (P_MIN, SystemConfig, delay_formula, delay_formula_array,
@@ -86,44 +86,263 @@ def balanced_load(cfg: SystemConfig) -> float:
     return 0.5 * (lo + hi)
 
 
-def resolve(cfg: SystemConfig) -> tuple:
-    """(gamma+, beta1, g1, g1_slope) for a point solve: :func:`threshold_of_rate`,
-    :func:`price_gap_1` and the pair (g1, g1') of :func:`price_gap_1_deriv`
-    bound to cfg by one balanced_load lookup, with the law's quantile clamp
-    and both delay curves decided once, not once per point. Past their one
-    rate check, beta1 and g1 are plain arithmetic; g1_slope has no check,
-    for rates already known to lie in (0, lam), and reads both values off
-    one quantile."""
-    lam, top = cfg.lam, cfg.dist.support[1]
-    gp = balanced_load(cfg)
-    inv, dens = cfg.dist._quantile, cfg.dist._density
-    p_lo, p_hi = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
-    d1, d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
-    s1, s2 = delay_slope(cfg.d1), delay_slope(cfg.d2)
+class Resolved:
+    """A config's point-solve maps, bound for one public call by one
+    balanced_load lookup, with the law's quantile clamp and both delay
+    curves decided once, not once per point.
 
-    def beta1(gamma1):
-        if not 0.0 <= gamma1 <= lam:
-            raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
-        p = (lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam
-        return inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
+    ``beta1``, ``g1`` and ``g1_slope`` are :func:`threshold_of_rate`,
+    :func:`price_gap_1` and the pair (g1, g1') of
+    :func:`price_gap_1_deriv`. Past their one rate check, beta1 and g1 are
+    plain arithmetic; g1_slope has no check, for rates already known to lie
+    in (0, lam), and reads both values off one quantile. The solves
+    (:meth:`root`, :meth:`cap`, :meth:`scan`, :meth:`revenue_peaks`) search
+    these maps in rate, one quantile per step.
 
-    def g1(gamma1):
-        beta = top if gamma1 == 0.0 or gamma1 == lam else beta1(gamma1)
-        return beta * (d2(lam - gamma1) - d1(gamma1))
+    A law with ``numeric_quantile`` solves in threshold space instead. By
+    the paper's equivalent formulation the rate is lam * (1 - F(beta)) up to
+    gamma+ and lam * F(beta) above it, so a search steps in beta, at one cdf
+    (and, to refine a peak, one density) per step and no quantile, and reads
+    its rate off its own threshold. Each branch runs from its threshold at
+    gamma+ to the threshold at level 1 - P_MIN: :meth:`threshold` inverts
+    each level once per call, and the scan takes the same ends as anchors.
+    """
 
-    def g1_slope(gamma1):
-        # the branch containing gamma1, the left one at the kink gamma+;
-        # the quantile's derivative is -+1/(lam f(beta))
-        rest = lam - gamma1
-        if gamma1 <= gp:
-            p, sign = rest / lam, -1.0
-        else:
-            p, sign = gamma1 / lam, 1.0
-        beta = inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
-        delta_d = d2(rest) - d1(gamma1)
-        return beta * delta_d, (sign / (lam * dens(beta)) * delta_d
-                                + beta * (-s2(rest) - s1(gamma1)))
-    return gp, beta1, g1, g1_slope
+    def __init__(self, cfg: SystemConfig):
+        lam, top, dist = cfg.lam, cfg.dist.support[1], cfg.dist
+        self.cfg, self.lam = cfg, lam
+        self.gp = gp = balanced_load(cfg)
+        self.numeric = dist.numeric_quantile
+        inv, dens = self._inv, self._dens = dist._quantile, dist._density
+        p_lo, p_hi = self._clamp = (0.0, 1.0) if dist.bounded else (P_MIN, 1.0 - P_MIN)
+        d1, d2 = self._d1, self._d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
+        s1, s2 = self._s1, self._s2 = delay_slope(cfg.d1), delay_slope(cfg.d2)
+        self._thresholds = {}
+
+        def beta1(gamma1):
+            if not 0.0 <= gamma1 <= lam:
+                raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
+            p = (lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam
+            return inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
+
+        def g1(gamma1):
+            beta = top if gamma1 == 0.0 or gamma1 == lam else beta1(gamma1)
+            return beta * (d2(lam - gamma1) - d1(gamma1))
+
+        def g1_slope(gamma1):
+            # the branch containing gamma1, the left one at the kink gamma+;
+            # the quantile's derivative is -+1/(lam f(beta))
+            rest = lam - gamma1
+            if gamma1 <= gp:
+                p, sign = rest / lam, -1.0
+            else:
+                p, sign = gamma1 / lam, 1.0
+            beta = inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
+            delta_d = d2(rest) - d1(gamma1)
+            return beta * delta_d, (sign / (lam * dens(beta)) * delta_d
+                                    + beta * (-s2(rest) - s1(gamma1)))
+        self.beta1, self.g1, self.g1_slope = beta1, g1, g1_slope
+
+    def _level(self, p: float) -> float:
+        """The level p clamped as the maps clamp it."""
+        lo, hi = self._clamp
+        p = float(p)
+        return lo if p < lo else hi if p > hi else p
+
+    def threshold(self, p: float) -> float:
+        """The law's quantile at the level p, clamped; each level is
+        inverted once per call."""
+        p = self._level(p)
+        beta = self._thresholds.get(p)
+        if beta is None:
+            beta = self._thresholds[p] = self._inv(p)
+        return beta
+
+    def _anchor(self, high: bool) -> tuple:
+        """(level, threshold) of a branch's end at gamma+: up to it (high
+        False) or above it."""
+        lam, gp = self.lam, self.gp
+        p = self._level(gp / lam if high else (lam - gp) / lam)
+        return p, self.threshold(p)
+
+    def _end(self, high: bool) -> float:
+        """A branch's threshold at gamma+."""
+        return self._anchor(high)[1]
+
+    def _on_branch(self, high: bool):
+        """The map beta -> (gamma1, delta) on one branch: the rate a threshold
+        gives, lam * F(beta) above gamma+ or lam * (1 - F(beta)) up to it, and
+        the delay gap D2(lam - gamma1) - D1(gamma1) there."""
+        lam, d1, d2 = self.lam, self._d1, self._d2
+        share = self.cfg.dist._cdf if high else self.cfg.dist._sf
+
+        def at(beta):
+            gamma = lam * share(beta)
+            return gamma, d2(lam - gamma) - d1(gamma)
+        return at
+
+    def root(self, target: float, high: bool) -> tuple:
+        """(gamma1, beta1) with g1(gamma1) = target, which lies above gamma+
+        (high) or up to it. Where the target escapes g1's range, the rate is
+        the end of the range it lies beyond: a bounded law's 0 or lam, or an
+        unbounded law's lam * P_MIN or lam * (1 - P_MIN), in the sub-P_MIN
+        probability tail; a threshold-space search may also stop at gamma+."""
+        lam, gp = self.lam, self.gp
+        if not self.numeric:
+            lo, hi = _root_bracket(self.cfg)
+            try:
+                gamma1 = bisect_decreasing(self.g1, lo, hi, target)
+            except NoRootError:
+                gamma1 = hi if high else lo
+            if gamma1 == 0.0 or gamma1 == lam:
+                return gamma1, self.cfg.dist.support[1]
+            return gamma1, self.beta1(gamma1)
+        end, top = self._end(high), self.threshold(1.0 - P_MIN)
+        sign = 1.0 if high else -1.0  # g1 falls in beta above gamma+, rises below
+        gap, seen = self._recorded(high, lambda beta, gamma, delta: sign * beta * delta)
+        try:
+            beta = bisect_decreasing(gap, end, top, sign * target)
+        except NoRootError:
+            if gap(top) > sign * target:
+                return (lam * (1.0 - P_MIN) if high else lam * P_MIN), top
+            return gp, end
+        beta, gamma = _read_root(seen, beta, sign * target)
+        return gamma, beta
+
+    def cap(self, c2: float) -> float:
+        """:func:`rate_cap_1` at the rival price c2 >= 0."""
+        return self.root(-c2, True)[0]
+
+    def scan(self, lo: float, hi: float, n: int) -> tuple:
+        """:func:`price_gap_1_array`."""
+        cfg, lam, gp = self.cfg, self.lam, self.gp
+        dist = cfg.dist
+        if not 0.0 <= lo < hi <= lam:  # NaN fails the check
+            raise DomainError(f"rates must satisfy 0 <= lo < hi <= {lam}, got [{lo}, {hi}]")
+        g = uniform_grid(lo, hi, n)
+        low = g <= gp
+        p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
+        if not dist.bounded:
+            np.clip(p, P_MIN, 1.0 - P_MIN, out=p)
+        anchors = None
+        if self.numeric:
+            edge = np.count_nonzero(low)
+            top = (self._level(p[-1]), self.threshold(p[-1]))
+            anchors = (top if edge == n else edge and self._anchor(False),
+                       edge < n and self._anchor(True), top)
+        beta, share = dist._scan_points(p, low, anchors)
+        if share is not None:  # the thresholds are near the quantiles, not on them
+            g = lam * share
+            keep = (g > lo) & (g < hi) & ((g <= gp) == low)
+            keep[[0, -1]] = True
+            g[[0, -1]] = lo, hi
+            beta[0] = self.threshold(p[0])  # the hook's last threshold is the top's
+            g, first = np.unique(g[keep], return_index=True)
+            beta = beta[keep][first]
+        if g[0] == 0.0 or g[-1] == lam:
+            beta[(g == 0.0) | (g == lam)] = dist.support[1]
+        gap = beta * (delay_formula_array(cfg.d2, lam - g) - delay_formula_array(cfg.d1, g))
+        return g, gap, beta
+
+    def revenue_peaks(self, c: float, lo: float, hi: float, n: int) -> tuple:
+        """:func:`~qpk._solve.local_maxima_scan` of the revenue
+        (g1(gamma) + c) * gamma over [lo, hi] on an n-point scan: (best, peaks)
+        of (gamma, revenue, g1(gamma)) tuples. Each peak is refined as the
+        root of the revenue's derivative between its neighbouring samples,
+        and its revenue and g1 are read off the root."""
+        samples = []
+
+        def scan(lo, hi, n):
+            g, gap, beta = self.scan(lo, hi, n)
+            samples[:] = gap, beta
+            return g, (gap + c) * g
+        refine = self._refine_in_thresholds if self.numeric else self._refine_in_rates
+        return local_maxima_scan(scan, functools.partial(refine, c, samples), lo, hi, n)
+
+    def _refine_in_rates(self, c, samples, xs, fs, i, a, b):
+        g1, g1_slope = self.g1, self.g1_slope
+
+        def slope(g):  # h' = g1 + c + gamma g1'
+            v, s = g1_slope(g)
+            return v + c + g * s
+        x = derivative_root(slope, float(xs[a]), float(xs[b]))
+        if x is None:
+            x = float(xs[i])
+            return x, float(fs[i]), g1(x)
+        gap = g1(x)
+        return x, (gap + c) * x, gap
+
+    def _recorded(self, high: bool, value) -> tuple:
+        """(f, seen): f(beta) = value(beta, gamma1, delta) with (gamma1, delta)
+        the threshold's rate and delay gap on one branch, and the list of
+        (beta, gamma1, f(beta)) it has evaluated."""
+        at, seen = self._on_branch(high), []
+
+        def f(beta):
+            gamma, delta = at(beta)
+            v = value(beta, gamma, delta)
+            seen.append((beta, gamma, v))
+            return v
+        return f, seen
+
+    def _revenue_slope(self, c: float, high: bool):
+        """The revenue's derivative in beta on one branch, as a value of
+        (beta, gamma1, delta): h'(gamma1) dgamma1/dbeta with
+        h' = g1 + c + gamma1 g1' and dgamma1/dbeta = +-lam f(beta), one density
+        on top of the rate's cdf; it falls through 0 at a peak on either
+        branch."""
+        lam, dens, s1, s2 = self.lam, self._dens, self._s1, self._s2
+        rate = lam if high else -lam
+
+        def slope(beta, gamma, delta):
+            rest = lam - gamma
+            h = beta * delta + c - gamma * beta * (s2(rest) + s1(gamma))
+            return h * rate * dens(beta) + gamma * delta
+        return slope
+
+    def _refine_in_thresholds(self, c, samples, xs, fs, i, a, b):
+        gaps, betas = samples
+        gp = self.gp
+        high = bool(xs[b] > gp)
+        if bool(xs[a] > gp) == high:
+            lo, hi = sorted((float(betas[a]), float(betas[b])))
+        elif self._recorded(False, self._revenue_slope(c, False))[0](self._end(False)) > 0.0:
+            # h' < 0 just below gamma+: the root lies on the low branch
+            lo, hi, high = self._end(False), float(betas[a]), False
+        elif self._recorded(True, self._revenue_slope(c, True))[0](self._end(True)) > 0.0:
+            lo, hi = self._end(True), float(betas[b])  # h' > 0 just above
+        else:  # h' falls from + to - across the kink: the peak is gamma+
+            gap = self._end(False) * (self._d2(self.lam - gp) - self._d1(gp))
+            return gp, (gap + c) * gp, gap
+        slope, seen = self._recorded(high, self._revenue_slope(c, high))
+        beta = derivative_root(slope, lo, hi)
+        if beta is None:
+            return float(xs[i]), float(fs[i]), float(gaps[i])
+        beta, gamma = _read_root(seen, beta, 0.0)
+        gap = beta * (self._d2(self.lam - gamma) - self._d1(gamma))
+        return gamma, (gap + c) * gamma, gap
+
+
+def _read_root(seen: list, b: float, target: float) -> tuple:
+    """(beta, gamma1) at the root of a threshold-space search that returned
+    b, with ``seen`` the (beta, gamma1, value) of its evaluations: read off
+    linearly between b and the nearest threshold evaluated on the root's
+    other side. The search stops within a few ulps of beta, which can span
+    several ulps of the rate; this resolves the rate below them, as a
+    search in rate would."""
+    fb, gb = next((v - target, g) for x, g, v in seen if x == b)
+    across = [(abs(x - b), x, g, v - target) for x, g, v in seen
+              if (v - target > 0.0) != (fb > 0.0)]
+    if fb == 0.0 or not across:
+        return b, gb
+    _, c, gc, fc = min(across)
+    t = fb / (fb - fc)
+    return b + t * (c - b), gb + t * (gc - gb)
+
+
+def resolve(cfg: SystemConfig) -> Resolved:
+    """The point-solve maps of cfg for one public call (see :class:`Resolved`)."""
+    return Resolved(cfg)
 
 
 def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
@@ -134,7 +353,7 @@ def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
     The jump at gamma+ for non-identical servers is intentional and not
     smoothed.
     """
-    return resolve(cfg)[1](gamma1)
+    return resolve(cfg).beta1(gamma1)
 
 
 def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
@@ -143,12 +362,13 @@ def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
     Strictly decreasing, zero at the balanced load. At the domain
     endpoints an unbounded sensitivity law yields +/-inf.
     """
-    return resolve(cfg)[2](gamma1)
+    return resolve(cfg).g1(gamma1)
 
 
 def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int) -> tuple:
-    """(rates, g1 at them) at up to n increasing rates from exactly lo to
-    exactly hi, in one array pass: the grid scan of the optimizers.
+    """(rates, g1 at them, thresholds at them) at up to n increasing rates
+    from exactly lo to exactly hi, in one array pass: the grid scan of the
+    optimizers.
 
     Each rate of the n-point uniform grid maps to its level as in
     :func:`threshold_of_rate`, and the law's ``_scan_points`` returns a
@@ -158,28 +378,7 @@ def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int) -> tuple:
     and lam * F above, and drops if that leaves (lo, hi) or its branch;
     the ends take the scalar threshold, as point solves do.
     """
-    lam, dist = cfg.lam, cfg.dist
-    if not 0.0 <= lo < hi <= lam:  # NaN fails the check
-        raise DomainError(f"rates must satisfy 0 <= lo < hi <= {lam}, got [{lo}, {hi}]")
-    gp = balanced_load(cfg)
-    g = uniform_grid(lo, hi, n)
-    low = g <= gp
-    p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
-    if not dist.bounded:
-        np.clip(p, P_MIN, 1.0 - P_MIN, out=p)
-    beta, share = dist._scan_points(p, low)
-    if share is not None:  # the thresholds are near the quantiles, not on them
-        g = lam * share
-        keep = (g > lo) & (g < hi) & ((g <= gp) == low)
-        keep[[0, -1]] = True
-        g[[0, -1]] = lo, hi
-        beta[0] = resolve(cfg)[1](lo)  # the hook's last threshold is beta1(hi)
-        g, first = np.unique(g[keep], return_index=True)
-        beta = beta[keep][first]
-    if g[0] == 0.0 or g[-1] == lam:
-        beta[(g == 0.0) | (g == lam)] = dist.support[1]
-    beta *= delay_formula_array(cfg.d2, lam - g) - delay_formula_array(cfg.d1, g)
-    return g, beta
+    return resolve(cfg).scan(lo, hi, n)
 
 
 def price_gap_2(cfg: SystemConfig, gamma2: float) -> float:
@@ -200,7 +399,7 @@ def price_gap_1_deriv(cfg: SystemConfig, gamma1: float) -> float:
     """
     if not 0.0 < gamma1 < cfg.lam:
         raise DomainError(f"rate must lie in (0, {cfg.lam}), got {gamma1}")
-    return resolve(cfg)[3](gamma1)[1]
+    return resolve(cfg).g1_slope(gamma1)[1]
 
 
 def price_gap_2_deriv(cfg: SystemConfig, gamma2: float) -> float:
@@ -223,15 +422,11 @@ def check_price(name: str, c: float) -> None:
 
 
 def rate_cap_with_gap(cfg: SystemConfig, c2: float) -> tuple:
-    """(rate_cap_1(cfg, c2), g1, g1_slope): the cap and the bound maps of
-    :func:`resolve` it was found on."""
+    """(rate_cap_1(cfg, c2), g1): the cap and the g1 of :func:`resolve` it
+    was found with."""
     check_price("rival price", c2)
-    _, _, g1, g1_slope = resolve(cfg)
-    lo, hi = _root_bracket(cfg)
-    try:
-        return bisect_decreasing(g1, lo, hi, -c2), g1, g1_slope
-    except NoRootError:  # g1 stays above -c2 up to the bracket's top
-        return hi, g1, g1_slope
+    maps = resolve(cfg)
+    return maps.cap(c2), maps.g1
 
 
 def rate_cap_1(cfg: SystemConfig, c2: float) -> float:
@@ -258,7 +453,7 @@ def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
     if gamma1 in (0.0, cfg.lam) and not cfg.dist.bounded:
         raise DomainError(
             f"price diverges at rate {gamma1} for an unbounded sensitivity law")
-    cap, g1, _ = rate_cap_with_gap(cfg, c2)
+    cap, g1 = rate_cap_with_gap(cfg, c2)
     if not 0.0 <= gamma1 <= cap * (1.0 + 1e-12):
         raise DomainError(
             f"rate {gamma1} exceeds the rate cap {cap} (price would be negative)")
@@ -288,26 +483,18 @@ def solve_equilibrium(cfg: SystemConfig, prices: PriceVector) -> EquilibriumSpli
     With gap = c1 - c2: rates hit the boundary when the gap escapes
     [g1(lam), g1(0)] (bounded laws only); equal prices return the
     balanced load under the single-threshold convention; otherwise the
-    unique interior root of g1(gamma) = gap, located by
-    :func:`~qpk._solve.bisect_decreasing` to a few ulps.
+    unique interior root of g1(gamma) = gap on the branch the gap's sign
+    picks, located by :func:`~qpk._solve.bisect_decreasing` to a few ulps
+    (in threshold space for a law with a numerical quantile).
     """
     gap = prices.gap
     regime = (Regime.HIGH_BETA_TO_SERVER_1 if gap >= 0.0
               else Regime.HIGH_BETA_TO_SERVER_2)
-    gp, beta1, g1, _ = resolve(cfg)
+    maps = resolve(cfg)
     if gap == 0.0:
-        return EquilibriumSplit(gp, cfg.lam, beta1(gp), regime)
-    lo, hi = _root_bracket(cfg)
-    try:
-        gamma1 = bisect_decreasing(g1, lo, hi, gap)
-    except NoRootError:
-        # the gap escapes g1's range on the bracket: the rate is a boundary
-        # for a bounded law, and otherwise sits in the sub-P_MIN
-        # probability tail, clamped to the bracket's end
-        gamma1 = lo if gap > 0.0 else hi
-    if gamma1 == 0.0 or gamma1 == cfg.lam:
-        return EquilibriumSplit(gamma1, cfg.lam, cfg.dist.support[1], regime)
-    return EquilibriumSplit(gamma1, cfg.lam, beta1(gamma1), regime)
+        return EquilibriumSplit(maps.gp, cfg.lam, maps.beta1(maps.gp), regime)
+    gamma1, beta1 = maps.root(gap, gap < 0.0)
+    return EquilibriumSplit(gamma1, cfg.lam, beta1, regime)
 
 
 def kernel_choice(cfg: SystemConfig, split: EquilibriumSplit, beta: float) -> int:

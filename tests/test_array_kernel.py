@@ -17,12 +17,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform,
+from qpk import (DelayModel, Exponential, Gamma, Power, PriceVector, SystemConfig, Uniform,
                  balanced_load, best_response, optimize_monopoly, rate_cap_1,
-                 rate_cap_2, revenue_curve)
-from qpk import _special, estimation, models, wardrop
+                 rate_cap_2, revenue_curve, solve_equilibrium)
+from qpk import _solve, _special, estimation, models, wardrop
 from conftest import FIXTURES
-from qpk._solve import bisect_decreasing, grid_argmax, local_maxima_scan, uniform_grid
+from qpk._solve import (bisect_decreasing, derivative_root, grid_argmax, local_maxima_scan,
+                        uniform_grid)
 from qpk.models import P_MIN
 
 RTOL = 1e-13
@@ -37,6 +38,18 @@ SCAN_CONFIGS = ["ex1_uniform", "ex1_expo", "ex1_gamma", "ex2_uniform", "ex2_expo
 
 def _scalar(fn, xs):
     return np.array([fn(float(x)) for x in xs])
+
+
+def _scan_points(k, p, low):
+    """gamma_scan_points anchored at scalar inverses at the levels next to
+    the branch end: the last low level, the first upper one, and the top."""
+    n, edge = p.size, np.count_nonzero(low)
+
+    def at(i):
+        return float(p[i]), _special.gamma_p_inverse(k, float(p[i]))
+    return _special.gamma_scan_points(
+        k, p, low, (at(n - 1) if edge == n else edge and at(edge - 1),
+                    edge < n and at(edge), at(n - 1)))
 
 
 def _on_grid(f):
@@ -64,7 +77,7 @@ def test_quantile_array_matches_scalar(dist):
     if not isinstance(dist, Gamma):
         p = np.concatenate([[P_MIN, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - P_MIN],
                             np.linspace(0.01, 0.99, 99)])
-        beta, share = dist._scan_points(p, p < 0.5)
+        beta, share = dist._scan_points(p, p < 0.5, None)
         assert share is None
         np.testing.assert_allclose(beta, _scalar(lambda q: models.quantile(dist, q), p),
                                    rtol=RTOL, atol=0.0)
@@ -78,7 +91,12 @@ def test_quantile_array_matches_scalar(dist):
     for gp in (P_MIN, 0.05, 0.4, 0.95, 1.0):
         low = g <= gp
         p = np.clip(np.where(low, 1.0 - g, g), P_MIN, 1.0 - P_MIN)
-        beta, share = dist._scan_points(p, low)
+        # the anchors a scan gets: the scalar quantiles at gamma+ and the top
+        at = [(q, models.quantile(dist, q)) for q in (min(1.0 - gp, 1.0 - P_MIN),
+                                                     min(gp, 1.0 - P_MIN), float(p[-1]))]
+        edge = np.count_nonzero(low)
+        beta, share = dist._scan_points(
+            p, low, (at[2] if edge == p.size else edge and at[0], edge < p.size and at[1], at[2]))
         assert beta.shape == share.shape == p.shape
         level = _scalar(lambda b: models.cdf(dist, b), beta)
         np.testing.assert_allclose(share[~low], level[~low], rtol=1e-14, atol=0.0)
@@ -119,13 +137,14 @@ def _assert_is_scalar_g1(cfg, xs, got):
 
     A closed-form law's scan runs the scalar arithmetic, to RTOL of the
     curve's size. A gamma law's scalar threshold solves F(beta) = p only
-    to the inverse's stop, |F - p| < 1e-13 p, which is absolute in 1 - p
-    near p = 1, and p carries the rounding of the rate it is read off;
-    through the density that level error is a threshold error, which the
-    check allows on top of 1e-12 relative.
+    to the inverse's stop, |F - p| < 1e-13 p, or for p > 0.5
+    |(1 - F) - (1 - p)| < 1e-13 (1 - p), and p carries the rounding of the
+    rate it is read off; through the density that level error is a
+    threshold error, which the check allows on top of 1e-12 relative.
     """
-    gp, beta1, g1, _ = wardrop.resolve(cfg)  # price_gap_1 and threshold_of_rate
-    want = _scalar(g1, xs)
+    maps = wardrop.resolve(cfg)  # price_gap_1 and threshold_of_rate
+    gp, beta1 = maps.gp, maps.beta1
+    want = _scalar(maps.g1, xs)
     if not isinstance(cfg.dist, Gamma):
         _assert_matches(got, want)
         return
@@ -135,7 +154,7 @@ def _assert_is_scalar_g1(cfg, xs, got):
     density = _scalar(lambda b: models.density(cfg.dist, b), beta)
     delay_gap = (models.delay_formula_array(cfg.d2, lam - xs)
                  - models.delay_formula_array(cfg.d1, xs))
-    stop = (1e-13 * p + 4.0 * np.finfo(float).eps) / density * np.abs(delay_gap)
+    stop = (1e-13 * np.minimum(p, 1.0 - p) + 4.0 * np.finfo(float).eps) / density * np.abs(delay_gap)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + stop)
 
 
@@ -152,7 +171,7 @@ def test_price_gaps_array_match_scalar(name, request):
     cfg = request.getfixturevalue(name)
     for own in (cfg, cfg.swapped()):
         for lo, hi in _scan_ranges(own):
-            xs, got = wardrop.price_gap_1_array(own, lo, hi, 301)
+            xs, got, _ = wardrop.price_gap_1_array(own, lo, hi, 301)
             _assert_is_scalar_g1(own, xs, got)
 
 
@@ -162,16 +181,16 @@ def test_price_gap_1_array_tie_takes_the_low_branch(fig_threshold):
     # as the scalar function does
     cfg = fig_threshold
     gp, g_tie = balanced_load(cfg), wardrop.price_gap_1(cfg, balanced_load(cfg))
-    xs, got = wardrop.price_gap_1_array(cfg, cfg.lam * P_MIN, gp, 9)
+    xs, got, _ = wardrop.price_gap_1_array(cfg, cfg.lam * P_MIN, gp, 9)
     assert (xs[-1], got[-1]) == (gp, g_tie)
-    xs, got = wardrop.price_gap_1_array(cfg, gp, 2.5, 9)
+    xs, got, _ = wardrop.price_gap_1_array(cfg, gp, 2.5, 9)
     assert (xs[0], got[0]) == (gp, g_tie)
 
 
 def test_price_gaps_array_at_bounded_endpoints(ex1_uniform):
     cfg = ex1_uniform
     for own, scalar in ((cfg, wardrop.price_gap_1), (cfg.swapped(), wardrop.price_gap_2)):
-        xs, got = wardrop.price_gap_1_array(own, 0.0, cfg.lam, 5)
+        xs, got, _ = wardrop.price_gap_1_array(own, 0.0, cfg.lam, 5)
         ends = np.array([xs[0], xs[-1]])
         np.testing.assert_array_equal(ends, [0.0, cfg.lam])
         np.testing.assert_allclose([got[0], got[-1]], _scalar(lambda x: scalar(cfg, x), ends),
@@ -185,7 +204,7 @@ def test_price_gaps_array_at_unbounded_endpoints(ex1_expo):
     for own in (cfg, cfg.swapped()):
         assert (wardrop.price_gap_1(own, 0.0), wardrop.price_gap_1(own, cfg.lam)) == (np.inf, -np.inf)
         for lo, hi in ((0.0, cfg.lam), (0.0, 1.0), (1.0, cfg.lam)):
-            _, got = wardrop.price_gap_1_array(own, lo, hi, 5)
+            _, got, _ = wardrop.price_gap_1_array(own, lo, hi, 5)
             assert (got[0], got[-1]) == (wardrop.price_gap_1(own, lo),
                                          wardrop.price_gap_1(own, hi))
 
@@ -220,6 +239,32 @@ def test_gamma_p_inverse_matches_scipy(k):
     np.testing.assert_allclose(sp.gammainc(k, x), p, rtol=0.0, atol=2e-13)
 
 
+def test_gamma_p_inverses_are_relative_in_the_upper_tail():
+    # above p = 0.5 the inverse solves Q(x) = 1 - p with a stop relative in
+    # 1 - p; with a stop on P(x) - p, absolute there, Q was up to 6% off
+    sp = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20261019)
+    k = np.exp(rng.uniform(math.log(0.13), math.log(1e3), 300))
+    q = np.exp(rng.uniform(math.log(1e-12), math.log(1e-3), 300))
+    p = 1.0 - q
+    x = np.array([_special.gamma_p_inverse(float(a), float(b)) for a, b in zip(k, p)])
+    np.testing.assert_allclose(sp.gammaincc(k, x), 1.0 - p, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [0.05, 0.3, 1.0, 2.0, 7.5, 30.0, 300.0, 3e3])
+def test_gamma_q_is_relative_in_the_upper_tail(k):
+    # down to 1e-300, where 1 - P would be all rounding, and through the
+    # switch to the continued fraction at max(k, 1); the reference is
+    # mpmath, as scipy's gammaincc is 2.6e-13 off at k = 300, x = 799
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    for x in np.concatenate([[max(k, 1.0), k + 1.0], k * np.geomspace(1e-3, 40.0, 120)]):
+        want = mp.gammainc(k, float(x), mp.inf, regularized=True)
+        if want > 1e-300:
+            assert abs(_special.gamma_q(k, float(x)) / want - 1) < 2e-13, x
+
+
 @pytest.mark.parametrize("k", [0.3, 0.7, 1.0, 2.0, 4.0, 10.0, 100.0])
 def test_gamma_p_inverses_are_relative_in_the_lower_tail(k):
     # at k = 4, p = 1e-12 an absolute stop on |P(x) - p| left P 3.2% off
@@ -250,7 +295,7 @@ def test_gamma_pq_array_p_is_the_scalar_up_to_its_front_factor():
         assert np.all(rel <= 2.0 * np.finfo(float).eps * (1.0 + k * np.abs(np.log(x))))
         worst[k] = rel.max()
     assert max(worst[k] for k in (0.2, 0.8, 2.0, 5.0, 30.0)) < 1e-15
-    assert worst[300.0] < 3e-13
+    assert worst[300.0] < 1e-13
 
 
 def test_gamma_array_functions_keep_shape_and_check_domain():
@@ -278,7 +323,7 @@ def _scan(own, c):
     """The revenue scan of best_response at rival price c (c = 0 is the
     monopoly's h)."""
     def scan(lo, hi, n):
-        xs, g = wardrop.price_gap_1_array(own, lo, hi, n)
+        xs, g, _ = wardrop.price_gap_1_array(own, lo, hi, n)
         return xs, (g + c) * xs
     return scan
 
@@ -325,7 +370,7 @@ def test_gamma_scan_covers_its_range_on_exact_pairs(k, delays):
     cfg = _gamma_config(k, delays)
     lo, n = cfg.lam * P_MIN, 4096
     for hi in (balanced_load(cfg), rate_cap_1(cfg, 1.0) * (1.0 - P_MIN)):
-        xs, got = wardrop.price_gap_1_array(cfg, lo, hi, n)
+        xs, got, _ = wardrop.price_gap_1_array(cfg, lo, hi, n)
         assert (xs[0], xs[-1]) == (lo, hi)
         spacing = np.diff(xs)
         assert np.all(spacing > 0.0)
@@ -342,7 +387,7 @@ def test_small_gamma_shapes_scan_in_order(k):
     cfg = _gamma_config(k, "mm1")
     lo = cfg.lam * P_MIN
     for hi in (balanced_load(cfg), rate_cap_1(cfg, 1.0) * (1.0 - P_MIN)):
-        xs, got = wardrop.price_gap_1_array(cfg, lo, hi, 4096)
+        xs, got, _ = wardrop.price_gap_1_array(cfg, lo, hi, 4096)
         assert (xs[0], xs[-1]) == (lo, hi)
         assert np.all(np.diff(xs) > 0.0) and np.all(np.isfinite(got))
     res = optimize_monopoly(cfg, 1.0)
@@ -391,12 +436,20 @@ def _bumps(h1, h2):
     return f, df
 
 
+def _refine(f, df):
+    """local_maxima_scan's refine for a scalar objective f with derivative df."""
+    def refine(xs, fs, i, a, b):
+        x = derivative_root(df, float(xs[a]), float(xs[b]))
+        return (float(xs[i]), float(fs[i])) if x is None else (x, f(x))
+    return refine
+
+
 def test_local_maxima_scan_returns_the_higher_refined_peak():
     # the best grid point is the bump at 0.3, but refined, the bump at
     # 0.75 is higher: the scan must refine both and return the latter
     f, df = _bumps(1.0, 1.05)
     assert grid_argmax(_on_grid(f), 0.0, 1.0, 11)[2] == 3
-    (x, fx), peaks = local_maxima_scan(_on_grid(f), f, df, 0.0, 1.0, 11)
+    (x, fx), peaks = local_maxima_scan(_on_grid(f), _refine(f, df), 0.0, 1.0, 11)
     assert len(peaks) == 2
     assert x == pytest.approx(0.75, abs=1e-8)
     assert fx == pytest.approx(1.05, rel=1e-12)
@@ -404,7 +457,7 @@ def test_local_maxima_scan_returns_the_higher_refined_peak():
 
 def test_local_maxima_scan_ties_go_to_the_smaller_argument():
     f, df = _bumps(1.0, 1.0 + 1e-10)
-    (x, _), peaks = local_maxima_scan(_on_grid(f), f, df, 0.0, 1.0, 11)
+    (x, _), peaks = local_maxima_scan(_on_grid(f), _refine(f, df), 0.0, 1.0, 11)
     assert len(peaks) == 2
     assert x == pytest.approx(0.3, abs=1e-8)
 
@@ -417,7 +470,7 @@ def test_price_gap_scan_ends_are_the_scalar_g1(dist):
     gp = balanced_load(cfg)
     for lo, hi in ((0.0, 0.5), (0.5, gp), (gp, 2.5), (2.5, cfg.lam), (0.0, cfg.lam)):
         for n in (2, 17):
-            xs, got = wardrop.price_gap_1_array(cfg, lo, hi, n)
+            xs, got, _ = wardrop.price_gap_1_array(cfg, lo, hi, n)
             assert (xs[0], xs[-1]) == (lo, hi)
             for x, g in ((lo, got[0]), (hi, got[-1])):
                 assert g == pytest.approx(wardrop.price_gap_1(cfg, x), rel=GAMMA_RTOL, abs=1e-15)
@@ -486,7 +539,7 @@ def test_gamma_scalar_handoff_keeps_every_bit(k, monkeypatch):
     xs = [k * rng.exponential(1.0, 3000), rng.uniform(0.0, 4.0 * k + 6.0, 3000)]
 
     def run():
-        return ([v for p, low in scans for v in _special.gamma_scan_points(k, p, low)]
+        return ([v for p, low in scans for v in _scan_points(k, p, low)]
                 + [v for x in xs for v in _special.gamma_pq_array(k, x)])
     handed_off = run()
     monkeypatch.setattr(_special, "_HANDOFF", 0)
@@ -502,10 +555,10 @@ def test_price_gap_array_is_the_scalar_g1_on_uniform_laws(name, request):
     if not isinstance(cfg.dist, Uniform):
         cfg = replace(cfg, dist=Uniform(2.0, 6.0))
     for own in (cfg, cfg.swapped()):
-        g1 = wardrop.resolve(own)[2]
+        g1 = wardrop.resolve(own).g1
         lo = own.lam * P_MIN
         for hi in (balanced_load(own), rate_cap_1(own, 1.5) * (1.0 - P_MIN)):
-            xs, got = wardrop.price_gap_1_array(own, lo, hi, 4096)
+            xs, got, _ = wardrop.price_gap_1_array(own, lo, hi, 4096)
             np.testing.assert_array_equal(_bits(xs), _bits(uniform_grid(lo, hi, 4096)))
             np.testing.assert_array_equal(_bits(got), _bits([g1(x) for x in xs.tolist()]))
 
@@ -559,6 +612,40 @@ def test_gamma_inverses_evaluate_p_few_times_per_quantile(ex1_gamma, monkeypatch
     assert counts["gamma_p"] <= 4 * counts["gamma_p_inverse"]
 
 
+def test_gamma_point_solves_invert_only_their_bracket_ends(ex1_gamma, monkeypatch):
+    # a point solve steps in the threshold, reading rates off the cdf, and
+    # inverts only the ends of its brackets: once at gamma+ on its branch
+    # and once at level 1 - P_MIN, each once per call; a best response
+    # also inverts its scan's top and gamma+ on the other branch. Stepping
+    # in rate made 10 inversions per monopoly, 23-24 per best response and
+    # 12-16 per equilibrium, nearly all inside root searches.
+    calls, searching = [], []
+    inverse = _special.gamma_p_inverse
+
+    def counted(k, p):
+        calls.append(bool(searching))
+        return inverse(k, p)
+    monkeypatch.setattr(_special, "gamma_p_inverse", counted)
+    for module in (wardrop, _solve):
+        def search(*args, _search=module.bisect_decreasing, **kwargs):
+            searching.append(None)
+            try:
+                return _search(*args, **kwargs)
+            finally:
+                searching.pop()
+        monkeypatch.setattr(module, "bisect_decreasing", search)
+    cfg = ex1_gamma
+    for solve, most in ((lambda: optimize_monopoly(cfg, 1.0), 2),
+                        (lambda: best_response(cfg, 1, 1.0), 6),
+                        (lambda: best_response(cfg, 2, 1.0), 6),
+                        *((lambda c=c: solve_equilibrium(cfg, PriceVector(*c)), 2)
+                          for c in ((3.0, 1.0), (0.5, 2.0), (2.0, 1.0), (1.0, 1.5)))):
+        calls.clear()
+        balanced_load.cache_clear()
+        solve()
+        assert 0 < len(calls) <= most and not any(calls)
+
+
 class _Timeout(Exception):
     pass
 
@@ -588,7 +675,7 @@ def test_gamma_inverses_finish_at_extreme_shapes_and_tails():
     low = np.arange(ps.size) < 3  # both tails on both branches
     with _wall_bound(20):
         for k in (1e-3, 0.01, 0.1, 1.0, 100.0, 1e4):
-            for x in (_special.gamma_scan_points(k, ps, low)[0],
+            for x in (_scan_points(k, ps, low)[0],
                       _scalar(lambda q: _special.gamma_p_inverse(k, q), ps)):
                 assert np.all(np.isfinite(x) & (x > 0.0)), (k, x)
         # from a start near 1e21 the flat upper tail must be bisected, not

@@ -36,13 +36,13 @@ PINNED = {
         '0x1.6af6245c6bc12p+1', '0x1.49ad07cb854a8p-1',
     ),
     'ex1_gamma': (
-        '0x1.5b2d96cb65b2cp+0', '0x1.cd72e22a44e1ap+0', '0x1.03fb5d97da643p+1',
-        '0x1.5b2d96cb65b2cp+0', '0x1.d6272b680adb8p+1', '0x1.68fab90534987p-1',
-        '0x1.6376ca6eadc27p+2', '0x1.f66c5176614a9p+0', '0x1.1e3fd70eefeb2p+2',
-        '0x1.0290d8bba577dp-1', '0x1.022325f0949d7p+2', '0x1.220aa22ee122cp+2',
-        '0x1.59a0f715af719p-1', '0x1.9178a0837d0c4p+1', '0x1.0f03ff99754dap+1',
-        '0x1.59a0f715af719p-1', '0x1.878f9c7927750p-1', '0x1.cbc7553f13755p+1',
-        '0x1.5f9fb049827dap+1', '0x1.878f9c7927750p-1',
+        '0x1.5b2d96cb65b2cp+0', '0x1.cd72e22a44e19p+0', '0x1.03fb5d97da643p+1',
+        '0x1.5b2d96cb65b2cp+0', '0x1.d6272b680adb8p+1', '0x1.68fab90534989p-1',
+        '0x1.6376ca6eadc29p+2', '0x1.f66c5176614c0p+0', '0x1.1e3fd70eefe89p+2',
+        '0x1.0290d8bba577dp-1', '0x1.022325f0949d8p+2', '0x1.220aa22ee122cp+2',
+        '0x1.59a0f715af718p-1', '0x1.9178a0837d0c4p+1', '0x1.0f03ff99754d9p+1',
+        '0x1.59a0f715af718p-1', '0x1.878f9c7927751p-1', '0x1.cbc7553f13753p+1',
+        '0x1.5f9fb049827dap+1', '0x1.878f9c7927751p-1',
     ),
     'ex2_uniform': (
         '0x1.2666666666666p+0', '0x1.aa7defe8d6477p+0', '0x1.24ee1a68d61f9p+1',
@@ -64,12 +64,12 @@ PINNED = {
     ),
     'ex2_gamma': (
         '0x1.2666666666666p+0', '0x1.b647e71221319p+0', '0x1.215a378eed773p+1',
-        '0x1.2666666666666p+0', '0x1.0af4c51643c30p+2', '0x1.0043650f3b143p-1',
-        '0x1.9dee8345e7e3cp+2', '0x1.e00db71c7d4f2p+0', '0x1.0f249ccbb07c3p+2',
-        '0x1.873bf905454c0p-2', '0x1.dd58fa2a067c8p+1', '0x1.02bc97ad52870p+2',
-        '0x1.2ba2c18018f13p-1', '0x1.4b6d16cfa31dep+1', '0x1.83eb1f3007f19p+0',
-        '0x1.2ba2c18018f13p-1', '0x1.ac82f87c0f610p-2', '0x1.16d57ec290530p+3',
-        '0x1.d2bb96fd9b0e2p+1', '0x1.ac82f87c0f610p-2',
+        '0x1.2666666666666p+0', '0x1.0af4c51643c2fp+2', '0x1.0043650f3b144p-1',
+        '0x1.9dee8345e7e3cp+2', '0x1.e00db71c7d4f3p+0', '0x1.0f249ccbb07c3p+2',
+        '0x1.873bf905454c1p-2', '0x1.dd58fa2a067c7p+1', '0x1.02bc97ad52870p+2',
+        '0x1.2ba2c18018f13p-1', '0x1.4b6d16cfa31e0p+1', '0x1.83eb1f3007f1bp+0',
+        '0x1.2ba2c18018f13p-1', '0x1.ac82f87c0f613p-2', '0x1.16d57ec290530p+3',
+        '0x1.d2bb96fd9b0e5p+1', '0x1.ac82f87c0f613p-2',
     ),
     'ex3': (
         '0x1.8000000000000p+0', '0x1.efbdeb14f4edap+0', '0x1.efbdeb14f4edap+0',

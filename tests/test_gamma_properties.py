@@ -71,7 +71,7 @@ def test_gamma_scans_are_ordered_even_and_exact(k, delays, c, n):
     lo = cfg.lam * P_MIN
     for own in (cfg, cfg.swapped()):
         for hi in (balanced_load(own), rate_cap_1(own, c) * (1.0 - P_MIN)):
-            xs, got = price_gap_1_array(own, lo, hi, n)
+            xs, got, _ = price_gap_1_array(own, lo, hi, n)
             assert (xs[0], xs[-1]) == (lo, hi)
             spacing = np.diff(xs)
             assert np.all(spacing > 0.0)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from conftest import FIXTURES
-from qpk import (DelayModel, Exponential, NoRootError, PriceVector, SystemConfig,
+from qpk import (DelayModel, Exponential, Gamma, NoRootError, PriceVector, SystemConfig,
                  balanced_load, best_response, optimize_monopoly, solve_equilibrium)
 from qpk import _solve, wardrop
 from qpk._solve import bisect_decreasing
@@ -112,6 +112,19 @@ def test_a_best_response_at_the_kink_returns_the_balanced_load():
                        Exponential(7.1936))
     gp = balanced_load(cfg.swapped())
     assert gp == pytest.approx(0.9872, rel=1e-12)
+    br = best_response(cfg, 2, 6.0)
+    assert abs(br.gamma_star - gp) <= 4 * math.ulp(gp)
+    assert abs(br.price_star - 6.0) <= 4 * math.ulp(6.0)
+
+
+def test_a_gamma_best_response_at_the_kink_returns_the_balanced_load():
+    # the same servers with the same law written as a gamma of shape 1,
+    # whose best response refines in the threshold: the neighbours of the
+    # peak sample lie on either branch, and the refinement reads the
+    # derivative's jump at gamma+ off both branches' thresholds there
+    cfg = SystemConfig(1.2543, DelayModel.mm1(1.7480), DelayModel.mm1(2.4681),
+                       Gamma(1.0, 7.1936))
+    gp = balanced_load(cfg.swapped())
     br = best_response(cfg, 2, 6.0)
     assert abs(br.gamma_star - gp) <= 4 * math.ulp(gp)
     assert abs(br.price_star - 6.0) <= 4 * math.ulp(6.0)

@@ -282,7 +282,8 @@ def test_server_2_errors_name_no_server_1_argument(ex1_uniform):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_resolved_maps_are_the_point_functions(name, request):
     cfg = request.getfixturevalue(name)
-    gp, beta1, g1, g1_slope = wardrop.resolve(cfg)
+    maps = wardrop.resolve(cfg)
+    gp, beta1, g1, g1_slope = maps.gp, maps.beta1, maps.g1, maps.g1_slope
     assert gp == balanced_load(cfg)
     for g in (0.0, cfg.lam * 1e-12, 0.3 * gp, gp, 0.5 * (gp + cfg.lam), cfg.lam):
         assert beta1(g) == threshold_of_rate(cfg, g)
@@ -415,6 +416,27 @@ def test_rate_matches_tail_mass(ex1_uniform, ex1_gamma):
         split = solve_equilibrium(cfg, pv)
         assert split.gamma1 == pytest.approx(
             cfg.lam * (1.0 - cdf(cfg.dist, split.beta1)), abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["ex1_gamma", "ex2_gamma"])
+def test_gamma_splits_are_the_rates_of_their_thresholds(name, request):
+    # an equilibrium on a gamma law reads its rate off its own threshold,
+    # lam * (1 - F(beta1)) up to gamma+ and lam * F(beta1) above; a
+    # threshold inverted from the rate with a stop absolute in 1 - p was
+    # 9.3e-11 off at the rate 2.8e-4 on ex2 Gamma(2, 2)
+    pytest.importorskip("mpmath")
+    import reference_mp as ref
+    cfg = request.getfixturevalue(name)
+    rng = random.Random(20261019)
+    prices = [PriceVector(rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)) for _ in range(24)]
+    prices.append(PriceVector(1.0 + price_gap_1(cfg, 2.8e-4), 1.0))
+    gp = balanced_load(cfg)
+    for pv in prices:
+        split = solve_equilibrium(cfg, pv)
+        level = ref.cdf(cfg.dist, ref.mp.mpf(split.beta1))
+        want = cfg.lam * (1 - level if split.gamma1 <= gp else level)
+        assert abs(want - split.gamma1) <= 1e-13 * split.gamma1, pv
+    assert split.gamma1 == pytest.approx(2.8e-4, rel=1e-9)
 
 
 def test_indifference_identity_at_interior_threshold():
