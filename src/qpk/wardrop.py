@@ -300,16 +300,21 @@ class Resolved:
             return h * rate * dens(beta) + gamma * delta
         return slope
 
+    def _revenue_slope_at_gp(self, c: float, high: bool) -> float:
+        """:meth:`_revenue_slope` at a branch's threshold at gamma+."""
+        beta = self._end(high)
+        return self._revenue_slope(c, high)(beta, *self._on_branch(high)(beta))
+
     def _refine_in_thresholds(self, c, samples, xs, fs, i, a, b):
         gaps, betas = samples
         gp = self.gp
         high = bool(xs[b] > gp)
         if bool(xs[a] > gp) == high:
             lo, hi = sorted((float(betas[a]), float(betas[b])))
-        elif self._recorded(False, self._revenue_slope(c, False))[0](self._end(False)) > 0.0:
+        elif self._revenue_slope_at_gp(c, False) > 0.0:
             # h' < 0 just below gamma+: the root lies on the low branch
             lo, hi, high = self._end(False), float(betas[a]), False
-        elif self._recorded(True, self._revenue_slope(c, True))[0](self._end(True)) > 0.0:
+        elif self._revenue_slope_at_gp(c, True) > 0.0:
             lo, hi = self._end(True), float(betas[b])  # h' > 0 just above
         else:  # h' falls from + to - across the kink: the peak is gamma+
             gap = self._end(False) * (self._d2(self.lam - gp) - self._d1(gp))
