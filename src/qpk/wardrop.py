@@ -241,7 +241,8 @@ class Resolved:
             beta = beta[keep][first]
         if g[0] == 0.0 or g[-1] == lam:
             beta[(g == 0.0) | (g == lam)] = dist.support[1]
-        gap = beta * (delay_formula_array(cfg.d2, lam - g) - delay_formula_array(cfg.d1, g))
+        gap = delay_formula_array(cfg.d2, lam - g) - delay_formula_array(cfg.d1, g)
+        gap *= beta
         return g, gap, beta
 
     def revenue_peaks(self, c: float, lo: float, hi: float, n: int) -> tuple:
