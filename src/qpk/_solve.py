@@ -122,6 +122,18 @@ def derivative_root(df, lo: float, hi: float):
         return None
 
 
+def root_refine(f, df):
+    """The refine of :func:`local_maxima_scan` that searches the scan's own
+    variable: the root of df, f's derivative, between a peak's neighbours,
+    as (x, f(x)); where df keeps its sign there the sample stays."""
+    def refine(xs, fs, i, a, b):
+        x = derivative_root(df, float(xs[a]), float(xs[b]))
+        if x is None:
+            return float(xs[i]), float(fs[i])
+        return x, f(x)
+    return refine
+
+
 def local_maxima_scan(scan, refine, lo: float, hi: float, n: int):
     """Scan an objective over [lo, hi] and refine every local maximum of
     the samples between its neighbouring samples.
@@ -130,8 +142,8 @@ def local_maxima_scan(scan, refine, lo: float, hi: float, n: int):
     whose samples need not be evenly spaced. For a peak at sample i,
     refine(xs, fs, i, a, b) returns the refined peak as a tuple
     (x, f(x), ...), its first two entries the point and the value, found
-    between samples a and b, its neighbours, typically with
-    :func:`derivative_root`; where the derivative keeps its sign there the
+    between samples a and b, its neighbours, as :func:`root_refine` does;
+    where the derivative keeps its sign there the
     maximum lies on the edge of [lo, hi], and the sample stays. The end
     samples count as local maxima when the function falls away from them,
     and refined peaks that land on the same point merge. Returns

@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._solve import DEFAULT_GRID, check_grid_size
+from ._solve import DEFAULT_GRID, check_grid_size, local_maxima_scan, root_refine
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig
-from .wardrop import PriceVector, balanced_load, check_price, price_gap_1_deriv, resolve
+from .wardrop import (PriceVector, Thresholds, balanced_load, check_price, price_gap_1_array,
+                      price_gap_1_deriv, rate_cap_with_gap)
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,9 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
 
     Scans (g_j(gamma) + other_price) * gamma on a dense grid of
     (0, rate_cap_j) in one array pass, refines every local maximum as the
-    root of its derivative g_j + other_price + gamma*g_j' (in threshold
-    space on a gamma law, see wardrop.Resolved), and takes the best;
-    equal-revenue ties go to the smaller rate. At
+    root of its derivative g_j + other_price + gamma*g_j' on the scalar
+    g_j (in the threshold on a gamma law, see wardrop.Thresholds), and
+    takes the best; equal-revenue ties go to the smaller rate. At
     the kink of g_j at server j's balanced load the derivative jumps, and
     a maximum there is found as that jump. All stationary candidates are
     reported so multimodal cases are auditable.
@@ -60,17 +61,34 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     check_grid_size(grid_size)
 
     # server 2's problem is server 1's on the swapped system
-    maps = resolve(cfg if server == 1 else cfg.swapped())
-    cap = maps.cap(other_price)
-    (g_star, r_star, gap), candidates = maps.revenue_peaks(
-        other_price, cfg.lam * P_MIN, cap * (1.0 - P_MIN), grid_size)
+    own = cfg if server == 1 else cfg.swapped()
+    lo = cfg.lam * P_MIN
+    if own.dist.numeric_quantile:
+        solves = Thresholds(own)
+        cap = solves.root(-other_price, True)[0]
+        (g_star, r_star, gap), candidates = solves.revenue_peaks(
+            other_price, lo, cap * (1.0 - P_MIN), grid_size)
+        return BestResponse(server, other_price, g_star, gap + other_price, r_star,
+                            tuple(g for g, _, _ in candidates))
+    cap, g1, g1_slope = rate_cap_with_gap(own, other_price)
+
+    def r_scan(lo, hi, n):
+        xs, g, _ = price_gap_1_array(own, lo, hi, n)
+        return xs, (g + other_price) * xs
+
+    def dr(g):
+        v, s = g1_slope(g)
+        return v + other_price + g * s
+    (g_star, r_star), candidates = local_maxima_scan(
+        r_scan, root_refine(lambda g: (g1(g) + other_price) * g, dr), lo,
+        cap * (1.0 - P_MIN), grid_size)
     return BestResponse(
         server=server,
         given_price=other_price,
         gamma_star=g_star,
-        price_star=gap + other_price,
+        price_star=g1(g_star) + other_price,
         revenue_star=r_star,
-        stationary_points=tuple(g for g, _, _ in candidates),
+        stationary_points=tuple(g for g, _ in candidates),
     )
 
 

@@ -125,12 +125,13 @@ class SensitivityDistribution:
     serves as is wherever the scalar quantile is plain arithmetic.
 
     A law whose quantile is a numerical inverse sets ``numeric_quantile``
-    and implements ``_sf`` = 1 - F. Its scan returns shares, and gets as
-    ``anchors`` (level, threshold) pairs of scalar quantiles: the low
+    and implements ``_sf`` = 1 - F. Its scan must return shares, and gets
+    as ``anchors`` (level, threshold) pairs of scalar quantiles: the low
     branch's end at gamma+ (the top, if every level is low), the upper
-    branch's start at gamma+ and the top, its last level, which is its last
-    threshold; a pair for a branch with no levels is None. Its point solves
-    run in threshold space (``wardrop.resolve``).
+    branch's start at gamma+ and the top, its last level; a pair for a
+    branch with no levels is None. The scan's ends take the scalar
+    thresholds, and its point solves run in threshold space
+    (``wardrop.Thresholds``). Other laws get None.
     """
 
     family: ClassVar[str]
@@ -273,7 +274,7 @@ class Gamma(SensitivityDistribution):
         # no inversion: points placed in closed form, and the rates they give
         theta = self.theta
         x, share = _special.gamma_scan_points(
-            self.k, p, low, tuple(a and (a[0], a[1] / theta) for a in anchors))
+            self.k, p, low, tuple(None if a is None else (a[0], a[1] / theta) for a in anchors))
         return x * theta, share
 
     def _density(self, x):
@@ -350,7 +351,7 @@ def quantile(dist: SensitivityDistribution, p: float) -> float:
     of ``wardrop.resolve`` apply the same clamp past their own rate check,
     and grid scans to the levels they sample (``wardrop.price_gap_1_array``).
     The gamma family's point solves invert only the ends of their brackets
-    and read each rate off its threshold (``wardrop.Resolved``).
+    and read each rate off its threshold (``wardrop.Thresholds``).
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"quantile probability must lie in [0, 1], got {p}")

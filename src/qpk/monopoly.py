@@ -5,15 +5,17 @@ solver maximizes h(gamma) = g1(gamma)*gamma over [0, gamma+], which is
 where any revenue-improving rate must lie. The grid scan evaluates h on
 the whole grid in one array pass (price_gap_1_array); each grid peak is
 refined as a root of h' = g1 + gamma*g1', and the reported price read
-off the root, all by wardrop.resolve (in threshold space on a gamma law).
+off the scalar g1, both from wardrop.resolve; on a law with a numerical
+quantile (gamma) the refinement and the price run in the threshold, by
+wardrop.Thresholds.
 """
 
 from dataclasses import dataclass
 
-from ._solve import DEFAULT_GRID, check_grid_size
+from ._solve import DEFAULT_GRID, check_grid_size, local_maxima_scan, root_refine
 from .errors import DomainError
 from .models import P_MIN, SystemConfig
-from .wardrop import balanced_load, check_price, price_gap_1_array, resolve
+from .wardrop import Thresholds, balanced_load, check_price, price_gap_1_array, resolve
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,29 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
     """
     check_price("c2", c2)
     check_grid_size(grid_size)
-    maps = resolve(cfg)
-    (g_star, h_star, gap), _ = maps.revenue_peaks(0.0, cfg.lam * P_MIN, maps.gp, grid_size)
-    return MonopolyResult(gamma1_star=g_star, c1_star=c2 + gap, rt_star=c2 * cfg.lam + h_star)
+    if cfg.dist.numeric_quantile:
+        solves = Thresholds(cfg)
+        (g_star, h_star, gap), _ = solves.revenue_peaks(
+            0.0, cfg.lam * P_MIN, solves.gp, grid_size)
+        return MonopolyResult(gamma1_star=g_star, c1_star=c2 + gap,
+                              rt_star=c2 * cfg.lam + h_star)
+
+    gp, _, g1, g1_slope = resolve(cfg)
+
+    def h_scan(lo, hi, n):
+        xs, g, _ = price_gap_1_array(cfg, lo, hi, n)
+        return xs, g * xs
+
+    def dh(g):
+        v, s = g1_slope(g)
+        return v + g * s
+    (g_star, h_star), _ = local_maxima_scan(h_scan, root_refine(lambda g: g1(g) * g, dh),
+                                            cfg.lam * P_MIN, gp, grid_size)
+    return MonopolyResult(
+        gamma1_star=g_star,
+        c1_star=c2 + g1(g_star),
+        rt_star=c2 * cfg.lam + h_star,
+    )
 
 
 def revenue_curve(cfg: SystemConfig, c2: float, n: int) -> tuple:

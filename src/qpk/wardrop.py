@@ -86,88 +86,93 @@ def balanced_load(cfg: SystemConfig) -> float:
     return 0.5 * (lo + hi)
 
 
-class Resolved:
-    """A config's point-solve maps, bound for one public call by one
-    balanced_load lookup, with the law's quantile clamp and both delay
-    curves decided once, not once per point.
+def resolve(cfg: SystemConfig) -> tuple:
+    """(gamma+, beta1, g1, g1_slope) for a point solve: :func:`threshold_of_rate`,
+    :func:`price_gap_1` and the pair (g1, g1') of :func:`price_gap_1_deriv`
+    bound to cfg by one balanced_load lookup, with the law's quantile clamp
+    and both delay curves decided once, not once per point. Past their one
+    rate check, beta1 and g1 are plain arithmetic; g1_slope has no check,
+    for rates already known to lie in (0, lam), and reads both values off
+    one quantile."""
+    lam, top = cfg.lam, cfg.dist.support[1]
+    gp = balanced_load(cfg)
+    inv, dens = cfg.dist._quantile, cfg.dist._density
+    p_lo, p_hi = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
+    d1, d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
+    s1, s2 = delay_slope(cfg.d1), delay_slope(cfg.d2)
 
-    ``beta1``, ``g1`` and ``g1_slope`` are :func:`threshold_of_rate`,
-    :func:`price_gap_1` and the pair (g1, g1') of
-    :func:`price_gap_1_deriv`. Past their one rate check, beta1 and g1 are
-    plain arithmetic; g1_slope has no check, for rates already known to lie
-    in (0, lam), and reads both values off one quantile. The solves
-    (:meth:`root`, :meth:`cap`, :meth:`scan`, :meth:`revenue_peaks`) search
-    these maps in rate, one quantile per step.
+    def beta1(gamma1):
+        if not 0.0 <= gamma1 <= lam:
+            raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
+        p = (lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam
+        return inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
 
-    A law with ``numeric_quantile`` solves in threshold space instead. By
-    the paper's equivalent formulation the rate is lam * (1 - F(beta)) up to
-    gamma+ and lam * F(beta) above it, so a search steps in beta, at one cdf
-    (and, to refine a peak, one density) per step and no quantile, and reads
-    its rate off its own threshold. Each branch runs from its threshold at
-    gamma+ to the threshold at level 1 - P_MIN: :meth:`threshold` inverts
-    each level once per call, and the scan takes the same ends as anchors.
+    def g1(gamma1):
+        beta = top if gamma1 == 0.0 or gamma1 == lam else beta1(gamma1)
+        return beta * (d2(lam - gamma1) - d1(gamma1))
+
+    def g1_slope(gamma1):
+        # the branch containing gamma1, the left one at the kink gamma+;
+        # the quantile's derivative is -+1/(lam f(beta))
+        rest = lam - gamma1
+        if gamma1 <= gp:
+            p, sign = rest / lam, -1.0
+        else:
+            p, sign = gamma1 / lam, 1.0
+        beta = inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
+        delta_d = d2(rest) - d1(gamma1)
+        return beta * delta_d, (sign / (lam * dens(beta)) * delta_d
+                                + beta * (-s2(rest) - s1(gamma1)))
+    return gp, beta1, g1, g1_slope
+
+
+class Thresholds:
+    """Point solves in threshold space for a law with ``numeric_quantile``
+    (gamma), bound for one public call by one balanced_load lookup.
+
+    By the paper's equivalent formulation the rate is lam * (1 - F(beta))
+    up to gamma+ and lam * F(beta) above it, so a search steps in beta, at
+    one cdf (and, to refine a peak, one density) per step and no quantile,
+    and reads its rate off its own threshold. Each branch runs from its
+    threshold at gamma+ to the threshold at level 1 - P_MIN:
+    :meth:`threshold` inverts each level once per call, and the scan
+    (:func:`price_gap_1_array`) takes the same ends as anchors.
     """
 
     def __init__(self, cfg: SystemConfig):
-        lam, top, dist = cfg.lam, cfg.dist.support[1], cfg.dist
-        self.cfg, self.lam = cfg, lam
-        self.gp = gp = balanced_load(cfg)
-        self.numeric = dist.numeric_quantile
-        inv, dens = self._inv, self._dens = dist._quantile, dist._density
-        p_lo, p_hi = self._clamp = (0.0, 1.0) if dist.bounded else (P_MIN, 1.0 - P_MIN)
-        d1, d2 = self._d1, self._d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
-        s1, s2 = self._s1, self._s2 = delay_slope(cfg.d1), delay_slope(cfg.d2)
-        self._thresholds = {}
-
-        def beta1(gamma1):
-            if not 0.0 <= gamma1 <= lam:
-                raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
-            p = (lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam
-            return inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
-
-        def g1(gamma1):
-            beta = top if gamma1 == 0.0 or gamma1 == lam else beta1(gamma1)
-            return beta * (d2(lam - gamma1) - d1(gamma1))
-
-        def g1_slope(gamma1):
-            # the branch containing gamma1, the left one at the kink gamma+;
-            # the quantile's derivative is -+1/(lam f(beta))
-            rest = lam - gamma1
-            if gamma1 <= gp:
-                p, sign = rest / lam, -1.0
-            else:
-                p, sign = gamma1 / lam, 1.0
-            beta = inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
-            delta_d = d2(rest) - d1(gamma1)
-            return beta * delta_d, (sign / (lam * dens(beta)) * delta_d
-                                    + beta * (-s2(rest) - s1(gamma1)))
-        self.beta1, self.g1, self.g1_slope = beta1, g1, g1_slope
-
-    def _level(self, p: float) -> float:
-        """The level p clamped as the maps clamp it."""
-        lo, hi = self._clamp
-        p = float(p)
-        return lo if p < lo else hi if p > hi else p
+        self.cfg, self.lam, self.gp = cfg, cfg.lam, balanced_load(cfg)
+        self._clamp = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
+        self._d1, self._d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
+        self._s1, self._s2 = delay_slope(cfg.d1), delay_slope(cfg.d2)
+        self._found = {}
 
     def threshold(self, p: float) -> float:
-        """The law's quantile at the level p, clamped; each level is
-        inverted once per call."""
-        p = self._level(p)
-        beta = self._thresholds.get(p)
+        """The law's quantile at the level p, clamped as the rate-space
+        maps clamp it; each level is inverted once per call."""
+        lo, hi = self._clamp
+        p = float(p)
+        p = lo if p < lo else hi if p > hi else p
+        beta = self._found.get(p)
         if beta is None:
-            beta = self._thresholds[p] = self._inv(p)
+            beta = self._found[p] = self.cfg.dist._quantile(p)
         return beta
 
-    def _anchor(self, high: bool) -> tuple:
+    def anchor(self, high: bool) -> tuple:
         """(level, threshold) of a branch's end at gamma+: up to it (high
         False) or above it."""
         lam, gp = self.lam, self.gp
-        p = self._level(gp / lam if high else (lam - gp) / lam)
+        p = gp / lam if high else (lam - gp) / lam
         return p, self.threshold(p)
 
-    def _end(self, high: bool) -> float:
-        """A branch's threshold at gamma+."""
-        return self._anchor(high)[1]
+    def anchors(self, p, low) -> tuple:
+        """The anchors of a scan at the levels p (see the ``_scan_points``
+        hook): the low branch's end at gamma+, or the top if every level is
+        low; the upper branch's start at gamma+; the top, the last level.
+        None stands for a branch with no levels."""
+        n, edge = p.size, int(np.count_nonzero(low))
+        top = (float(p[-1]), self.threshold(p[-1]))
+        return (top if edge == n else self.anchor(False) if edge else None,
+                self.anchor(True) if edge < n else None, top)
 
     def _on_branch(self, high: bool):
         """The map beta -> (gamma1, delta) on one branch: the rate a threshold
@@ -182,22 +187,12 @@ class Resolved:
         return at
 
     def root(self, target: float, high: bool) -> tuple:
-        """(gamma1, beta1) with g1(gamma1) = target, which lies above gamma+
-        (high) or up to it. Where the target escapes g1's range, the rate is
-        the end of the range it lies beyond: a bounded law's 0 or lam, or an
-        unbounded law's lam * P_MIN or lam * (1 - P_MIN), in the sub-P_MIN
-        probability tail; a threshold-space search may also stop at gamma+."""
+        """(gamma1, beta1) with g1(gamma1) = target, above gamma+ (high) or up
+        to it. Where the target escapes g1's range on the branch, the rate is
+        the end it lies beyond: lam * P_MIN or lam * (1 - P_MIN), in the
+        sub-P_MIN probability tail, or gamma+."""
         lam, gp = self.lam, self.gp
-        if not self.numeric:
-            lo, hi = _root_bracket(self.cfg)
-            try:
-                gamma1 = bisect_decreasing(self.g1, lo, hi, target)
-            except NoRootError:
-                gamma1 = hi if high else lo
-            if gamma1 == 0.0 or gamma1 == lam:
-                return gamma1, self.cfg.dist.support[1]
-            return gamma1, self.beta1(gamma1)
-        end, top = self._end(high), self.threshold(1.0 - P_MIN)
+        end, top = self.anchor(high)[1], self.threshold(1.0 - P_MIN)
         sign = 1.0 if high else -1.0  # g1 falls in beta above gamma+, rises below
         gap, seen = self._recorded(high, lambda beta, gamma, delta: sign * beta * delta)
         try:
@@ -209,69 +204,23 @@ class Resolved:
         beta, gamma = _read_root(seen, beta, sign * target)
         return gamma, beta
 
-    def cap(self, c2: float) -> float:
-        """:func:`rate_cap_1` at the rival price c2 >= 0."""
-        return self.root(-c2, True)[0]
-
-    def scan(self, lo: float, hi: float, n: int) -> tuple:
-        """:func:`price_gap_1_array`."""
-        cfg, lam, gp = self.cfg, self.lam, self.gp
-        dist = cfg.dist
-        if not 0.0 <= lo < hi <= lam:  # NaN fails the check
-            raise DomainError(f"rates must satisfy 0 <= lo < hi <= {lam}, got [{lo}, {hi}]")
-        g = uniform_grid(lo, hi, n)
-        low = g <= gp
-        p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
-        if not dist.bounded:
-            np.clip(p, P_MIN, 1.0 - P_MIN, out=p)
-        anchors = None
-        if self.numeric:
-            edge = np.count_nonzero(low)
-            top = (self._level(p[-1]), self.threshold(p[-1]))
-            anchors = (top if edge == n else edge and self._anchor(False),
-                       edge < n and self._anchor(True), top)
-        beta, share = dist._scan_points(p, low, anchors)
-        if share is not None:  # the thresholds are near the quantiles, not on them
-            g = lam * share
-            keep = (g > lo) & (g < hi) & ((g <= gp) == low)
-            keep[[0, -1]] = True
-            g[[0, -1]] = lo, hi
-            beta[0] = self.threshold(p[0])  # the hook's last threshold is the top's
-            g, first = np.unique(g[keep], return_index=True)
-            beta = beta[keep][first]
-        if g[0] == 0.0 or g[-1] == lam:
-            beta[(g == 0.0) | (g == lam)] = dist.support[1]
-        gap = delay_formula_array(cfg.d2, lam - g) - delay_formula_array(cfg.d1, g)
-        gap *= beta
-        return g, gap, beta
-
     def revenue_peaks(self, c: float, lo: float, hi: float, n: int) -> tuple:
         """:func:`~qpk._solve.local_maxima_scan` of the revenue
-        (g1(gamma) + c) * gamma over [lo, hi] on an n-point scan: (best, peaks)
-        of (gamma, revenue, g1(gamma)) tuples. Each peak is refined as the
-        root of the revenue's derivative between its neighbouring samples,
-        and its revenue and g1 are read off the root."""
+        (g1(gamma) + c) * gamma over [lo, hi] on the scan of
+        :func:`price_gap_1_array`: (best, peaks) of (gamma, revenue,
+        g1(gamma)) tuples. Each peak is refined in beta between its
+        neighbouring samples' thresholds, and its revenue and g1 are read
+        off the root."""
         samples = []
 
         def scan(lo, hi, n):
-            g, gap, beta = self.scan(lo, hi, n)
+            g, gap, beta = price_gap_1_array(self.cfg, lo, hi, n, self)
             samples[:] = gap, beta
             return g, (gap + c) * g
-        refine = self._refine_in_thresholds if self.numeric else self._refine_in_rates
-        return local_maxima_scan(scan, functools.partial(refine, c, samples), lo, hi, n)
 
-    def _refine_in_rates(self, c, samples, xs, fs, i, a, b):
-        g1, g1_slope = self.g1, self.g1_slope
-
-        def slope(g):  # h' = g1 + c + gamma g1'
-            v, s = g1_slope(g)
-            return v + c + g * s
-        x = derivative_root(slope, float(xs[a]), float(xs[b]))
-        if x is None:
-            x = float(xs[i])
-            return x, float(fs[i]), g1(x)
-        gap = g1(x)
-        return x, (gap + c) * x, gap
+        def refine(xs, fs, i, a, b):
+            return self._refine(c, *samples, xs, fs, i, a, b)
+        return local_maxima_scan(scan, refine, lo, hi, n)
 
     def _recorded(self, high: bool, value) -> tuple:
         """(f, seen): f(beta) = value(beta, gamma1, delta) with (gamma1, delta)
@@ -292,7 +241,7 @@ class Resolved:
         h' = g1 + c + gamma1 g1' and dgamma1/dbeta = +-lam f(beta), one density
         on top of the rate's cdf; it falls through 0 at a peak on either
         branch."""
-        lam, dens, s1, s2 = self.lam, self._dens, self._s1, self._s2
+        lam, dens, s1, s2 = self.lam, self.cfg.dist._density, self._s1, self._s2
         rate = lam if high else -lam
 
         def slope(beta, gamma, delta):
@@ -303,22 +252,21 @@ class Resolved:
 
     def _revenue_slope_at_gp(self, c: float, high: bool) -> float:
         """:meth:`_revenue_slope` at a branch's threshold at gamma+."""
-        beta = self._end(high)
+        beta = self.anchor(high)[1]
         return self._revenue_slope(c, high)(beta, *self._on_branch(high)(beta))
 
-    def _refine_in_thresholds(self, c, samples, xs, fs, i, a, b):
-        gaps, betas = samples
+    def _refine(self, c, gaps, betas, xs, fs, i, a, b):
         gp = self.gp
         high = bool(xs[b] > gp)
         if bool(xs[a] > gp) == high:
             lo, hi = sorted((float(betas[a]), float(betas[b])))
         elif self._revenue_slope_at_gp(c, False) > 0.0:
             # h' < 0 just below gamma+: the root lies on the low branch
-            lo, hi, high = self._end(False), float(betas[a]), False
+            lo, hi, high = self.anchor(False)[1], float(betas[a]), False
         elif self._revenue_slope_at_gp(c, True) > 0.0:
-            lo, hi = self._end(True), float(betas[b])  # h' > 0 just above
+            lo, hi = self.anchor(True)[1], float(betas[b])  # h' > 0 just above
         else:  # h' falls from + to - across the kink: the peak is gamma+
-            gap = self._end(False) * (self._d2(self.lam - gp) - self._d1(gp))
+            gap = self.anchor(False)[1] * (self._d2(self.lam - gp) - self._d1(gp))
             return gp, (gap + c) * gp, gap
         slope, seen = self._recorded(high, self._revenue_slope(c, high))
         beta = derivative_root(slope, lo, hi)
@@ -346,11 +294,6 @@ def _read_root(seen: list, b: float, target: float) -> tuple:
     return b + t * (c - b), gb + t * (gc - gb)
 
 
-def resolve(cfg: SystemConfig) -> Resolved:
-    """The point-solve maps of cfg for one public call (see :class:`Resolved`)."""
-    return Resolved(cfg)
-
-
 def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
     """Threshold beta1 for a given equilibrium rate at server 1.
 
@@ -359,7 +302,7 @@ def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
     The jump at gamma+ for non-identical servers is intentional and not
     smoothed.
     """
-    return resolve(cfg).beta1(gamma1)
+    return resolve(cfg)[1](gamma1)
 
 
 def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
@@ -368,10 +311,11 @@ def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
     Strictly decreasing, zero at the balanced load. At the domain
     endpoints an unbounded sensitivity law yields +/-inf.
     """
-    return resolve(cfg).g1(gamma1)
+    return resolve(cfg)[2](gamma1)
 
 
-def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int) -> tuple:
+def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int,
+                      solves: Thresholds = None) -> tuple:
     """(rates, g1 at them, thresholds at them) at up to n increasing rates
     from exactly lo to exactly hi, in one array pass: the grid scan of the
     optimizers.
@@ -382,9 +326,37 @@ def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int) -> tuple:
     thresholds are the quantiles: its scan is the grid. Otherwise each
     point takes the rate its threshold gives, lam * (1 - F) up to gamma+
     and lam * F above, and drops if that leaves (lo, hi) or its branch;
-    the ends take the scalar threshold, as point solves do.
+    the ends take the scalar threshold, as point solves do. Such a law
+    (``numeric_quantile``) gets its anchors from ``solves``, the call's
+    :class:`Thresholds` (a new one if None), so that a scan and the point
+    solves of one call invert each level once.
     """
-    return resolve(cfg).scan(lo, hi, n)
+    lam, dist = cfg.lam, cfg.dist
+    if not 0.0 <= lo < hi <= lam:  # NaN fails the check
+        raise DomainError(f"rates must satisfy 0 <= lo < hi <= {lam}, got [{lo}, {hi}]")
+    gp = balanced_load(cfg)
+    g = uniform_grid(lo, hi, n)
+    low = g <= gp
+    p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
+    if not dist.bounded:
+        np.clip(p, P_MIN, 1.0 - P_MIN, out=p)
+    if not dist.numeric_quantile:
+        beta = dist._scan_points(p, low, None)[0]
+    else:  # the thresholds are near the quantiles, not on them
+        solves = solves or Thresholds(cfg)
+        beta, share = dist._scan_points(p, low, solves.anchors(p, low))
+        g = lam * share
+        keep = (g > lo) & (g < hi) & ((g <= gp) == low)
+        keep[[0, -1]] = True
+        g[[0, -1]] = lo, hi
+        beta[[0, -1]] = solves.threshold(p[0]), solves.threshold(p[-1])
+        g, first = np.unique(g[keep], return_index=True)
+        beta = beta[keep][first]
+    if g[0] == 0.0 or g[-1] == lam:
+        beta[(g == 0.0) | (g == lam)] = dist.support[1]
+    gap = delay_formula_array(cfg.d2, lam - g) - delay_formula_array(cfg.d1, g)
+    gap *= beta
+    return g, gap, beta
 
 
 def price_gap_2(cfg: SystemConfig, gamma2: float) -> float:
@@ -405,7 +377,7 @@ def price_gap_1_deriv(cfg: SystemConfig, gamma1: float) -> float:
     """
     if not 0.0 < gamma1 < cfg.lam:
         raise DomainError(f"rate must lie in (0, {cfg.lam}), got {gamma1}")
-    return resolve(cfg).g1_slope(gamma1)[1]
+    return resolve(cfg)[3](gamma1)[1]
 
 
 def price_gap_2_deriv(cfg: SystemConfig, gamma2: float) -> float:
@@ -428,11 +400,17 @@ def check_price(name: str, c: float) -> None:
 
 
 def rate_cap_with_gap(cfg: SystemConfig, c2: float) -> tuple:
-    """(rate_cap_1(cfg, c2), g1): the cap and the g1 of :func:`resolve` it
-    was found with."""
+    """(rate_cap_1(cfg, c2), g1, g1_slope): the cap and the bound maps of
+    :func:`resolve` it was found on."""
     check_price("rival price", c2)
-    maps = resolve(cfg)
-    return maps.cap(c2), maps.g1
+    _, _, g1, g1_slope = resolve(cfg)
+    if cfg.dist.numeric_quantile:
+        return Thresholds(cfg).root(-c2, True)[0], g1, g1_slope
+    lo, hi = _root_bracket(cfg)
+    try:
+        return bisect_decreasing(g1, lo, hi, -c2), g1, g1_slope
+    except NoRootError:  # g1 stays above -c2 up to the bracket's top
+        return hi, g1, g1_slope
 
 
 def rate_cap_1(cfg: SystemConfig, c2: float) -> float:
@@ -459,7 +437,7 @@ def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
     if gamma1 in (0.0, cfg.lam) and not cfg.dist.bounded:
         raise DomainError(
             f"price diverges at rate {gamma1} for an unbounded sensitivity law")
-    cap, g1 = rate_cap_with_gap(cfg, c2)
+    cap, g1, _ = rate_cap_with_gap(cfg, c2)
     if not 0.0 <= gamma1 <= cap * (1.0 + 1e-12):
         raise DomainError(
             f"rate {gamma1} exceeds the rate cap {cap} (price would be negative)")
@@ -491,16 +469,29 @@ def solve_equilibrium(cfg: SystemConfig, prices: PriceVector) -> EquilibriumSpli
     balanced load under the single-threshold convention; otherwise the
     unique interior root of g1(gamma) = gap on the branch the gap's sign
     picks, located by :func:`~qpk._solve.bisect_decreasing` to a few ulps
-    (in threshold space for a law with a numerical quantile).
+    (in the threshold, by :class:`Thresholds`, for a law with
+    ``numeric_quantile``).
     """
     gap = prices.gap
     regime = (Regime.HIGH_BETA_TO_SERVER_1 if gap >= 0.0
               else Regime.HIGH_BETA_TO_SERVER_2)
-    maps = resolve(cfg)
+    if gap != 0.0 and cfg.dist.numeric_quantile:
+        gamma1, beta1 = Thresholds(cfg).root(gap, gap < 0.0)
+        return EquilibriumSplit(gamma1, cfg.lam, beta1, regime)
+    gp, beta1, g1, _ = resolve(cfg)
     if gap == 0.0:
-        return EquilibriumSplit(maps.gp, cfg.lam, maps.beta1(maps.gp), regime)
-    gamma1, beta1 = maps.root(gap, gap < 0.0)
-    return EquilibriumSplit(gamma1, cfg.lam, beta1, regime)
+        return EquilibriumSplit(gp, cfg.lam, beta1(gp), regime)
+    lo, hi = _root_bracket(cfg)
+    try:
+        gamma1 = bisect_decreasing(g1, lo, hi, gap)
+    except NoRootError:
+        # the gap escapes g1's range on the bracket: the rate is a boundary
+        # for a bounded law, and otherwise sits in the sub-P_MIN
+        # probability tail, clamped to the bracket's end
+        gamma1 = lo if gap > 0.0 else hi
+    if gamma1 == 0.0 or gamma1 == cfg.lam:
+        return EquilibriumSplit(gamma1, cfg.lam, cfg.dist.support[1], regime)
+    return EquilibriumSplit(gamma1, cfg.lam, beta1(gamma1), regime)
 
 
 def kernel_choice(cfg: SystemConfig, split: EquilibriumSplit, beta: float) -> int:

@@ -48,8 +48,8 @@ def _scan_points(k, p, low):
     def at(i):
         return float(p[i]), _special.gamma_p_inverse(k, float(p[i]))
     return _special.gamma_scan_points(
-        k, p, low, (at(n - 1) if edge == n else edge and at(edge - 1),
-                    edge < n and at(edge), at(n - 1)))
+        k, p, low, (at(n - 1) if edge == n else at(edge - 1) if edge else None,
+                    at(edge) if edge < n else None, at(n - 1)))
 
 
 def _on_grid(f):
@@ -96,7 +96,8 @@ def test_quantile_array_matches_scalar(dist):
                                                      min(gp, 1.0 - P_MIN), float(p[-1]))]
         edge = np.count_nonzero(low)
         beta, share = dist._scan_points(
-            p, low, (at[2] if edge == p.size else edge and at[0], edge < p.size and at[1], at[2]))
+            p, low, (at[2] if edge == p.size else at[0] if edge else None,
+                     at[1] if edge < p.size else None, at[2]))
         assert beta.shape == share.shape == p.shape
         level = _scalar(lambda b: models.cdf(dist, b), beta)
         np.testing.assert_allclose(share[~low], level[~low], rtol=1e-14, atol=0.0)
@@ -142,9 +143,8 @@ def _assert_is_scalar_g1(cfg, xs, got):
     rate it is read off; through the density that level error is a
     threshold error, which the check allows on top of 1e-12 relative.
     """
-    maps = wardrop.resolve(cfg)  # price_gap_1 and threshold_of_rate
-    gp, beta1 = maps.gp, maps.beta1
-    want = _scalar(maps.g1, xs)
+    gp, beta1, g1, _ = wardrop.resolve(cfg)  # price_gap_1 and threshold_of_rate
+    want = _scalar(g1, xs)
     if not isinstance(cfg.dist, Gamma):
         _assert_matches(got, want)
         return
@@ -555,7 +555,7 @@ def test_price_gap_array_is_the_scalar_g1_on_uniform_laws(name, request):
     if not isinstance(cfg.dist, Uniform):
         cfg = replace(cfg, dist=Uniform(2.0, 6.0))
     for own in (cfg, cfg.swapped()):
-        g1 = wardrop.resolve(own).g1
+        g1 = wardrop.resolve(own)[2]
         lo = own.lam * P_MIN
         for hi in (balanced_load(own), rate_cap_1(own, 1.5) * (1.0 - P_MIN)):
             xs, got, _ = wardrop.price_gap_1_array(own, lo, hi, 4096)

@@ -282,8 +282,7 @@ def test_server_2_errors_name_no_server_1_argument(ex1_uniform):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_resolved_maps_are_the_point_functions(name, request):
     cfg = request.getfixturevalue(name)
-    maps = wardrop.resolve(cfg)
-    gp, beta1, g1, g1_slope = maps.gp, maps.beta1, maps.g1, maps.g1_slope
+    gp, beta1, g1, g1_slope = wardrop.resolve(cfg)
     assert gp == balanced_load(cfg)
     for g in (0.0, cfg.lam * 1e-12, 0.3 * gp, gp, 0.5 * (gp + cfg.lam), cfg.lam):
         assert beta1(g) == threshold_of_rate(cfg, g)
