@@ -127,3 +127,32 @@ def _outputs(cfg) -> list:
 def test_point_solves_keep_their_bits(name, request):
     balanced_load.cache_clear()
     assert _outputs(request.getfixturevalue(name)) == list(PINNED[name])
+
+
+def _reference_row(cfg) -> list:
+    """_outputs at 40 digits, from tests/reference_mp.py."""
+    import reference_mp as ref
+    s1, s2 = ref.System(cfg), ref.System(cfg, swap=True)
+    vals = [s1.gp, s1.rate_cap(1.0), s2.rate_cap(1.0)]
+    for c1, c2 in ((1.0, 1.0), (3.0, 1.0), (0.5, 2.0)):
+        g = s1.equilibrium_rate(c1, c2)
+        vals += [g, ref.quantile(cfg.dist, s1._branch(g)[0])]
+    g = s1.monopoly_argmax()
+    vals += [g, 1 + s1.g1(g), 3 + s1.g1(g) * g]
+    for s in (s1, s2):  # one stationary point each: the optimum
+        g = s.best_response_argmax(1.0)
+        vals += [g, s.g1(g) + 1, (s.g1(g) + 1) * g, g]
+    return vals
+
+
+@pytest.mark.parametrize("name", ["ex1_gamma", "ex2_gamma"])
+def test_gamma_rows_are_within_4e_16_of_the_reference(name, request):
+    # the gamma rows step in the threshold and read each rate off it; every
+    # pinned value is within 4e-16 relative of mpmath, where the rows of
+    # the rate-space solves before them were up to 8.1e-15 off (ex1_gamma's
+    # equilibrium rate at prices (0.5, 2))
+    pytest.importorskip("mpmath")
+    from reference_mp import mp
+    cfg = request.getfixturevalue(name)
+    for i, (got, want) in enumerate(zip(PINNED[name], _reference_row(cfg))):
+        assert abs(mp.mpf(float.fromhex(got)) - want) <= 4e-16 * abs(want), i
