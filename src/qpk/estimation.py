@@ -8,6 +8,7 @@ Estimation never touches the underlying distribution object; only prices,
 rates, and delays enter the formulas.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -560,10 +561,12 @@ def discover_classes(oracle, lam: float, delta: float, eps: float,
     last_gamma = first.gamma1
     c1 = c1_init
 
-    while True:
-        if not c1 - delta < c1:
+    for i in itertools.count(1):
+        # each price is stepped from c1_init, so the steps' rounding does not add up
+        lower = c1_init - i * delta
+        if not lower < c1:
             raise DomainError(f"a step of {delta} does not lower c1 from {c1}")
-        c1 -= delta
+        c1 = lower
         if c1 <= 0.0:
             break
         m = oracle.measure(c1, 0.0)

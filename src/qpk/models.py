@@ -114,24 +114,26 @@ class SensitivityDistribution:
     fields are its parameters, in constructor order, and its
     ``__post_init__`` raises DomainError outside their domain.
 
-    Subclasses implement ``_cdf``/``_quantile``/``_density`` on the support
+    Subclasses implement ``_cdf``, ``_sf`` = 1 - F (to its relative accuracy
+    where it is small), ``_quantile`` and ``_density`` on the support
     interior; use the module-level :func:`cdf`, :func:`quantile` and
     :func:`density` entry points, which own the domain checks and the
-    quantile clamp for unbounded families. ``_scan_points(p, low, anchors)``
-    is the grid scans' hook: for a numpy array of levels p it returns
-    thresholds at or near their quantiles and each one's rate as a share of
-    lam, 1 - F where ``low`` and F elsewhere, or None when the thresholds
-    are the quantiles. It defaults to (``_quantile``(p), None), which
-    serves as is wherever the scalar quantile is plain arithmetic.
+    quantile clamp for unbounded families. Point solves run in threshold
+    space on every law (``wardrop.Thresholds``) and read each rate off
+    ``_cdf`` or ``_sf``. ``_scan_points(p, low, anchors)`` is the grid
+    scans' hook: for a numpy array of levels p it returns thresholds at or
+    near their quantiles and each one's rate as a share of lam, 1 - F where
+    ``low`` and F elsewhere, or None when the thresholds are the quantiles.
+    It defaults to (``_quantile``(p), None), which serves as is wherever
+    the scalar quantile is plain arithmetic.
 
-    A law whose quantile is a numerical inverse sets ``numeric_quantile``
-    and implements ``_sf`` = 1 - F. Its scan must return shares, and gets
-    as ``anchors`` (level, threshold) pairs of scalar quantiles: the low
-    branch's end at gamma+ (the top, if every level is low), the upper
-    branch's start at gamma+ and the top, its last level; a pair for a
-    branch with no levels is None. The scan's ends take the scalar
-    thresholds, and its point solves run in threshold space
-    (``wardrop.Thresholds``). Other laws get None.
+    A law whose quantile is a numerical inverse sets ``numeric_quantile``:
+    its scan places its thresholds near the quantiles, must return shares,
+    and gets as ``anchors`` (level, threshold) pairs of scalar quantiles:
+    the low branch's end at gamma+ (the top, if every level is low), the
+    upper branch's start at gamma+ and the top, its last level; a pair for
+    a branch with no levels is None. The scan's ends take the scalar
+    thresholds. Other laws get None.
     """
 
     family: ClassVar[str]
@@ -197,6 +199,9 @@ class Uniform(SensitivityDistribution):
             return 1.0
         return (x - self.a) / (self.b - self.a)
 
+    def _sf(self, x):
+        return (self.b - x) / (self.b - self.a)
+
     def _quantile(self, p):
         return self.a + p * (self.b - self.a)
 
@@ -226,6 +231,9 @@ class Exponential(SensitivityDistribution):
 
     def _cdf(self, x):
         return -math.expm1(-x / self.tau)
+
+    def _sf(self, x):
+        return math.exp(-x / self.tau)
 
     def _quantile(self, p):
         return -self.tau * math.log1p(-p)
@@ -318,6 +326,13 @@ class Power(SensitivityDistribution):
             return 1.0
         return (x / self.b) ** self.n
 
+    def _sf(self, x):
+        if x >= self.b:
+            return 0.0
+        # above b/2, x - b is exact, where 1 - (x/b)**n would cancel
+        r = x / self.b
+        return -math.expm1(self.n * (math.log1p((x - self.b) / self.b) if r > 0.5 else math.log(r)))
+
     def _quantile(self, p):
         return self.b * p ** (1.0 / self.n)
 
@@ -350,8 +365,8 @@ def quantile(dist: SensitivityDistribution, p: float) -> float:
     to [P_MIN, 1 - P_MIN] so the result stays finite. The rate-space maps
     of ``wardrop.resolve`` apply the same clamp past their own rate check,
     and grid scans to the levels they sample (``wardrop.price_gap_1_array``).
-    The gamma family's point solves invert only the ends of their brackets
-    and read each rate off its threshold (``wardrop.Thresholds``).
+    Point solves invert only the ends of their brackets and read each rate
+    off its threshold (``wardrop.Thresholds``).
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"quantile probability must lie in [0, 1], got {p}")

@@ -18,7 +18,7 @@ import numpy as np
 from ._solve import bisect_decreasing, derivative_root, local_maxima_scan, uniform_grid
 from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
-from .models import (P_MIN, SystemConfig, delay_formula, delay_formula_array,
+from .models import (P_MIN, DelayFamily, SystemConfig, delay_formula, delay_formula_array,
                      delay_slope, quantile)
 
 
@@ -86,11 +86,43 @@ def balanced_load(cfg: SystemConfig) -> float:
     return 0.5 * (lo + hi)
 
 
+def delay_gap(cfg: SystemConfig) -> tuple:
+    """(delta, delta_slope): the delay gap D2(lam - gamma1) - D1(gamma1) as a
+    map of the server-1 rate, and its derivative, plain arithmetic for rates
+    in [0, lam]. An mm1 server 2 is read off its slack (mu2 - lam) + gamma1,
+    which keeps a small rate's digits where mu2 - (lam - gamma1) would lose
+    them, as when server 2 saturates."""
+    lam, mu2 = cfg.lam, cfg.d2.mu
+    d1, s1 = delay_formula(cfg.d1), delay_slope(cfg.d1)
+    if cfg.d2.family is DelayFamily.LINEAR:
+        return (lambda g: (lam - g) / mu2 - d1(g)), (lambda g: -1.0 / mu2 - s1(g))
+    slack = mu2 - lam
+
+    def delta(g):
+        s = slack + g
+        return (math.inf if s == 0.0 else 1.0 / s) - d1(g)
+
+    def delta_slope(g):
+        s = slack + g
+        return (-math.inf if s == 0.0 else -1.0 / s ** 2) - s1(g)
+    return delta, delta_slope
+
+
+def delay_gap_array(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
+    """:func:`delay_gap`'s delta elementwise over an array of rates."""
+    if cfg.d2.family is DelayFamily.LINEAR:
+        d2 = (cfg.lam - g) / cfg.d2.mu
+    else:
+        with np.errstate(divide="ignore"):
+            d2 = 1.0 / ((cfg.d2.mu - cfg.lam) + g)
+    return d2 - delay_formula_array(cfg.d1, g)
+
+
 def resolve(cfg: SystemConfig) -> tuple:
-    """(gamma+, beta1, g1, g1_slope) for a point solve: :func:`threshold_of_rate`,
+    """(gamma+, beta1, g1, g1_slope): :func:`threshold_of_rate`,
     :func:`price_gap_1` and the pair (g1, g1') of :func:`price_gap_1_deriv`
     bound to cfg by one balanced_load lookup, with the law's quantile clamp
-    and both delay curves decided once, not once per point. Past their one
+    and the delay gap decided once, not once per point. Past their one
     rate check, beta1 and g1 are plain arithmetic; g1_slope has no check,
     for rates already known to lie in (0, lam), and reads both values off
     one quantile."""
@@ -98,8 +130,7 @@ def resolve(cfg: SystemConfig) -> tuple:
     gp = balanced_load(cfg)
     inv, dens = cfg.dist._quantile, cfg.dist._density
     p_lo, p_hi = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
-    d1, d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
-    s1, s2 = delay_slope(cfg.d1), delay_slope(cfg.d2)
+    delta, delta_slope = delay_gap(cfg)
 
     def beta1(gamma1):
         if not 0.0 <= gamma1 <= lam:
@@ -109,41 +140,40 @@ def resolve(cfg: SystemConfig) -> tuple:
 
     def g1(gamma1):
         beta = top if gamma1 == 0.0 or gamma1 == lam else beta1(gamma1)
-        return beta * (d2(lam - gamma1) - d1(gamma1))
+        return beta * delta(gamma1)
 
     def g1_slope(gamma1):
         # the branch containing gamma1, the left one at the kink gamma+;
         # the quantile's derivative is -+1/(lam f(beta))
-        rest = lam - gamma1
         if gamma1 <= gp:
-            p, sign = rest / lam, -1.0
+            p, sign = (lam - gamma1) / lam, -1.0
         else:
             p, sign = gamma1 / lam, 1.0
         beta = inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
-        delta_d = d2(rest) - d1(gamma1)
-        return beta * delta_d, (sign / (lam * dens(beta)) * delta_d
-                                + beta * (-s2(rest) - s1(gamma1)))
+        d = delta(gamma1)
+        return beta * d, sign / (lam * dens(beta)) * d + beta * delta_slope(gamma1)
     return gp, beta1, g1, g1_slope
 
 
 class Thresholds:
-    """Point solves in threshold space for a law with ``numeric_quantile``
-    (gamma), bound for one public call by one balanced_load lookup.
+    """The point solves of every law (equilibria, rate caps and the
+    refinement of scan peaks), in threshold space, bound for one public
+    call by one balanced_load lookup.
 
     By the paper's equivalent formulation the rate is lam * (1 - F(beta))
     up to gamma+ and lam * F(beta) above it, so a search steps in beta, at
-    one cdf (and, to refine a peak, one density) per step and no quantile,
-    and reads its rate off its own threshold. Each branch runs from its
-    threshold at gamma+ to the threshold at level 1 - P_MIN:
-    :meth:`threshold` inverts each level once per call, and the scan
+    one cdf or survival function (and, to refine a peak, one density) per
+    step and no quantile, and reads its rate off its own threshold. Each
+    branch runs from its threshold at gamma+ to the threshold at level
+    1 - P_MIN, or to a bounded law's support end outside saturation mode:
+    :meth:`threshold` inverts each level once per call, and a gamma scan
     (:func:`price_gap_1_array`) takes the same ends as anchors.
     """
 
     def __init__(self, cfg: SystemConfig):
         self.cfg, self.lam, self.gp = cfg, cfg.lam, balanced_load(cfg)
         self._clamp = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
-        self._d1, self._d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
-        self._s1, self._s2 = delay_slope(cfg.d1), delay_slope(cfg.d2)
+        self._delta, self._delta_slope = delay_gap(cfg)
         self._found = {}
 
     def threshold(self, p: float) -> float:
@@ -177,30 +207,32 @@ class Thresholds:
     def _on_branch(self, high: bool):
         """The map beta -> (gamma1, delta) on one branch: the rate a threshold
         gives, lam * F(beta) above gamma+ or lam * (1 - F(beta)) up to it, and
-        the delay gap D2(lam - gamma1) - D1(gamma1) there."""
-        lam, d1, d2 = self.lam, self._d1, self._d2
+        the delay gap there."""
+        lam, delta = self.lam, self._delta
         share = self.cfg.dist._cdf if high else self.cfg.dist._sf
 
         def at(beta):
             gamma = lam * share(beta)
-            return gamma, d2(lam - gamma) - d1(gamma)
+            return gamma, delta(gamma)
         return at
 
     def root(self, target: float, high: bool) -> tuple:
         """(gamma1, beta1) with g1(gamma1) = target, above gamma+ (high) or up
         to it. Where the target escapes g1's range on the branch, the rate is
-        the end it lies beyond: lam * P_MIN or lam * (1 - P_MIN), in the
-        sub-P_MIN probability tail, or gamma+."""
-        lam, gp = self.lam, self.gp
-        end, top = self.anchor(high)[1], self.threshold(1.0 - P_MIN)
+        the end it lies beyond: gamma+, or the end of :func:`_root_bracket`,
+        0 or lam for a bounded law outside saturation mode, otherwise
+        lam * P_MIN or lam * (1 - P_MIN), in the sub-P_MIN probability tail."""
+        lo, hi = _root_bracket(self.cfg)
+        end = self.anchor(high)[1]
+        top = self.cfg.dist.support[1] if hi == self.lam else self.threshold(1.0 - P_MIN)
         sign = 1.0 if high else -1.0  # g1 falls in beta above gamma+, rises below
         gap, seen = self._recorded(high, lambda beta, gamma, delta: sign * beta * delta)
         try:
             beta = bisect_decreasing(gap, end, top, sign * target)
         except NoRootError:
             if gap(top) > sign * target:
-                return (lam * (1.0 - P_MIN) if high else lam * P_MIN), top
-            return gp, end
+                return (hi if high else lo), top
+            return self.gp, end
         beta, gamma = _read_root(seen, beta, sign * target)
         return gamma, beta
 
@@ -241,12 +273,11 @@ class Thresholds:
         h' = g1 + c + gamma1 g1' and dgamma1/dbeta = +-lam f(beta), one density
         on top of the rate's cdf; it falls through 0 at a peak on either
         branch."""
-        lam, dens, s1, s2 = self.lam, self.cfg.dist._density, self._s1, self._s2
+        lam, dens, delta_slope = self.lam, self.cfg.dist._density, self._delta_slope
         rate = lam if high else -lam
 
         def slope(beta, gamma, delta):
-            rest = lam - gamma
-            h = beta * delta + c - gamma * beta * (s2(rest) + s1(gamma))
+            h = beta * delta + c + gamma * beta * delta_slope(gamma)
             return h * rate * dens(beta) + gamma * delta
         return slope
 
@@ -266,14 +297,14 @@ class Thresholds:
         elif self._revenue_slope_at_gp(c, True) > 0.0:
             lo, hi = self.anchor(True)[1], float(betas[b])  # h' > 0 just above
         else:  # h' falls from + to - across the kink: the peak is gamma+
-            gap = self.anchor(False)[1] * (self._d2(self.lam - gp) - self._d1(gp))
+            gap = self.anchor(False)[1] * self._delta(gp)
             return gp, (gap + c) * gp, gap
         slope, seen = self._recorded(high, self._revenue_slope(c, high))
         beta = derivative_root(slope, lo, hi)
         if beta is None:
             return float(xs[i]), float(fs[i]), float(gaps[i])
         beta, gamma = _read_root(seen, beta, 0.0)
-        gap = beta * (self._d2(self.lam - gamma) - self._d1(gamma))
+        gap = beta * self._delta(gamma)
         return gamma, (gap + c) * gamma, gap
 
 
@@ -354,7 +385,7 @@ def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int,
         beta = beta[keep][first]
     if g[0] == 0.0 or g[-1] == lam:
         beta[(g == 0.0) | (g == lam)] = dist.support[1]
-    gap = delay_formula_array(cfg.d2, lam - g) - delay_formula_array(cfg.d1, g)
+    gap = delay_gap_array(cfg, g)
     gap *= beta
     return g, gap, beta
 
@@ -399,27 +430,14 @@ def check_price(name: str, c: float) -> None:
         raise DomainError(f"{name} must be {'nonnegative' if c < 0.0 else 'finite'}, got {c}")
 
 
-def rate_cap_with_gap(cfg: SystemConfig, c2: float) -> tuple:
-    """(rate_cap_1(cfg, c2), g1, g1_slope): the cap and the bound maps of
-    :func:`resolve` it was found on."""
-    check_price("rival price", c2)
-    _, _, g1, g1_slope = resolve(cfg)
-    if cfg.dist.numeric_quantile:
-        return Thresholds(cfg).root(-c2, True)[0], g1, g1_slope
-    lo, hi = _root_bracket(cfg)
-    try:
-        return bisect_decreasing(g1, lo, hi, -c2), g1, g1_slope
-    except NoRootError:  # g1 stays above -c2 up to the bracket's top
-        return hi, g1, g1_slope
-
-
 def rate_cap_1(cfg: SystemConfig, c2: float) -> float:
     """Largest equilibrium rate server 1 can attract given c2 >= 0.
 
     Returns lam when c2 >= -g1(lam) (only possible for a bounded law),
     otherwise the unique root of g1(gamma) = -c2, which is >= gamma+.
     """
-    return rate_cap_with_gap(cfg, c2)[0]
+    check_price("rival price", c2)
+    return Thresholds(cfg).root(-c2, True)[0]
 
 
 def rate_cap_2(cfg: SystemConfig, c1: float) -> float:
@@ -437,11 +455,11 @@ def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
     if gamma1 in (0.0, cfg.lam) and not cfg.dist.bounded:
         raise DomainError(
             f"price diverges at rate {gamma1} for an unbounded sensitivity law")
-    cap, g1, _ = rate_cap_with_gap(cfg, c2)
+    cap = rate_cap_1(cfg, c2)
     if not 0.0 <= gamma1 <= cap * (1.0 + 1e-12):
         raise DomainError(
             f"rate {gamma1} exceeds the rate cap {cap} (price would be negative)")
-    return c2 + g1(gamma1)
+    return c2 + price_gap_1(cfg, gamma1)
 
 
 def price_of_rate_2(cfg: SystemConfig, c1: float, gamma2: float) -> float:
@@ -468,30 +486,16 @@ def solve_equilibrium(cfg: SystemConfig, prices: PriceVector) -> EquilibriumSpli
     [g1(lam), g1(0)] (bounded laws only); equal prices return the
     balanced load under the single-threshold convention; otherwise the
     unique interior root of g1(gamma) = gap on the branch the gap's sign
-    picks, located by :func:`~qpk._solve.bisect_decreasing` to a few ulps
-    (in the threshold, by :class:`Thresholds`, for a law with
-    ``numeric_quantile``).
+    picks, located in the threshold by :meth:`Thresholds.root` to a few ulps.
     """
     gap = prices.gap
     regime = (Regime.HIGH_BETA_TO_SERVER_1 if gap >= 0.0
               else Regime.HIGH_BETA_TO_SERVER_2)
-    if gap != 0.0 and cfg.dist.numeric_quantile:
-        gamma1, beta1 = Thresholds(cfg).root(gap, gap < 0.0)
-        return EquilibriumSplit(gamma1, cfg.lam, beta1, regime)
-    gp, beta1, g1, _ = resolve(cfg)
+    solves = Thresholds(cfg)
     if gap == 0.0:
-        return EquilibriumSplit(gp, cfg.lam, beta1(gp), regime)
-    lo, hi = _root_bracket(cfg)
-    try:
-        gamma1 = bisect_decreasing(g1, lo, hi, gap)
-    except NoRootError:
-        # the gap escapes g1's range on the bracket: the rate is a boundary
-        # for a bounded law, and otherwise sits in the sub-P_MIN
-        # probability tail, clamped to the bracket's end
-        gamma1 = lo if gap > 0.0 else hi
-    if gamma1 == 0.0 or gamma1 == cfg.lam:
-        return EquilibriumSplit(gamma1, cfg.lam, cfg.dist.support[1], regime)
-    return EquilibriumSplit(gamma1, cfg.lam, beta1(gamma1), regime)
+        return EquilibriumSplit(solves.gp, cfg.lam, solves.anchor(False)[1], regime)
+    gamma1, beta1 = solves.root(gap, gap < 0.0)
+    return EquilibriumSplit(gamma1, cfg.lam, beta1, regime)
 
 
 def kernel_choice(cfg: SystemConfig, split: EquilibriumSplit, beta: float) -> int:

@@ -26,26 +26,26 @@ CONFIGS = {
 CASES = [
     ('ex1', 'equilibrium --c1 2 --c2 1 --format json',
      '{\n'
-     '  "beta1": 4.70428369397032,\n'
-     '  "gamma1": 0.9717872295222599,\n'
+     '  "beta1": 4.7042836939703205,\n'
+     '  "gamma1": 0.9717872295222598,\n'
      '  "gamma2": 2.02821277047774,\n'
-     '  "r1": 1.9435744590445199,\n'
+     '  "r1": 1.9435744590445196,\n'
      '  "r2": 2.02821277047774,\n'
      '  "regime": "HIGH_BETA_TO_SERVER_1",\n'
      '  "rt": 3.97178722952226\n'
      '}\n'),
     ('ex1', 'equilibrium --c1 2 --c2 1 --format csv',
      'beta1,gamma1,gamma2,r1,r2,rt\n'
-     '4.70428369397032,0.9717872295222599,2.02821277047774,1.9435744590445199,2.02821277047774,3.97178722952226\n'),
+     '4.7042836939703205,0.9717872295222598,2.02821277047774,1.9435744590445196,2.02821277047774,3.97178722952226\n'),
     ('ex1', 'monopoly --c2 1 --grid 64 --format json',
      '{\n'
-     '  "c1_star": 3.108602775189595,\n'
+     '  "c1_star": 3.1086027751895946,\n'
      '  "gamma1_star": 0.6192864930261761,\n'
      '  "rt_star": 4.305829217832427\n'
      '}\n'),
     ('ex2', 'monopoly --c2 1 --grid 64 --format csv',
      'c1_star,gamma1_star,rt_star\n'
-     '2.7085916914563035,0.4834789162671859,3.8260680593284118\n'),
+     '2.708591691456304,0.4834789162671859,3.8260680593284118\n'),
     ('ex1', 'duopoly-best-response --server 2 --other-price 2 --format json',
      '{\n'
      '  "gamma_star": 1.1400814761964473,\n'
@@ -59,11 +59,11 @@ CASES = [
      '}\n'),
     ('ex3', 'duopoly-nash --max-iter 2 --format json',
      '{\n'
-     '  "c1": 2.9989029299065066,\n'
+     '  "c1": 2.998902929906506,\n'
      '  "c2": 2.9999995992519315,\n'
      '  "converged": false,\n'
      '  "iterations": 2,\n'
-     '  "residual": 0.5081909449066471,\n'
+     '  "residual": 0.5081909449066462,\n'
      '  "symmetric_alpha": 3.0\n'
      '}\n'),
     ('ex3', 'duopoly-symmetric --format json',
@@ -74,31 +74,31 @@ CASES = [
      '}\n'),
     ('fast1', 'estimate-exp --c1 1.2 --c2 1 --delta 0.05 --format json',
      '{\n'
-     '  "rate": 0.19237152251371614,\n'
-     '  "tau": 5.19827460391753\n'
+     '  "rate": 0.19237152251372808,\n'
+     '  "tau": 5.198274603917207\n'
      '}\n'),
     ('ex1', 'estimate-param --family uniform --c2 1 --prices 2,2.4,2.8,3.2 --format json',
      '{\n'
      '  "converged": true,\n'
      '  "family": "uniform",\n'
      '  "params": {\n'
-     '    "a": 2.000000000000001,\n'
+     '    "a": 2.0,\n'
      '    "b": 5.999999999999998\n'
      '  },\n'
-     '  "residual_norm": 1.7457904046571e-16\n'
+     '  "residual_norm": 5.551115123125783e-16\n'
      '}\n'),
     ('ex2', 'estimate-density --c2 1 --c1-start 1.5 --delta 0.3 --steps 3 --format csv',
      'beta_lo,beta_hi,z\n'
-     '4.784733419559164,4.950480436796965,0.24999999999999642\n'
+     '4.784733419559164,4.950480436796965,0.24999999999999686\n'
      '4.950480436796965,5.0991006565941825,0.2500000000000017\n'
-     '5.0991006565941825,5.232382032480059,0.25\n'),
+     '5.0991006565941825,5.232382032480059,0.24999999999999917\n'),
     ('ex2', 'estimate-density --c2 1 --c1-start 1.5 --delta 0.3 --steps 3 --format json',
      '{\n'
      '  "bins": [\n'
      '    {\n'
      '      "beta_hi": 4.950480436796965,\n'
      '      "beta_lo": 4.784733419559164,\n'
-     '      "z": 0.24999999999999642\n'
+     '      "z": 0.24999999999999686\n'
      '    },\n'
      '    {\n'
      '      "beta_hi": 5.0991006565941825,\n'
@@ -108,10 +108,10 @@ CASES = [
      '    {\n'
      '      "beta_hi": 5.232382032480059,\n'
      '      "beta_lo": 5.0991006565941825,\n'
-     '      "z": 0.25\n'
+     '      "z": 0.24999999999999917\n'
      '    }\n'
      '  ],\n'
-     '  "covered_mass": 0.1119121532302233,\n'
+     '  "covered_mass": 0.11191215323022326,\n'
      '  "gaps": []\n'
      '}\n'),
     ('ex3', 'discover-classes --classes 2:0.1,3:0.7,4:0.3 --c1-init 2 --delta 0.01 --format json',
@@ -159,11 +159,11 @@ CASES = [
      '1.3561643835616435,3.000000000000001\n'),
     ('ex2', 'sweep --what r1-and-c1 --n 5 --c2 1',
      'gamma1,r1,c1\n'
-     '3e-12,1.5545454545387226e-11,5.181818181795742\n'
-     '0.4164960370904607,1.2309736193722571,2.955547015456707\n'
-     '0.8329920741779214,1.404024064306128,1.6855191157632048\n'
-     '1.2494881112653822,1.0518922249836127,0.8418585303051342\n'
-     '1.6659841483528428,6.9140419444810435e-12,4.150124688351298e-12\n'),
+     '3e-12,1.554545454538722e-11,5.18181818179574\n'
+     '0.41649603709046074,1.2309736193722576,2.955547015456708\n'
+     '0.8329920741779215,1.4040240643061281,1.6855191157632048\n'
+     '1.2494881112653824,1.051892224983613,0.8418585303051342\n'
+     '1.665984148352843,6.91330209889698e-12,4.149680599141448e-12\n'),
 ]
 
 

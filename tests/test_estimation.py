@@ -520,6 +520,24 @@ def test_discover_two_classes():
     assert dc.residual_rate > 0.0
 
 
+def test_discover_classes_steps_each_price_from_the_start():
+    # stepping by repeated subtraction drifted: step 2,000 of 1e-3 from 2
+    # landed at 1.09e-13 instead of 0, where the low class seemed to enter
+    # with no delay gap, and discovery raised DegenerateError
+    oracle = discrete_class_oracle([(4.0, 1.0), (2.0, 1.5)],
+                                   DelayModel.mm1(4.0), DelayModel.mm1(4.0))
+    prices = []
+
+    class Recording:
+        def measure(self, c1, c2):
+            prices.append(c1)
+            return oracle.measure(c1, c2)
+    dc = discover_classes(Recording(), lam=2.5, delta=1e-3, eps=2.5e-3, c1_init=2.0)
+    assert prices == [2.0 - i * 1e-3 for i in range(2000)]
+    assert 2.0 - 2000 * 1e-3 == 0.0
+    assert all(abs(b - 4.0) < 1e-12 or abs(b - 2.0) < 1e-12 for b, _ in dc.classes)
+
+
 def test_discover_single_class():
     oracle = discrete_class_oracle([(3.0, 1.0)],
                                    DelayModel.mm1(4.0), DelayModel.mm1(4.0))

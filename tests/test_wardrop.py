@@ -326,6 +326,19 @@ def test_choke_price_bounded_only(ex1_uniform, ex1_expo):
 # --- equilibrium solver ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("gap", [40.0, 60.0, 80.0])
+def test_small_equilibrium_rates_keep_their_relative_accuracy(ex1_expo, gap):
+    # rates 4.9e-6, 6.2e-9 and 7.9e-12: the solve reads each one off the
+    # survival function, lam * exp(-beta / tau); stepping in rate through
+    # the quantile of 1 - gamma / lam lost their digits to 1 - p, and
+    # was 6.7e-11, 1.9e-8 and 3.1e-5 off
+    pytest.importorskip("mpmath")
+    import reference_mp as ref
+    want = ref.System(ex1_expo).equilibrium_rate(1.0 + gap, 1.0)
+    got = solve_equilibrium(ex1_expo, PriceVector(1.0 + gap, 1.0)).gamma1
+    assert abs(got - want) <= 4e-15 * want
+
+
 def test_equal_prices_return_balanced_load(ex1_uniform, ex3):
     for cfg in (ex1_uniform, ex3):
         split = solve_equilibrium(cfg, PriceVector(2.0, 2.0))
