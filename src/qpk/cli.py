@@ -249,12 +249,15 @@ def _cmd_sweep(args: argparse.Namespace) -> Result:
 
     if what in ("beta1", "g1", "g2"):
         rate, own = ("gamma2", cfg.swapped()) if what == "g2" else ("gamma1", cfg)
-        fn = wardrop.resolve(own)[1 if what == "beta1" else 2]  # beta1 or g1
-        grid = _solve.uniform_grid(*wardrop._root_bracket(cfg), n).tolist()
+        solves = wardrop.Thresholds(own)
+        fn = solves.beta1 if what == "beta1" else solves.g1
+        grid = _solve.uniform_grid(*solves.bracket, n).tolist()
         return Result(csv=_csv((rate, what), [(g, fn(g)) for g in grid]))
     if what == "revenue":
         return Result(csv=_csv(("gamma1", "revenue"), monopoly.revenue_curve(cfg, c2, n)))
-    cap, g1 = wardrop.rate_cap_1(cfg, c2), wardrop.resolve(cfg)[2]
+    wardrop.check_price("rival price", c2)  # as rate_cap_1 checks it
+    solves = wardrop.Thresholds(cfg)
+    cap, g1 = solves.root(-c2, True)[0], solves.g1
     rows = []
     for g in _solve.uniform_grid(cfg.lam * P_MIN, cap * (1.0 - P_MIN), n).tolist():
         gap = g1(g)

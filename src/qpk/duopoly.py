@@ -14,7 +14,7 @@ from enum import Enum
 from ._solve import DEFAULT_GRID, check_grid_size
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig
-from .wardrop import PriceVector, Thresholds, balanced_load, check_price, price_gap_1_deriv
+from .wardrop import PriceVector, Thresholds, balanced_load, check_price
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def symmetric_alpha(cfg: SystemConfig) -> tuple:
     """
 
     def server_1_alpha(c):
-        gp = balanced_load(c)
-        return -gp * price_gap_1_deriv(c, gp)
+        solves = Thresholds(c)
+        return -solves.gp * solves.g1_slope(solves.gp)[1]
 
     # server 2's candidate is server 1's on the swapped system
     return server_1_alpha(cfg), server_1_alpha(cfg.swapped())

@@ -224,7 +224,7 @@ class DesOracle:
 
         u = rng.random(arrivals.size)
         if not cfg.dist.bounded:
-            u = np.clip(u, models.P_MIN, 1.0 - models.P_MIN)
+            u = np.clip(u, *cfg.dist.levels)
         high = u > models.cdf(cfg.dist, split.beta1)
         to_one = ~high if split.regime is Regime.HIGH_BETA_TO_SERVER_2 else high
 

@@ -160,6 +160,11 @@ class SensitivityDistribution:
     def bounded(self) -> bool:
         return math.isfinite(self.support[1])
 
+    @property
+    def levels(self) -> tuple:
+        """The clamp of every quantile level, which keeps thresholds finite."""
+        return (0.0, 1.0) if self.bounded else (P_MIN, 1.0 - P_MIN)
+
     def _cdf(self, x: float) -> float:
         raise NotImplementedError
 
@@ -361,16 +366,16 @@ def quantile(dist: SensitivityDistribution, p: float) -> float:
     which stops once |F(x) - p| < 1e-13 p, or for p > 0.5 once
     |(1 - F(x)) - (1 - p)| < 1e-13 (1 - p), so both tails are relative.
     Below shape k ~ 0.1 the stop is not reached (the ``_special`` docstring
-    has the measured limits). For unbounded-support families p is clamped
-    to [P_MIN, 1 - P_MIN] so the result stays finite. The rate-space maps
-    of ``wardrop.resolve`` apply the same clamp past their own rate check,
-    and grid scans to the levels they sample (``wardrop.price_gap_1_array``).
-    Point solves invert only the ends of their brackets and read each rate
-    off its threshold (``wardrop.Thresholds``).
+    has the measured limits). p is clamped to the law's ``levels``, which
+    for unbounded-support families is [P_MIN, 1 - P_MIN], so the result
+    stays finite. ``wardrop.Thresholds`` applies the same clamp: its
+    rate-space maps past their own rate check, its grid scan to the levels
+    it samples; its point solves invert only the ends of their brackets and
+    read each rate off its threshold.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"quantile probability must lie in [0, 1], got {p}")
-    lo, hi = (0.0, 1.0) if dist.bounded else (P_MIN, 1.0 - P_MIN)
+    lo, hi = dist.levels
     return dist._quantile(lo if p < lo else hi if p > hi else p)
 
 

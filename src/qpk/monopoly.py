@@ -3,17 +3,18 @@
 Total revenue is c2*lam + g1(gamma1)*gamma1, so the solver maximizes
 h(gamma) = g1(gamma)*gamma over [0, gamma+], which is where any
 revenue-improving rate must lie. The grid scan evaluates h on the whole
-grid in one array pass (price_gap_1_array); each grid peak is refined in
-the threshold, as the root of dh/dbeta, and the reported price and
-revenue are read off the root (wardrop.Thresholds).
+grid in one array pass (wardrop.Thresholds.scan); each grid peak is
+refined in the threshold, as the root of dh/dbeta, and the reported price
+and revenue are read off the root (wardrop.Thresholds.revenue_peaks).
 """
 
+import operator
 from dataclasses import dataclass
 
 from ._solve import DEFAULT_GRID, check_grid_size
 from .errors import DomainError
 from .models import P_MIN, SystemConfig
-from .wardrop import Thresholds, balanced_load, check_price, price_gap_1_array
+from .wardrop import Thresholds, check_price
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,13 @@ def revenue_curve(cfg: SystemConfig, c2: float, n: int) -> tuple:
     with no gap over 1.5 uniform spacings from shape 0.2 up.
     """
     check_price("c2", c2)
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    xs, g, _ = price_gap_1_array(cfg, cfg.lam * P_MIN, balanced_load(cfg), n)
+    try:
+        enough = operator.index(n) >= 2
+    except TypeError:
+        enough = False
+    if not enough:
+        raise DomainError(f"need an integer number of samples, at least 2, got {n}")
+    solves = Thresholds(cfg)
+    xs, g, _ = solves.scan(cfg.lam * P_MIN, solves.gp, n)
     rt = c2 * cfg.lam + g * xs
     return tuple(zip(xs.tolist(), rt.tolist()))

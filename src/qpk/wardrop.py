@@ -118,68 +118,61 @@ def delay_gap_array(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
     return d2 - delay_formula_array(cfg.d1, g)
 
 
-def resolve(cfg: SystemConfig) -> tuple:
-    """(gamma+, beta1, g1, g1_slope): :func:`threshold_of_rate`,
-    :func:`price_gap_1` and the pair (g1, g1') of :func:`price_gap_1_deriv`
-    bound to cfg by one balanced_load lookup, with the law's quantile clamp
-    and the delay gap decided once, not once per point. Past their one
-    rate check, beta1 and g1 are plain arithmetic; g1_slope has no check,
-    for rates already known to lie in (0, lam), and reads both values off
-    one quantile."""
-    lam, top = cfg.lam, cfg.dist.support[1]
-    gp = balanced_load(cfg)
-    inv, dens = cfg.dist._quantile, cfg.dist._density
-    p_lo, p_hi = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
-    delta, delta_slope = delay_gap(cfg)
-
-    def beta1(gamma1):
-        if not 0.0 <= gamma1 <= lam:
-            raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
-        p = (lam - gamma1) / lam if gamma1 <= gp else gamma1 / lam
-        return inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
-
-    def g1(gamma1):
-        beta = top if gamma1 == 0.0 or gamma1 == lam else beta1(gamma1)
-        return beta * delta(gamma1)
-
-    def g1_slope(gamma1):
-        # the branch containing gamma1, the left one at the kink gamma+;
-        # the quantile's derivative is -+1/(lam f(beta))
-        if gamma1 <= gp:
-            p, sign = (lam - gamma1) / lam, -1.0
-        else:
-            p, sign = gamma1 / lam, 1.0
-        beta = inv(p_lo if p < p_lo else p_hi if p > p_hi else p)
-        d = delta(gamma1)
-        return beta * d, sign / (lam * dens(beta)) * d + beta * delta_slope(gamma1)
-    return gp, beta1, g1, g1_slope
-
-
 class Thresholds:
-    """The point solves of every law (equilibria, rate caps and the
-    refinement of scan peaks), in threshold space, bound for one public
-    call by one balanced_load lookup.
+    """g1 bound to one config for one public call by one balanced_load
+    lookup: its rate-space maps, its grid scan and its point solves
+    (equilibria, rate caps and the refinement of scan peaks).
 
     By the paper's equivalent formulation the rate is lam * (1 - F(beta))
-    up to gamma+ and lam * F(beta) above it, so a search steps in beta, at
-    one cdf or survival function (and, to refine a peak, one density) per
-    step and no quantile, and reads its rate off its own threshold. Each
-    branch runs from its threshold at gamma+ to the threshold at level
+    up to gamma+ and lam * F(beta) above it, so a point solve steps in beta,
+    at one cdf or survival function (and, to refine a peak, one density)
+    per step and no quantile, and reads its rate off its own threshold.
+    Each branch runs from its threshold at gamma+ to the threshold at level
     1 - P_MIN, or to a bounded law's support end outside saturation mode:
-    :meth:`threshold` inverts each level once per call, and a gamma scan
-    (:func:`price_gap_1_array`) takes the same ends as anchors.
+    :meth:`threshold` inverts each level once per call, and a gamma
+    :meth:`scan` takes the same ends as anchors.
     """
 
     def __init__(self, cfg: SystemConfig):
         self.cfg, self.lam, self.gp = cfg, cfg.lam, balanced_load(cfg)
-        self._clamp = (0.0, 1.0) if cfg.dist.bounded else (P_MIN, 1.0 - P_MIN)
+        self._levels = cfg.dist.levels
         self._delta, self._delta_slope = delay_gap(cfg)
         self._found = {}
+
+    def beta1(self, gamma1: float) -> float:
+        """:func:`threshold_of_rate` at gamma1."""
+        lam, (lo, hi) = self.lam, self._levels
+        if not 0.0 <= gamma1 <= lam:  # NaN fails the check
+            raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
+        p = (lam - gamma1) / lam if gamma1 <= self.gp else gamma1 / lam
+        return self.cfg.dist._quantile(lo if p < lo else hi if p > hi else p)
+
+    def g1(self, gamma1: float) -> float:
+        """:func:`price_gap_1` at gamma1: past beta1's rate check, plain
+        arithmetic, with the support's top as the threshold at 0 and lam."""
+        top = gamma1 == 0.0 or gamma1 == self.lam
+        return (self.cfg.dist.support[1] if top else self.beta1(gamma1)) * self._delta(gamma1)
+
+    def g1_slope(self, gamma1: float) -> tuple:
+        """(g1, g1') at gamma1 in (0, lam) off one quantile, on the branch of
+        gamma1, the left one at the kink gamma+: F^-1' is -+1/(lam f(beta))."""
+        beta, d = self.beta1(gamma1), self._delta(gamma1)
+        sign = -1.0 if gamma1 <= self.gp else 1.0
+        return beta * d, (sign / (self.lam * self.cfg.dist._density(beta)) * d
+                          + beta * self._delta_slope(gamma1))
+
+    @property
+    def bracket(self) -> tuple:
+        """The rates g1's root searches span: [0, lam], shrunk inward where
+        the gaps diverge (an unbounded law, or saturation mode)."""
+        if self.cfg.dist.bounded and not self.cfg.saturation_ok:
+            return 0.0, self.lam
+        return self.lam * P_MIN, self.lam * (1.0 - P_MIN)
 
     def threshold(self, p: float) -> float:
         """The law's quantile at the level p, clamped as the rate-space
         maps clamp it; each level is inverted once per call."""
-        lo, hi = self._clamp
+        lo, hi = self._levels
         p = float(p)
         p = lo if p < lo else hi if p > hi else p
         beta = self._found.get(p)
@@ -204,6 +197,46 @@ class Thresholds:
         return (top if edge == n else self.anchor(False) if edge else None,
                 self.anchor(True) if edge < n else None, top)
 
+    def scan(self, lo: float, hi: float, n: int) -> tuple:
+        """(rates, g1 at them, thresholds at them) at up to n increasing
+        rates from exactly lo to exactly hi, in one array pass: the grid
+        scan of the optimizers.
+
+        Each rate of the n-point uniform grid maps to its level as in
+        :meth:`beta1`, and the law's ``_scan_points`` returns a threshold at
+        or near each level's quantile. A closed-form law's thresholds are
+        the quantiles: its scan is the grid. Otherwise each point takes the
+        rate its threshold gives, lam * (1 - F) up to gamma+ and lam * F
+        above, and drops if that leaves (lo, hi) or its branch; the ends
+        take the scalar threshold, as point solves do, and the anchors are
+        this call's, so that a scan and the point solves of one call invert
+        each level once.
+        """
+        lam, dist, gp = self.lam, self.cfg.dist, self.gp
+        if not 0.0 <= lo < hi <= lam:  # NaN fails the check
+            raise DomainError(f"rates must satisfy 0 <= lo < hi <= {lam}, got [{lo}, {hi}]")
+        g = uniform_grid(lo, hi, n)
+        low = g <= gp
+        p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
+        if not dist.bounded:
+            np.clip(p, *self._levels, out=p)
+        if not dist.numeric_quantile:
+            beta = dist._scan_points(p, low, None)[0]
+        else:  # the thresholds are near the quantiles, not on them
+            beta, share = dist._scan_points(p, low, self.anchors(p, low))
+            g = lam * share
+            keep = (g > lo) & (g < hi) & ((g <= gp) == low)
+            keep[[0, -1]] = True
+            g[[0, -1]] = lo, hi
+            beta[[0, -1]] = self.threshold(p[0]), self.threshold(p[-1])
+            g, first = np.unique(g[keep], return_index=True)
+            beta = beta[keep][first]
+        if g[0] == 0.0 or g[-1] == lam:
+            beta[(g == 0.0) | (g == lam)] = dist.support[1]
+        gap = delay_gap_array(self.cfg, g)
+        gap *= beta
+        return g, gap, beta
+
     def _on_branch(self, high: bool):
         """The map beta -> (gamma1, delta) on one branch: the rate a threshold
         gives, lam * F(beta) above gamma+ or lam * (1 - F(beta)) up to it, and
@@ -219,10 +252,10 @@ class Thresholds:
     def root(self, target: float, high: bool) -> tuple:
         """(gamma1, beta1) with g1(gamma1) = target, above gamma+ (high) or up
         to it. Where the target escapes g1's range on the branch, the rate is
-        the end it lies beyond: gamma+, or the end of :func:`_root_bracket`,
-        0 or lam for a bounded law outside saturation mode, otherwise
-        lam * P_MIN or lam * (1 - P_MIN), in the sub-P_MIN probability tail."""
-        lo, hi = _root_bracket(self.cfg)
+        the end it lies beyond: gamma+, or the end of :attr:`bracket`, 0 or
+        lam for a bounded law outside saturation mode, otherwise lam * P_MIN
+        or lam * (1 - P_MIN), in the sub-P_MIN probability tail."""
+        lo, hi = self.bracket
         end = self.anchor(high)[1]
         top = self.cfg.dist.support[1] if hi == self.lam else self.threshold(1.0 - P_MIN)
         sign = 1.0 if high else -1.0  # g1 falls in beta above gamma+, rises below
@@ -238,15 +271,14 @@ class Thresholds:
 
     def revenue_peaks(self, c: float, lo: float, hi: float, n: int) -> tuple:
         """:func:`~qpk._solve.local_maxima_scan` of the revenue
-        (g1(gamma) + c) * gamma over [lo, hi] on the scan of
-        :func:`price_gap_1_array`: (best, peaks) of (gamma, revenue,
-        g1(gamma)) tuples. Each peak is refined in beta between its
-        neighbouring samples' thresholds, and its revenue and g1 are read
-        off the root."""
+        (g1(gamma) + c) * gamma over [lo, hi] on :meth:`scan`: (best, peaks)
+        of (gamma, revenue, g1(gamma)) tuples. Each peak is refined in beta
+        between its neighbouring samples' thresholds, and its revenue and g1
+        are read off the root."""
         samples = []
 
         def scan(lo, hi, n):
-            g, gap, beta = price_gap_1_array(self.cfg, lo, hi, n, self)
+            g, gap, beta = self.scan(lo, hi, n)
             samples[:] = gap, beta
             return g, (gap + c) * g
 
@@ -333,7 +365,7 @@ def threshold_of_rate(cfg: SystemConfig, gamma1: float) -> float:
     The jump at gamma+ for non-identical servers is intentional and not
     smoothed.
     """
-    return resolve(cfg)[1](gamma1)
+    return Thresholds(cfg).beta1(gamma1)
 
 
 def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
@@ -342,52 +374,7 @@ def price_gap_1(cfg: SystemConfig, gamma1: float) -> float:
     Strictly decreasing, zero at the balanced load. At the domain
     endpoints an unbounded sensitivity law yields +/-inf.
     """
-    return resolve(cfg)[2](gamma1)
-
-
-def price_gap_1_array(cfg: SystemConfig, lo: float, hi: float, n: int,
-                      solves: Thresholds = None) -> tuple:
-    """(rates, g1 at them, thresholds at them) at up to n increasing rates
-    from exactly lo to exactly hi, in one array pass: the grid scan of the
-    optimizers.
-
-    Each rate of the n-point uniform grid maps to its level as in
-    :func:`threshold_of_rate`, and the law's ``_scan_points`` returns a
-    threshold at or near each level's quantile. A closed-form law's
-    thresholds are the quantiles: its scan is the grid. Otherwise each
-    point takes the rate its threshold gives, lam * (1 - F) up to gamma+
-    and lam * F above, and drops if that leaves (lo, hi) or its branch;
-    the ends take the scalar threshold, as point solves do. Such a law
-    (``numeric_quantile``) gets its anchors from ``solves``, the call's
-    :class:`Thresholds` (a new one if None), so that a scan and the point
-    solves of one call invert each level once.
-    """
-    lam, dist = cfg.lam, cfg.dist
-    if not 0.0 <= lo < hi <= lam:  # NaN fails the check
-        raise DomainError(f"rates must satisfy 0 <= lo < hi <= {lam}, got [{lo}, {hi}]")
-    gp = balanced_load(cfg)
-    g = uniform_grid(lo, hi, n)
-    low = g <= gp
-    p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
-    if not dist.bounded:
-        np.clip(p, P_MIN, 1.0 - P_MIN, out=p)
-    if not dist.numeric_quantile:
-        beta = dist._scan_points(p, low, None)[0]
-    else:  # the thresholds are near the quantiles, not on them
-        solves = solves or Thresholds(cfg)
-        beta, share = dist._scan_points(p, low, solves.anchors(p, low))
-        g = lam * share
-        keep = (g > lo) & (g < hi) & ((g <= gp) == low)
-        keep[[0, -1]] = True
-        g[[0, -1]] = lo, hi
-        beta[[0, -1]] = solves.threshold(p[0]), solves.threshold(p[-1])
-        g, first = np.unique(g[keep], return_index=True)
-        beta = beta[keep][first]
-    if g[0] == 0.0 or g[-1] == lam:
-        beta[(g == 0.0) | (g == lam)] = dist.support[1]
-    gap = delay_gap_array(cfg, g)
-    gap *= beta
-    return g, gap, beta
+    return Thresholds(cfg).g1(gamma1)
 
 
 def price_gap_2(cfg: SystemConfig, gamma2: float) -> float:
@@ -408,20 +395,12 @@ def price_gap_1_deriv(cfg: SystemConfig, gamma1: float) -> float:
     """
     if not 0.0 < gamma1 < cfg.lam:
         raise DomainError(f"rate must lie in (0, {cfg.lam}), got {gamma1}")
-    return resolve(cfg)[3](gamma1)[1]
+    return Thresholds(cfg).g1_slope(gamma1)[1]
 
 
 def price_gap_2_deriv(cfg: SystemConfig, gamma2: float) -> float:
     """Analytic derivative of g2 on (0, lam): g1's on the swapped system."""
     return price_gap_1_deriv(cfg.swapped(), gamma2)
-
-
-def _root_bracket(cfg: SystemConfig) -> tuple:
-    """Bracket for root searches on g1/g2; endpoints shrink inward for
-    unbounded laws, where the gaps diverge."""
-    if cfg.dist.bounded and not cfg.saturation_ok:
-        return 0.0, cfg.lam
-    return cfg.lam * P_MIN, cfg.lam * (1.0 - P_MIN)
 
 
 def check_price(name: str, c: float) -> None:
@@ -455,11 +434,13 @@ def price_of_rate_1(cfg: SystemConfig, c2: float, gamma1: float) -> float:
     if gamma1 in (0.0, cfg.lam) and not cfg.dist.bounded:
         raise DomainError(
             f"price diverges at rate {gamma1} for an unbounded sensitivity law")
-    cap = rate_cap_1(cfg, c2)
+    check_price("rival price", c2)
+    solves = Thresholds(cfg)
+    cap = solves.root(-c2, True)[0]
     if not 0.0 <= gamma1 <= cap * (1.0 + 1e-12):
         raise DomainError(
             f"rate {gamma1} exceeds the rate cap {cap} (price would be negative)")
-    return c2 + price_gap_1(cfg, gamma1)
+    return c2 + solves.g1(gamma1)
 
 
 def price_of_rate_2(cfg: SystemConfig, c1: float, gamma2: float) -> float:

@@ -143,8 +143,9 @@ def _assert_is_scalar_g1(cfg, xs, got):
     rate it is read off; through the density that level error is a
     threshold error, which the check allows on top of 1e-12 relative.
     """
-    gp, beta1, g1, _ = wardrop.resolve(cfg)  # price_gap_1 and threshold_of_rate
-    want = _scalar(g1, xs)
+    solves = wardrop.Thresholds(cfg)  # price_gap_1 and threshold_of_rate
+    gp, beta1 = solves.gp, solves.beta1
+    want = _scalar(solves.g1, xs)
     if not isinstance(cfg.dist, Gamma):
         _assert_matches(got, want)
         return
@@ -162,7 +163,7 @@ def _scan_ranges(cfg):
     """The bracket of g1's root searches, the monopoly range and a best
     response's range past gamma+."""
     lam = cfg.lam
-    return [wardrop._root_bracket(cfg), (lam * P_MIN, balanced_load(cfg)),
+    return [wardrop.Thresholds(cfg).bracket, (lam * P_MIN, balanced_load(cfg)),
             (lam * P_MIN, rate_cap_1(cfg, 1.5) * (1.0 - P_MIN))]
 
 
@@ -171,26 +172,26 @@ def test_price_gaps_array_match_scalar(name, request):
     cfg = request.getfixturevalue(name)
     for own in (cfg, cfg.swapped()):
         for lo, hi in _scan_ranges(own):
-            xs, got, _ = wardrop.price_gap_1_array(own, lo, hi, 301)
+            xs, got, _ = wardrop.Thresholds(own).scan(lo, hi, 301)
             _assert_is_scalar_g1(own, xs, got)
 
 
-def test_price_gap_1_array_tie_takes_the_low_branch(fig_threshold):
+def test_scan_tie_takes_the_low_branch(fig_threshold):
     # the threshold jumps at gamma+ for non-identical servers; a scan that
     # ends or starts at the tie must take the low-rate branch there exactly
     # as the scalar function does
     cfg = fig_threshold
     gp, g_tie = balanced_load(cfg), wardrop.price_gap_1(cfg, balanced_load(cfg))
-    xs, got, _ = wardrop.price_gap_1_array(cfg, cfg.lam * P_MIN, gp, 9)
+    xs, got, _ = wardrop.Thresholds(cfg).scan(cfg.lam * P_MIN, gp, 9)
     assert (xs[-1], got[-1]) == (gp, g_tie)
-    xs, got, _ = wardrop.price_gap_1_array(cfg, gp, 2.5, 9)
+    xs, got, _ = wardrop.Thresholds(cfg).scan(gp, 2.5, 9)
     assert (xs[0], got[0]) == (gp, g_tie)
 
 
 def test_price_gaps_array_at_bounded_endpoints(ex1_uniform):
     cfg = ex1_uniform
     for own, scalar in ((cfg, wardrop.price_gap_1), (cfg.swapped(), wardrop.price_gap_2)):
-        xs, got, _ = wardrop.price_gap_1_array(own, 0.0, cfg.lam, 5)
+        xs, got, _ = wardrop.Thresholds(own).scan(0.0, cfg.lam, 5)
         ends = np.array([xs[0], xs[-1]])
         np.testing.assert_array_equal(ends, [0.0, cfg.lam])
         np.testing.assert_allclose([got[0], got[-1]], _scalar(lambda x: scalar(cfg, x), ends),
@@ -204,7 +205,7 @@ def test_price_gaps_array_at_unbounded_endpoints(ex1_expo):
     for own in (cfg, cfg.swapped()):
         assert (wardrop.price_gap_1(own, 0.0), wardrop.price_gap_1(own, cfg.lam)) == (np.inf, -np.inf)
         for lo, hi in ((0.0, cfg.lam), (0.0, 1.0), (1.0, cfg.lam)):
-            _, got, _ = wardrop.price_gap_1_array(own, lo, hi, 5)
+            _, got, _ = wardrop.Thresholds(own).scan(lo, hi, 5)
             assert (got[0], got[-1]) == (wardrop.price_gap_1(own, lo),
                                          wardrop.price_gap_1(own, hi))
 
@@ -212,7 +213,7 @@ def test_price_gaps_array_at_unbounded_endpoints(ex1_expo):
 def test_price_gap_array_rejects_rates_outside_domain(ex1_uniform):
     for lo, hi in ((1.0, 3.5), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(models.DomainError):
-            wardrop.price_gap_1_array(ex1_uniform, lo, hi, 8)
+            wardrop.Thresholds(ex1_uniform).scan(lo, hi, 8)
 
 
 @pytest.mark.parametrize("k", [0.7, 1.0, 1.7, 2.0, 3.1, 4.0])
@@ -323,7 +324,7 @@ def _scan(own, c):
     """The revenue scan of best_response at rival price c (c = 0 is the
     monopoly's h)."""
     def scan(lo, hi, n):
-        xs, g, _ = wardrop.price_gap_1_array(own, lo, hi, n)
+        xs, g, _ = wardrop.Thresholds(own).scan(lo, hi, n)
         return xs, (g + c) * xs
     return scan
 
@@ -370,7 +371,7 @@ def test_gamma_scan_covers_its_range_on_exact_pairs(k, delays):
     cfg = _gamma_config(k, delays)
     lo, n = cfg.lam * P_MIN, 4096
     for hi in (balanced_load(cfg), rate_cap_1(cfg, 1.0) * (1.0 - P_MIN)):
-        xs, got, _ = wardrop.price_gap_1_array(cfg, lo, hi, n)
+        xs, got, _ = wardrop.Thresholds(cfg).scan(lo, hi, n)
         assert (xs[0], xs[-1]) == (lo, hi)
         spacing = np.diff(xs)
         assert np.all(spacing > 0.0)
@@ -387,7 +388,7 @@ def test_small_gamma_shapes_scan_in_order(k):
     cfg = _gamma_config(k, "mm1")
     lo = cfg.lam * P_MIN
     for hi in (balanced_load(cfg), rate_cap_1(cfg, 1.0) * (1.0 - P_MIN)):
-        xs, got, _ = wardrop.price_gap_1_array(cfg, lo, hi, 4096)
+        xs, got, _ = wardrop.Thresholds(cfg).scan(lo, hi, 4096)
         assert (xs[0], xs[-1]) == (lo, hi)
         assert np.all(np.diff(xs) > 0.0) and np.all(np.isfinite(got))
     res = optimize_monopoly(cfg, 1.0)
@@ -470,7 +471,7 @@ def test_price_gap_scan_ends_are_the_scalar_g1(dist):
     gp = balanced_load(cfg)
     for lo, hi in ((0.0, 0.5), (0.5, gp), (gp, 2.5), (2.5, cfg.lam), (0.0, cfg.lam)):
         for n in (2, 17):
-            xs, got, _ = wardrop.price_gap_1_array(cfg, lo, hi, n)
+            xs, got, _ = wardrop.Thresholds(cfg).scan(lo, hi, n)
             assert (xs[0], xs[-1]) == (lo, hi)
             for x, g in ((lo, got[0]), (hi, got[-1])):
                 assert g == pytest.approx(wardrop.price_gap_1(cfg, x), rel=GAMMA_RTOL, abs=1e-15)
@@ -555,10 +556,10 @@ def test_price_gap_array_is_the_scalar_g1_on_uniform_laws(name, request):
     if not isinstance(cfg.dist, Uniform):
         cfg = replace(cfg, dist=Uniform(2.0, 6.0))
     for own in (cfg, cfg.swapped()):
-        g1 = wardrop.resolve(own)[2]
+        g1 = wardrop.Thresholds(own).g1
         lo = own.lam * P_MIN
         for hi in (balanced_load(own), rate_cap_1(own, 1.5) * (1.0 - P_MIN)):
-            xs, got, _ = wardrop.price_gap_1_array(own, lo, hi, 4096)
+            xs, got, _ = wardrop.Thresholds(own).scan(lo, hi, 4096)
             np.testing.assert_array_equal(_bits(xs), _bits(uniform_grid(lo, hi, 4096)))
             np.testing.assert_array_equal(_bits(got), _bits([g1(x) for x in xs.tolist()]))
 

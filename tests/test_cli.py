@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from qpk import (DelayModel, Exponential, Power, SystemConfig, Uniform,
+from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform,
                  discover_classes, discrete_class_oracle, estimate_density,
-                 exact_oracle)
+                 exact_oracle, price_gap_1, price_gap_2, rate_cap_1, threshold_of_rate)
+from qpk._solve import uniform_grid
 from qpk.cli import main
-from qpk.models import config_to_json
+from qpk.models import P_MIN, config_to_json
 
 
 @pytest.fixture
@@ -128,6 +129,40 @@ def test_sweep_g1_decreasing_with_zero_at_balance(ex1_path, capsys):
     crossing = next(g for (g, v), (_, v2) in zip(rows, rows[1:])
                     if v >= 0.0 > v2)
     assert crossing == pytest.approx(9.9 / 7.3, abs=0.02)
+
+
+SWEEP_LAWS = [Exponential(4.0), Power(2.0, 4.0), Power(0.5, 7.0), Gamma(2.0, 2.0),
+              Gamma(0.5, 3.0)]
+
+
+@pytest.mark.parametrize("delays", ["linear", "mm1"])
+@pytest.mark.parametrize("dist", SWEEP_LAWS, ids=repr)
+def test_point_sweeps_are_the_public_functions(dist, delays, tmp_path, capsys):
+    # each row of a point sweep is the public function at the row's rate, to
+    # the bit, on every law: the grid is g1's root bracket, or the best
+    # response's range for r1-and-c1
+    d = getattr(DelayModel, delays)
+    cfg = SystemConfig(3.0, d(3.3), d(4.0), dist)
+    path = tmp_path / "cfg.json"
+    path.write_text(config_to_json(cfg))
+    lam, c2, n = cfg.lam, 1.0, 65
+    bracket = (0.0, lam) if cfg.dist.bounded else (lam * P_MIN, lam * (1.0 - P_MIN))
+    cap = rate_cap_1(cfg, c2) * (1.0 - P_MIN)
+    curves = {
+        "beta1": (bracket, lambda g: (threshold_of_rate(cfg, g),)),
+        "g1": (bracket, lambda g: (price_gap_1(cfg, g),)),
+        "g2": (bracket, lambda g: (price_gap_2(cfg, g),)),
+        "r1-and-c1": ((lam * P_MIN, cap),
+                      lambda g: ((price_gap_1(cfg, g) + c2) * g, c2 + price_gap_1(cfg, g))),
+    }
+    for what, ((lo, hi), row) in curves.items():
+        assert main(["sweep", "--config", str(path), "--what", what, "--n", str(n),
+                     "--c2", str(c2)]) == 0
+        rows = [tuple(map(float, ln.split(","))) for ln
+                in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == uniform_grid(lo, hi, n).tolist()
+        for r in rows:
+            assert r[1:] == row(r[0])
 
 
 def test_sweep_requires_c2_for_revenue(ex1_path, capsys):

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qpk import (DelayModel, Gamma, SystemConfig, balanced_load, best_response,  # noqa: E402
                  optimize_monopoly, price_gap_1, price_gap_2, rate_cap_1)
 from qpk.models import P_MIN  # noqa: E402
-from qpk.wardrop import price_gap_1_array  # noqa: E402
+from qpk.wardrop import Thresholds  # noqa: E402
 from test_array_kernel import _assert_is_scalar_g1  # noqa: E402
 
 shapes = st.floats(math.log(0.2), math.log(1e3)).map(math.exp)
@@ -71,7 +71,7 @@ def test_gamma_scans_are_ordered_even_and_exact(k, delays, c, n):
     lo = cfg.lam * P_MIN
     for own in (cfg, cfg.swapped()):
         for hi in (balanced_load(own), rate_cap_1(own, c) * (1.0 - P_MIN)):
-            xs, got, _ = price_gap_1_array(own, lo, hi, n)
+            xs, got, _ = Thresholds(own).scan(lo, hi, n)
             assert (xs[0], xs[-1]) == (lo, hi)
             spacing = np.diff(xs)
             assert np.all(spacing > 0.0)

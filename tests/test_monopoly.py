@@ -173,5 +173,7 @@ def test_revenue_curve_shape(ex1_uniform):
     peak_gamma = gammas[int(np.argmax(rts))]
     cell = gammas[1] - gammas[0]
     assert abs(peak_gamma - 0.62) <= cell + 0.01
-    with pytest.raises(DomainError):
-        revenue_curve(ex1_uniform, c2, 1)
+    # n counts samples: a fractional n would silently shorten the last gap
+    for n in (1, 4.5, 4.0, "4"):
+        with pytest.raises(DomainError, match="need an integer number of samples"):
+            revenue_curve(ex1_uniform, c2, n)

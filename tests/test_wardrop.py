@@ -19,6 +19,7 @@ from qpk import (DelayModel, DomainError, Exponential, PriceVector, Regime,
                  quantile, rate_cap_1, rate_cap_2, revenue_rates,
                  solve_equilibrium, threshold_of_rate)
 from qpk import duopoly, monopoly, wardrop
+from qpk.models import P_MIN
 from conftest import FIXTURES, random_config
 
 
@@ -281,23 +282,30 @@ def test_server_2_errors_name_no_server_1_argument(ex1_uniform):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_resolved_maps_are_the_point_functions(name, request):
+    # one Thresholds bound to cfg answers every point as a fresh public call
+    # does, whatever its earlier scan and solves have cached
     cfg = request.getfixturevalue(name)
-    gp, beta1, g1, g1_slope = wardrop.resolve(cfg)
+    solves = wardrop.Thresholds(cfg)
+    gp = solves.gp
     assert gp == balanced_load(cfg)
+    solves.scan(cfg.lam * P_MIN, gp, 64)
+    split = solve_equilibrium(cfg, PriceVector(2.0, 1.0))
+    assert solves.root(1.0, False) == (split.gamma1, split.beta1)
+    assert solves.anchor(False)[1] == threshold_of_rate(cfg, gp)
     for g in (0.0, cfg.lam * 1e-12, 0.3 * gp, gp, 0.5 * (gp + cfg.lam), cfg.lam):
-        assert beta1(g) == threshold_of_rate(cfg, g)
-        assert g1(g) == price_gap_1(cfg, g)
+        assert solves.beta1(g) == threshold_of_rate(cfg, g)
+        assert solves.g1(g) == price_gap_1(cfg, g)
         if 0.0 < g < cfg.lam:
-            assert g1_slope(g) == (price_gap_1(cfg, g), price_gap_1_deriv(cfg, g))
+            assert solves.g1_slope(g) == (price_gap_1(cfg, g), price_gap_1_deriv(cfg, g))
     for g in (-1e-9, cfg.lam * (1.0 + 1e-9), math.nan):
-        for f in (beta1, g1):
+        for f in (threshold_of_rate, price_gap_1):
             with pytest.raises(DomainError, match="rate must lie in"):
-                f(g)
+                f(cfg, g)
 
 
 def test_point_solves_resolve_the_config_once(ex1_uniform, monkeypatch):
-    # one gamma+ lookup for the solve, none per g1 evaluation; the array
-    # scans of the optimizers make the second
+    # one gamma+ lookup per public call: none per g1 evaluation, and the
+    # optimizers' array scans read the call's own
     calls = []
     lookup = wardrop.balanced_load
 
@@ -305,15 +313,19 @@ def test_point_solves_resolve_the_config_once(ex1_uniform, monkeypatch):
         calls.append(cfg)
         return lookup(cfg)
     for module in (wardrop, monopoly, duopoly):
-        monkeypatch.setattr(module, "balanced_load", counted)
+        monkeypatch.setattr(module, "balanced_load", counted, raising=False)
     for solve in (lambda: monopoly.optimize_monopoly(ex1_uniform, 1.0),
+                  lambda: monopoly.revenue_curve(ex1_uniform, 1.0, 64),
                   lambda: duopoly.best_response(ex1_uniform, 1, 1.0),
                   lambda: duopoly.best_response(ex1_uniform, 2, 1.0),
                   lambda: solve_equilibrium(ex1_uniform, PriceVector(2.0, 1.0)),
-                  lambda: solve_equilibrium(ex1_uniform, PriceVector(1.0, 1.0))):
+                  lambda: solve_equilibrium(ex1_uniform, PriceVector(1.0, 1.0)),
+                  lambda: price_of_rate_1(ex1_uniform, 1.0, 0.5),
+                  lambda: price_gap_1(ex1_uniform, 0.5),
+                  lambda: price_gap_1_deriv(ex1_uniform, 0.5)):
         calls.clear()
         solve()
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
 
 
 def test_choke_price_bounded_only(ex1_uniform, ex1_expo):
