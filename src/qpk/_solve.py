@@ -88,15 +88,15 @@ def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return xs
 
 
-def check_grid_size(grid_size: int) -> None:
-    """DomainError unless an optimizer's scan has an integer number of
-    points, at least MIN_GRID."""
+def check_count(name: str, value, least: int) -> None:
+    """DomainError unless a count (grid points, samples, rounds, steps) is
+    an integer, at least ``least``; a float such as 2.5 or nan is not."""
     try:
-        if operator.index(grid_size) >= MIN_GRID:
+        if operator.index(value) >= least:
             return
     except TypeError:
         pass
-    raise DomainError(f"grid_size must be at least {MIN_GRID} and an integer, got {grid_size}")
+    raise DomainError(f"{name} must be at least {least} and an integer, got {value}")
 
 
 def grid_argmax(scan, lo: float, hi: float, n: int):

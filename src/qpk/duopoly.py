@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._solve import DEFAULT_GRID, check_grid_size
+from ._solve import DEFAULT_GRID, MIN_GRID, check_count
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig
 from .wardrop import PriceVector, Thresholds, balanced_load, check_price
@@ -56,7 +56,7 @@ def best_response(cfg: SystemConfig, server: int, other_price: float,
     if server not in (1, 2):
         raise DomainError(f"server must be 1 or 2, got {server}")
     check_price("other_price", other_price)
-    check_grid_size(grid_size)
+    check_count("grid_size", grid_size, MIN_GRID)
 
     # server 2's problem is server 1's on the swapped system
     own = cfg if server == 1 else cfg.swapped()
@@ -122,8 +122,7 @@ def nash_iterate(cfg: SystemConfig, init: PriceVector, tol: float = 1e-6,
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if not 0.0 < damping <= 1.0:
         raise DomainError(f"damping must lie in (0, 1], got {damping}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    check_count("max_iter", max_iter, 1)
     c1, c2 = init.c1, init.c2
     alpha = symmetric_alpha(cfg)[0] if cfg.identical_servers() else None
 

@@ -16,7 +16,7 @@ from typing import Protocol
 import numpy as np
 
 from . import models
-from ._solve import bisect_decreasing
+from ._solve import bisect_decreasing, check_count
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      NoRootError, PreconditionError, StabilityError)
 from .models import DelayFamily, DelayModel, SystemConfig
@@ -503,8 +503,7 @@ def estimate_density(oracle, c2: float, c1_start: float, delta: float,
         raise DomainError(f"c1_start must be at least c2, got {c1_start} < {c2}")
     if delta <= 0.0:
         raise DomainError(f"price step must be positive, got {delta}")
-    if steps < 1:
-        raise DomainError(f"need at least one step, got {steps}")
+    check_count("steps", steps, 1)
 
     ms = [oracle.measure(c1_start + i * delta, c2) for i in range(steps + 1)]
     lam = ms[0].lam

@@ -493,39 +493,50 @@ def _dist_to_dict(dist: SensitivityDistribution) -> dict:
     return {"family": dist.family, **asdict(dist)}
 
 
-def _dist_from_dict(obj: dict) -> SensitivityDistribution:
-    family = obj.get("family")
-    if family not in FAMILIES:
-        raise ValidationError([f"beta.family must be one of {sorted(FAMILIES)}, "
-                               f"got {family!r}"])
-    law = FAMILIES[family]
+def _object(value, where: str, required, optional=()) -> dict:
+    """value, if it is a JSON object with every required key and no key
+    beyond the optional ones; one ValidationError lists every unknown and
+    every missing key."""
+    if not isinstance(value, dict):
+        raise ValidationError([f"{where} must be a JSON object, got {value!r}"])
+    unknown = sorted(set(value) - set(required) - set(optional))
+    failures = [f"unknown {where} keys: {unknown}"] if unknown else []
+    failures += [f"{where} key {k!r} is required" for k in required if k not in value]
+    if failures:
+        raise ValidationError(failures)
+    return value
+
+
+def _number(value, where: str) -> float:
+    """value as a float, if it is a JSON number (not a bool, not a string)."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the double range
+            pass
+    raise ValidationError([f"{where} must be a JSON number, got {value!r}"])
+
+
+def _name(value, where: str, names) -> str:
+    """value, if it is one of the strings in names."""
+    if not (isinstance(value, str) and value in names):
+        raise ValidationError([f"{where} must be one of {sorted(names)}, got {value!r}"])
+    return value
+
+
+def _dist_from_dict(obj) -> SensitivityDistribution:
+    # the family names the parameters, so the other keys wait for it
+    family = _object(obj, "beta", ("family",), optional=obj)["family"]
+    law = FAMILIES[_name(family, "beta.family", FAMILIES)]
     names = law.param_names()
-    unknown = set(obj) - set(names) - {"family"}
-    if unknown:
-        raise ValidationError([f"unknown beta keys: {sorted(unknown)}"])
-    missing = [f for f in names if f not in obj]
-    if missing:
-        raise ValidationError([f"beta.{f} is required for family {family}" for f in missing])
-    return law(*(float(obj[f]) for f in names))
+    _object(obj, "beta", ("family", *names))
+    return law(*(_number(obj[f], f"beta.{f}") for f in names))
 
 
-def _delay_from_dict(obj: dict, where: str) -> DelayModel:
-    delay = obj.get("delay")
-    if not isinstance(delay, dict):
-        raise ValidationError([f"{where}.delay object is required"])
-    unknown = set(obj) - {"delay"}
-    if unknown:
-        raise ValidationError([f"unknown {where} keys: {sorted(unknown)}"])
-    unknown = set(delay) - {"family", "mu"}
-    if unknown:
-        raise ValidationError([f"unknown {where}.delay keys: {sorted(unknown)}"])
-    family = delay.get("family")
-    if family not in ("linear", "mm1"):
-        raise ValidationError(
-            [f"{where}.delay.family must be 'linear' or 'mm1', got {family!r}"])
-    if "mu" not in delay:
-        raise ValidationError([f"{where}.delay.mu is required"])
-    return DelayModel(DelayFamily(family), float(delay["mu"]))
+def _delay_from_dict(obj, where: str) -> DelayModel:
+    delay = _object(_object(obj, where, ("delay",))["delay"], f"{where}.delay", ("family", "mu"))
+    family = _name(delay["family"], f"{where}.delay.family", [f.value for f in DelayFamily])
+    return DelayModel(DelayFamily(family), _number(delay["mu"], f"{where}.delay.mu"))
 
 
 def config_to_json(cfg: SystemConfig) -> str:
@@ -545,27 +556,19 @@ def config_from_json(text: str) -> SystemConfig:
     """Parse and validate a config document; unknown keys are errors."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(["config document must be a JSON object"])
-    allowed = {"schema", "lambda", "server1", "server2", "beta", "saturation_ok"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError([f"unknown config keys: {sorted(unknown)}"])
+    _object(doc, "config", ("lambda", "server1", "server2", "beta"), ("schema", "saturation_ok"))
     schema = doc.get("schema", SCHEMA_ID)
     if schema != SCHEMA_ID:
         raise ValidationError([f"unsupported schema {schema!r}; expected {SCHEMA_ID!r}"])
-    missing = [k for k in ("lambda", "server1", "server2", "beta") if k not in doc]
-    if missing:
-        raise ValidationError([f"config key {k!r} is required" for k in missing])
+    saturation_ok = doc.get("saturation_ok", False)
+    if type(saturation_ok) is not bool:
+        raise ValidationError([f"saturation_ok must be a JSON boolean, got {saturation_ok!r}"])
+    lam = _number(doc["lambda"], "lambda")
+    d1 = _delay_from_dict(doc["server1"], "server1")
+    d2 = _delay_from_dict(doc["server2"], "server2")
     try:
-        return SystemConfig(
-            lam=float(doc["lambda"]),
-            d1=_delay_from_dict(doc["server1"], "server1"),
-            d2=_delay_from_dict(doc["server2"], "server2"),
-            dist=_dist_from_dict(doc["beta"]),
-            saturation_ok=bool(doc.get("saturation_ok", False)),
-        )
+        return SystemConfig(lam, d1, d2, _dist_from_dict(doc["beta"]), saturation_ok)
     except DomainError as exc:
         raise ValidationError([str(exc)]) from exc

@@ -8,11 +8,9 @@ refined in the threshold, as the root of dh/dbeta, and the reported price
 and revenue are read off the root (wardrop.Thresholds.revenue_peaks).
 """
 
-import operator
 from dataclasses import dataclass
 
-from ._solve import DEFAULT_GRID, check_grid_size
-from .errors import DomainError
+from ._solve import DEFAULT_GRID, MIN_GRID, check_count
 from .models import P_MIN, SystemConfig
 from .wardrop import Thresholds, check_price
 
@@ -36,7 +34,7 @@ def optimize_monopoly(cfg: SystemConfig, c2: float,
     so results are deterministic.
     """
     check_price("c2", c2)
-    check_grid_size(grid_size)
+    check_count("grid_size", grid_size, MIN_GRID)
     solves = Thresholds(cfg)
     (g_star, h_star, gap), _ = solves.revenue_peaks(0.0, cfg.lam * P_MIN, solves.gp, grid_size)
     return MonopolyResult(gamma1_star=g_star, c1_star=c2 + gap, rt_star=c2 * cfg.lam + h_star)
@@ -52,12 +50,7 @@ def revenue_curve(cfg: SystemConfig, c2: float, n: int) -> tuple:
     with no gap over 1.5 uniform spacings from shape 0.2 up.
     """
     check_price("c2", c2)
-    try:
-        enough = operator.index(n) >= 2
-    except TypeError:
-        enough = False
-    if not enough:
-        raise DomainError(f"need an integer number of samples, at least 2, got {n}")
+    check_count("n", n, 2)
     solves = Thresholds(cfg)
     xs, g, _ = solves.scan(cfg.lam * P_MIN, solves.gp, n)
     rt = c2 * cfg.lam + g * xs

@@ -71,13 +71,15 @@ def balanced_load(cfg: SystemConfig) -> float:
     Bisection on the strictly increasing delay difference; the gap
     conditions every config meets guarantee the sign change, so this
     never fails. For identical servers the first midpoint lam/2 is exact.
+    The stop is relative to the smaller rate, gamma+ or lam - gamma+, so a
+    small share keeps its digits; a bracket with no double inside stops too.
     """
     d1, d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
     lo, hi = 0.0, cfg.lam
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         diff = d1(mid) - d2(cfg.lam - mid)
-        if diff == 0.0 or (hi - lo) < 4e-16 * cfg.lam:
+        if diff == 0.0 or hi - lo < 8e-16 * min(mid, cfg.lam - mid) or not lo < mid < hi:
             return mid
         if diff < 0.0:
             lo = mid

@@ -1,10 +1,13 @@
-"""Shared fixtures: the worked-example configs and a random-config factory."""
+"""Shared fixtures: the worked-example configs, a random-config factory and
+malformed config documents."""
 
+import json
 import random
 
 import pytest
 
 from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform)
+from qpk.models import config_to_json
 
 
 @pytest.fixture
@@ -103,3 +106,31 @@ def random_config(rng: random.Random, families=("uniform", "expo", "power", "gam
     else:
         dist = Gamma(rng.uniform(0.7, 4.0), rng.uniform(0.5, 3.0))
     return SystemConfig(lam, d1, d2, dist)
+
+
+#: (path into the ex1 config document, a value of the wrong JSON type)
+MALFORMED = [
+    (("lambda",), "abc"),
+    (("lambda",), True),
+    (("lambda",), 10 ** 400),  # an integer past the double range
+    (("server1",), [1]),
+    (("server1", "delay"), "linear"),
+    (("server1", "delay", "mu"), [3.3]),
+    (("server2", "delay", "family"), ["mm1"]),
+    (("beta",), 5),
+    (("beta", "family"), ["uniform"]),
+    (("beta", "a"), "2"),
+    (("saturation_ok",), "false"),
+]
+MALFORMED_IDS = [f"{'.'.join(path)}={value!r:.12}" for path, value in MALFORMED]
+
+
+def malformed_config(path, value) -> str:
+    """The ex1 config's JSON text with the value at path replaced."""
+    doc = json.loads(config_to_json(SystemConfig(3.0, DelayModel.linear(3.3),
+                                                 DelayModel.linear(4.0), Uniform(2, 6))))
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return json.dumps(doc)

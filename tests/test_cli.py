@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import MALFORMED, MALFORMED_IDS, malformed_config
 from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform,
                  discover_classes, discrete_class_oracle, estimate_density,
                  exact_oracle, price_gap_1, price_gap_2, rate_cap_1, threshold_of_rate)
@@ -303,6 +304,34 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
     missing = tmp_path / "nope.json"
     assert main(["monopoly", "--config", str(missing), "--c2", "1"]) == 2
+    capsys.readouterr()
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"lambda": 3.0, "\xb5": 1}')  # not UTF-8
+    assert main(["monopoly", "--config", str(latin1), "--c2", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {str(latin1)!r}")
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=MALFORMED_IDS)
+def test_malformed_config_exits_2(tmp_path, path, value, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(malformed_config(path, value))
+    assert main(["monopoly", "--config", str(bad), "--c2", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-param", "--family", "uniform", "--c2", "1", "--prices", "2,x"],
+    ["discover-classes", "--classes", "4:1,x", "--c1-init", "2"],
+    ["sweep", "--what", "revenue", "--n", "5"],
+])
+def test_config_errors_come_before_option_errors(tmp_path, argv, capsys):
+    # the config is read before any handler checks its own options
+    bad = tmp_path / "bad.json"
+    bad.write_text(malformed_config(("lambda",), "abc"))
+    assert main(argv[:1] + ["--config", str(bad)] + argv[1:]) == 2
+    assert capsys.readouterr().err == "error: lambda must be a JSON number, got 'abc'\n"
 
 
 def test_validation_errors_list_everything(tmp_path, capsys):

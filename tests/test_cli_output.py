@@ -1,11 +1,11 @@
-"""The CLI's machine output, pinned byte for byte.
+"""The CLI's output, pinned byte for byte.
 
-Every command that writes json or csv, and all five sweep curves. The
-systems have uniform laws with linear or mm1 delays, where the arithmetic
-is IEEE basic operations and square roots, so the expected text holds on
-any platform; estimate-exp and estimate-param also pass through
-math.exp and math.log, and rely on the platform rounding those as the
-common libms do.
+Every command that writes json or csv, all five sweep curves, and every
+command's summary. The systems have uniform laws with linear or mm1
+delays, where the arithmetic is IEEE basic operations and square roots,
+so the expected text holds on any platform; estimate-exp and
+estimate-param also pass through math.exp and math.log, and rely on the
+platform rounding those as the common libms do.
 """
 
 import pytest
@@ -164,6 +164,69 @@ CASES = [
      '0.8329920741779215,1.4040240643061281,1.6855191157632048\n'
      '1.2494881112653824,1.051892224983613,0.8418585303051342\n'
      '1.665984148352843,6.91330209889698e-12,4.149680599141448e-12\n'),
+    # summaries: the JSON document's leaves in key order, at 4 significant
+    # digits (estimate-density and discover-classes render their own)
+    ('ex1', 'equilibrium --c1 2 --c2 1 --format summary',
+     'beta1 = 4.704\n'
+     'gamma1 = 0.9718\n'
+     'gamma2 = 2.028\n'
+     'r1 = 1.944\n'
+     'r2 = 2.028\n'
+     'regime = HIGH_BETA_TO_SERVER_1\n'
+     'rt = 3.972\n'),
+    ('ex1', 'monopoly --c2 1 --grid 64 --format summary',
+     'c1_star = 3.109\n'
+     'gamma1_star = 0.6193\n'
+     'rt_star = 4.306\n'),
+    ('ex2', 'monopoly --c2 1 --grid 64 --format summary',
+     'c1_star = 2.709\n'
+     'gamma1_star = 0.4835\n'
+     'rt_star = 3.826\n'),
+    ('ex1', 'duopoly-best-response --server 2 --other-price 2 --format summary',
+     'server = 2\n'
+     'given_price = 2\n'
+     'gamma_star = 1.14\n'
+     'price_star = 3.248\n'
+     'revenue_star = 3.703\n'
+     'stationary_points = 1.14\n'),
+    ('ex3', 'duopoly-nash --max-iter 2 --format summary',
+     'c1 = 2.999\n'
+     'c2 = 3\n'
+     'converged = false\n'
+     'iterations = 2\n'
+     'residual = 0.5082\n'
+     'symmetric_alpha = 3\n'),
+    ('ex1', 'duopoly-nash --max-iter 2 --format summary',
+     'c1 = 3.203\n'
+     'c2 = 3.479\n'
+     'converged = false\n'
+     'iterations = 2\n'
+     'residual = 0.6901\n'
+     'symmetric_alpha = none\n'),
+    ('ex3', 'duopoly-symmetric --format summary',
+     'alpha1 = 3\n'
+     'alpha2 = 3\n'
+     'verdict = confirmed\n'),
+    ('fast1', 'estimate-exp --c1 1.2 --c2 1 --delta 0.05 --format summary',
+     'rate = 0.1924\n'
+     'tau = 5.198\n'),
+    ('ex1', 'estimate-param --family uniform --c2 1 --prices 2,2.4,2.8,3.2 --format summary',
+     'family = uniform\n'
+     'a = 2\n'
+     'b = 6\n'
+     'residual_norm = 5.551e-16\n'
+     'converged = true\n'),
+    ('ex2', 'estimate-density --c2 1 --c1-start 1.5 --delta 0.3 --steps 3 --format summary',
+     'bins = 3\n'
+     'covered_mass = 0.1119\n'
+     'z_min = 0.25\n'
+     'z_max = 0.25\n'),
+    ('ex3', 'discover-classes --classes 2:0.1,3:0.7,4:0.3 --c1-init 2 --delta 0.01 '
+            '--format summary',
+     'class_1 = beta=4 rate=0.3\n'
+     'class_2 = beta=3 rate=0.8\n'
+     'complete = false\n'
+     'residual_rate = 0.8\n'),
 ]
 
 

@@ -225,9 +225,10 @@ def test_alpha2_is_taken_at_server_2s_own_balanced_load(ex1_uniform):
 # --- nash iteration ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("max_iter", [0, -3])
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, math.nan])
 def test_nash_iterate_rejects_empty_budget(ex3, max_iter):
-    # without one round there is no residual to report
+    # without one round there is no residual to report; a round count is an
+    # integer, where range() would raise TypeError
     with pytest.raises(DomainError, match="max_iter"):
         nash_iterate(ex3, PriceVector(1.0, 2.0), tol=1e-6, max_iter=max_iter)
 

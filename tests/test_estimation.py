@@ -426,8 +426,9 @@ def test_density_sweep_input_checks(sat_power):
         estimate_density(oracle, 5.0, 4.0, 0.2, 9)
     with pytest.raises(DomainError):
         estimate_density(oracle, 5.0, 5.0, -0.1, 9)
-    with pytest.raises(DomainError):
-        estimate_density(oracle, 5.0, 5.0, 0.2, 0)
+    for steps in (0, 2.5, math.nan):
+        with pytest.raises(DomainError, match="steps must be at least 1 and an integer"):
+            estimate_density(oracle, 5.0, 5.0, 0.2, steps)
 
 
 # --- discrete class discovery -----------------------------------------------------------

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import MALFORMED, MALFORMED_IDS, malformed_config
 from qpk import (DelayModel, DomainError, Exponential, Gamma, Power,
                  SystemConfig, Uniform, ValidationError, cdf, delay_deriv,
                  delay_eval, density, quantile, validate_config)
@@ -297,6 +298,29 @@ def test_config_json_rejects_bad_schema_and_bad_json():
     with pytest.raises(ValidationError) as err:
         config_from_json('{"schema": "qpk/1"}')
     assert len(err.value.failures) == 4  # lambda, server1, server2, beta
+    # an integer literal past the parser's digit limit raises ValueError in
+    # json.loads where the limit is in force, ValidationError everywhere
+    with pytest.raises(ValidationError):
+        config_from_json('{"lambda": ' + "1" * 5000 + "}")
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=MALFORMED_IDS)
+def test_config_json_rejects_values_of_the_wrong_type(path, value):
+    # unchecked, "abc" and [3.3] raised ValueError and TypeError, [1] and 5
+    # AttributeError; true read as lambda = 1, "false" as saturation mode
+    # and "2" as a = 2.0
+    with pytest.raises(ValidationError) as err:
+        config_from_json(malformed_config(path, value))
+    (failure,) = err.value.failures
+    assert path[-1] in failure
+
+
+def test_config_json_lists_unknown_and_missing_keys_together():
+    text = malformed_config(("server2", "delay"), {"familly": "linear", "mu": 4.0})
+    with pytest.raises(ValidationError) as err:
+        config_from_json(text)
+    assert err.value.failures == ["unknown server2.delay keys: ['familly']",
+                                  "server2.delay key 'family' is required"]
 
 
 def test_config_json_validates_model():

@@ -6,6 +6,8 @@ including a bisection inverse for the gamma shape-2 CDF) on a fresh
 100k-point grid that shares nothing with the search grid.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -139,8 +141,9 @@ def test_optimize_rejects_small_grids(ex1_uniform, grid_size):
 
 def test_optimize_takes_integer_grid_sizes_only(ex1_uniform):
     # unchecked, 100.5 points run on a 101-point grid spaced (hi - lo) / 99.5
-    with pytest.raises(DomainError, match="an integer"):
-        optimize_monopoly(ex1_uniform, 1.0, grid_size=100.5)
+    for grid_size in (100.5, math.nan):
+        with pytest.raises(DomainError, match="an integer"):
+            optimize_monopoly(ex1_uniform, 1.0, grid_size=grid_size)
     want = optimize_monopoly(ex1_uniform, 1.0, grid_size=4096)
     assert optimize_monopoly(ex1_uniform, 1.0, grid_size=np.int64(4096)) == want
 
@@ -174,6 +177,6 @@ def test_revenue_curve_shape(ex1_uniform):
     cell = gammas[1] - gammas[0]
     assert abs(peak_gamma - 0.62) <= cell + 0.01
     # n counts samples: a fractional n would silently shorten the last gap
-    for n in (1, 4.5, 4.0, "4"):
-        with pytest.raises(DomainError, match="need an integer number of samples"):
+    for n in (1, 4.5, 4.0, "4", math.nan):
+        with pytest.raises(DomainError, match="n must be at least 2 and an integer"):
             revenue_curve(ex1_uniform, c2, n)

@@ -6,8 +6,11 @@ both best responses at a rival price of 1), lies within 1e-13 relative of
 the reference's 40-digit value. sat_power's optima sit at the grid floor,
 a boundary, and have no interior reference. The same holds for the
 optima of gamma laws of shapes 0.2, 30 and 1000 on the ex1 and ex2
-servers, which the scans place on points near their quantiles.
+servers, which the scans place on points near their quantiles. The
+balanced load is within 1e-14 relative on 1,000 seeded configs.
 """
+
+import random
 
 import pytest
 
@@ -15,8 +18,8 @@ pytest.importorskip("mpmath")
 
 import reference_mp as ref  # noqa: E402
 from conftest import FIXTURES  # noqa: E402
-from qpk import (DelayModel, Gamma, PriceVector, SystemConfig, best_response,  # noqa: E402
-                 optimize_monopoly, solve_equilibrium)
+from qpk import (DelayModel, Gamma, PriceVector, SystemConfig, Uniform,  # noqa: E402
+                 balanced_load, best_response, optimize_monopoly, solve_equilibrium)
 from qpk.wardrop import rate_cap_1, rate_cap_2  # noqa: E402
 
 REL = 1e-13
@@ -64,3 +67,37 @@ def test_gamma_optima_match_the_reference_at_other_shapes(k, delays):
     got, want = _optima(SystemConfig(3.0, model(3.3), model(4.0), Gamma(k, 2.0)))
     for g, w in zip(got, want):
         assert _close(g, w)
+
+
+def _servers(rng, lam):
+    """Two delay models at arrival rate lam: a linear pair whose service
+    rates span four decades, so gamma+ takes every share from about 1e-4 to
+    1 - 1e-4, or an mm1 or a mixed pair drawn as conftest.random_config
+    draws its mm1 servers, which keeps the gap conditions."""
+    kind = rng.choice(("linear", "mm1", "mixed"))
+    if kind == "linear":
+        return (DelayModel.linear(lam * 10 ** rng.uniform(-2, 2)),
+                DelayModel.linear(lam * 10 ** rng.uniform(-2, 2)))
+    r1 = rng.uniform(1.1, 3.0)
+    mm1 = DelayModel.mm1(lam * r1)
+    if kind == "mm1":
+        return mm1, DelayModel.mm1(lam * rng.uniform(max(1.1, r1 - 0.9), min(3.0, r1 + 0.9)))
+    # D(lam) of the linear server lies above D(0) = 1/mu of the mm1 server
+    lin = DelayModel.linear(lam * mm1.mu * rng.uniform(0.1, 0.9))
+    return (lin, mm1) if rng.random() < 0.5 else (mm1, lin)
+
+
+def test_balanced_load_is_relative_to_the_smaller_rate():
+    # A bisection stopped at a width relative to lam leaves a small gamma+
+    # with few digits: on these configs such a stop was up to 4.2e-13 off
+    # relative (38 of 1,000 past 1e-14); the stop relative to the smaller
+    # rate is within 1.6e-15.
+    # mm1 pairs stay in the range of conftest.random_config: past it, as
+    # mu1 - mu2 + lam cancels, gamma+ is ill-conditioned in the service
+    # rates themselves.
+    rng = random.Random(20261020)
+    for _ in range(1000):
+        lam = 10 ** rng.uniform(-3, 3)
+        cfg = SystemConfig(lam, *_servers(rng, lam), Uniform(1.0, 2.0))
+        want = ref.System(cfg).gp
+        assert abs(ref.mp.mpf(balanced_load(cfg)) - want) <= 1e-14 * want, cfg
