@@ -1,9 +1,10 @@
-"""The package's one bracketed root-finder, and the grid scan whose peaks it
-refines.
+"""The package's one bracketed root-finder, and the grid helpers of the
+array scans.
 
 Grid scans take an array objective and evaluate the whole grid in one
-call; root finding takes scalar functions. Every optimum is refined as a
-root of the objective's derivative, so there is no separate maximizer.
+call; root finding takes scalar functions. Every optimum is found as a
+root of the objective's derivative (``wardrop.Thresholds.local_maxima``),
+so there is no separate maximizer.
 """
 
 import math
@@ -18,13 +19,8 @@ _EPS = sys.float_info.epsilon
 # a guard only: a bracket of [-1, 1] closes on a root at 0 in about 1,100 steps
 _MAX_ITER = 5000
 
-#: points of the grid scans in optimize_monopoly and best_response
-DEFAULT_GRID = 4096
-#: the fewest grid points either optimizer accepts
-MIN_GRID = 64
-
-#: Relative value slack under which two refined peaks count as tied in
-#: :func:`local_maxima_scan`; ties resolve to the smaller argument.
+#: Relative value slack under which two local maxima of the revenue count
+#: as tied (``wardrop.Thresholds.local_maxima``); ties go to the smaller rate.
 TIE_REL = 1e-9
 
 
@@ -99,6 +95,17 @@ def check_count(name: str, value, least: int) -> None:
     raise DomainError(f"{name} must be at least {least} and an integer, got {value}")
 
 
+def derivative_root(df, lo: float, hi: float):
+    """The root of a peak's derivative df, falling through 0 on [lo, hi],
+    or None where df keeps its sign there."""
+    try:
+        return bisect_decreasing(df, lo, hi)
+    except NoRootError:
+        return None
+
+
+# no solver scans for its optimum any more; perfbench's tracer still wraps
+# this name, so it stays with the tracer's span
 def grid_argmax(scan, lo: float, hi: float, n: int):
     """Sample an objective over [lo, hi] in one pass and take the best sample.
 
@@ -111,50 +118,6 @@ def grid_argmax(scan, lo: float, hi: float, n: int):
         raise ValueError("grid_argmax needs n >= 2")
     xs, fs = scan(lo, hi, n)
     return xs, fs, int(np.argmax(fs))
-
-
-def derivative_root(df, lo: float, hi: float):
-    """The root of a peak's derivative df, falling through 0 on [lo, hi],
-    or None where df keeps its sign there."""
-    try:
-        return bisect_decreasing(df, lo, hi)
-    except NoRootError:
-        return None
-
-
-def local_maxima_scan(scan, refine, lo: float, hi: float, n: int):
-    """Scan an objective over [lo, hi] and refine every local maximum of
-    the samples between its neighbouring samples.
-
-    scan is the array form of the objective (see :func:`grid_argmax`),
-    whose samples need not be evenly spaced. For a peak at sample i,
-    refine(xs, fs, i, a, b) returns the refined peak as a tuple
-    (x, f(x), ...), its first two entries the point and the value, found
-    between samples a and b, its neighbours, as the root of the
-    objective's derivative (:func:`derivative_root`); where the derivative
-    keeps its sign there the maximum lies on the edge of [lo, hi], and the
-    sample stays. The end
-    samples count as local maxima when the function falls away from them,
-    and refined peaks that land on the same point merge. Returns
-    (best, peaks): peaks is the list of peak tuples sorted by x, best the
-    one with the largest value, where values within TIE_REL of each other
-    tie and go to the smaller x.
-    """
-    xs, fs, _ = grid_argmax(scan, lo, hi, n)
-    last = xs.size - 1
-    peak = np.ones(xs.size, dtype=bool)
-    peak[1:] &= fs[1:] > fs[:-1]
-    peak[:-1] &= fs[:-1] >= fs[1:]
-    peaks = []
-    for i in np.flatnonzero(peak).tolist():
-        found = refine(xs, fs, i, max(i - 1, 0), min(i + 1, last))
-        if not peaks or found[0] != peaks[-1][0]:
-            peaks.append(found)
-    best = peaks[0]
-    for found in peaks[1:]:
-        if found[1] > best[1] * (1.0 + TIE_REL) + TIE_REL:
-            best = found
-    return best, peaks
 
 
 # perfbench's tracer still wraps this name; it goes with the tracer's span

@@ -342,6 +342,13 @@ def _scan_start(k: float, p: np.ndarray) -> tuple:
     return np.maximum(np.where(t > 0.0, np.maximum(k * t * t * t, small), small), 1e-300), z
 
 
+def gamma_start(k: float, p: float) -> float:
+    """:func:`_scan_start`'s x at one level p in (0, 1), in plain floats."""
+    t = 1.0 - 1.0 / (9.0 * k) + _normal_quantile(p) * math.sqrt(1.0 / (9.0 * k))
+    small = math.exp((math.log(p) + log_gamma(k + 1.0)) / k)
+    return max(k * t * t * t if t > 0.0 else 0.0, small, 1e-300)
+
+
 def gamma_scan_points(k: float, p: np.ndarray, low: np.ndarray, anchors: tuple) -> tuple:
     """(x, share) at the levels p in (0, 1) of a grid scan uniform in rate,
     for one k: points x near the solutions of P(k, x) = p, and each one's

@@ -114,7 +114,7 @@ def _cmd_equilibrium(args, cfg):
 
 
 def _cmd_monopoly(args, cfg):
-    res = monopoly.optimize_monopoly(cfg, args.c2, grid_size=args.grid)
+    res = monopoly.optimize_monopoly(cfg, args.c2)
     return {"c1_star": res.c1_star, "gamma1_star": res.gamma1_star, "rt_star": res.rt_star}
 
 
@@ -306,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("monopoly", "revenue-optimal price for server 1", _cmd_monopoly,
                 SUMMARY, JSON_FMT, CSV_FMT)
     p.add_argument("--c2", type=float, required=True)
-    p.add_argument("--grid", type=int, default=_solve.DEFAULT_GRID)
 
     p = command("duopoly-best-response", "one server's best response", _cmd_best_response,
                 SUMMARY, JSON_FMT)

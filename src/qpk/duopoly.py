@@ -1,8 +1,11 @@
 """Best-response computation and symmetric Nash analysis for the duopoly.
 
 Given the rival's price c, server j's best response maximizes
-(g_j(gamma) + c) * gamma over the feasible rates: a grid scan in rate,
-with every peak refined in the threshold (wardrop.Thresholds). The symmetric-equilibrium candidate price for identical servers is
+(g_j(gamma) + c) * gamma over the feasible rates. On each branch of g_j,
+either side of its balanced load, the search runs in the threshold: a few
+samples of the revenue's slope and one root for each fall through 0
+(wardrop.Thresholds.local_maxima). The symmetric-equilibrium candidate
+price for identical servers is
 alpha = -gamma+ * g'(gamma+); it is necessary but not sufficient, and
 check_symmetric_nash tests it by running the best response at that price.
 """
@@ -11,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._solve import DEFAULT_GRID, MIN_GRID, check_count
+from ._solve import check_count
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig
 from .wardrop import PriceVector, Thresholds, balanced_load, check_price
@@ -24,7 +27,7 @@ class BestResponse:
     gamma_star: float
     price_star: float
     revenue_star: float
-    stationary_points: tuple  # rates of all refined local maxima, ascending
+    stationary_points: tuple  # rates of all local maxima, ascending
 
 
 @dataclass(frozen=True)
@@ -41,29 +44,27 @@ class NashVerdict(Enum):
     NECESSARY_ONLY_FAILED = "necessary-only-failed"
 
 
-def best_response(cfg: SystemConfig, server: int, other_price: float,
-                  grid_size: int = DEFAULT_GRID) -> BestResponse:
+def best_response(cfg: SystemConfig, server: int, other_price: float) -> BestResponse:
     """Revenue-maximizing rate and price for one server, rival price fixed.
 
-    Scans (g_j(gamma) + other_price) * gamma on a dense grid of
-    (0, rate_cap_j) in one array pass, refines every local maximum in the
-    threshold as the root of the revenue's derivative (see
-    wardrop.Thresholds), and takes the best; equal-revenue ties go to the
-    smaller rate. At the kink of g_j at server j's balanced load the
-    derivative jumps, and a maximum there is found as that jump. All stationary candidates are
-    reported so multimodal cases are auditable.
+    Finds every local maximum of (g_j(gamma) + other_price) * gamma on
+    [lam * P_MIN, rate_cap_j * (1 - P_MIN)], an interior one as a root of
+    the revenue's derivative in the threshold (wardrop.Thresholds), and
+    takes the best; equal-revenue ties go to the smaller rate. At the kink
+    of g_j at server j's balanced load the derivative jumps, and a maximum
+    there is found as that jump. All stationary candidates are reported so
+    multimodal cases are auditable.
     """
     if server not in (1, 2):
         raise DomainError(f"server must be 1 or 2, got {server}")
     check_price("other_price", other_price)
-    check_count("grid_size", grid_size, MIN_GRID)
 
     # server 2's problem is server 1's on the swapped system
     own = cfg if server == 1 else cfg.swapped()
     solves = Thresholds(own)
     cap = solves.root(-other_price, True)[0]
-    (g_star, r_star, gap), candidates = solves.revenue_peaks(
-        other_price, cfg.lam * P_MIN, cap * (1.0 - P_MIN), grid_size)
+    (g_star, r_star, gap), candidates = solves.local_maxima(
+        other_price, cfg.lam * P_MIN, cap * (1.0 - P_MIN))
     return BestResponse(server, other_price, g_star, gap + other_price, r_star,
                         tuple(g for g, _, _ in candidates))
 

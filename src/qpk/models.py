@@ -125,7 +125,9 @@ class SensitivityDistribution:
     near their quantiles and each one's rate as a share of lam, 1 - F where
     ``low`` and F elsewhere, or None when the thresholds are the quantiles.
     It defaults to (``_quantile``(p), None), which serves as is wherever
-    the scalar quantile is plain arithmetic.
+    the scalar quantile is plain arithmetic. ``_near_quantile(p)`` is the
+    optimizers' scalar twin, a threshold at or near one level's quantile;
+    it defaults to ``_quantile``(p).
 
     A law whose quantile is a numerical inverse sets ``numeric_quantile``:
     its scan places its thresholds near the quantiles, must return shares,
@@ -173,6 +175,9 @@ class SensitivityDistribution:
 
     def _scan_points(self, p: np.ndarray, low: np.ndarray, anchors) -> tuple:
         return self._quantile(p), None
+
+    def _near_quantile(self, p: float) -> float:
+        return self._quantile(p)
 
     def _density(self, x: float) -> float:
         raise NotImplementedError
@@ -289,6 +294,9 @@ class Gamma(SensitivityDistribution):
         x, share = _special.gamma_scan_points(
             self.k, p, low, tuple(None if a is None else (a[0], a[1] / theta) for a in anchors))
         return x * theta, share
+
+    def _near_quantile(self, p):
+        return _special.gamma_start(self.k, p) * self.theta
 
     def _density(self, x):
         if x == 0.0:

@@ -15,11 +15,15 @@ from enum import Enum
 
 import numpy as np
 
-from ._solve import bisect_decreasing, derivative_root, local_maxima_scan, uniform_grid
+from ._solve import TIE_REL, bisect_decreasing, derivative_root, uniform_grid
 from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
 from .models import (P_MIN, DelayFamily, SystemConfig, delay_formula, delay_formula_array,
                      delay_slope, quantile)
+
+#: Thresholds between a branch's ends at which :meth:`Thresholds.local_maxima`
+#: samples the revenue's slope.
+BRANCH_SAMPLES = 8
 
 
 class Regime(Enum):
@@ -89,15 +93,19 @@ def balanced_load(cfg: SystemConfig) -> float:
 
 
 def delay_gap(cfg: SystemConfig) -> tuple:
-    """(delta, delta_slope): the delay gap D2(lam - gamma1) - D1(gamma1) as a
-    map of the server-1 rate, and its derivative, plain arithmetic for rates
-    in [0, lam]. An mm1 server 2 is read off its slack (mu2 - lam) + gamma1,
-    which keeps a small rate's digits where mu2 - (lam - gamma1) would lose
-    them, as when server 2 saturates."""
+    """(delta, delta_slope, flow_slope): the delay gap
+    D2(lam - gamma1) - D1(gamma1) as a map of the server-1 rate, its
+    derivative, and the derivative of gamma1 * delta, plain arithmetic for
+    rates in [0, lam]. An mm1 server 2 is read off its slack
+    (mu2 - lam) + gamma1, which keeps a small rate's digits where
+    mu2 - (lam - gamma1) would lose them, as when server 2 saturates.
+    flow_slope is server 2's term in closed form, slack / s**2 for mm1, where
+    delta + gamma1 delta_slope would cancel 1/s against gamma1 / s**2."""
     lam, mu2 = cfg.lam, cfg.d2.mu
     d1, s1 = delay_formula(cfg.d1), delay_slope(cfg.d1)
     if cfg.d2.family is DelayFamily.LINEAR:
-        return (lambda g: (lam - g) / mu2 - d1(g)), (lambda g: -1.0 / mu2 - s1(g))
+        return ((lambda g: (lam - g) / mu2 - d1(g)), (lambda g: -1.0 / mu2 - s1(g)),
+                (lambda g: (lam - 2.0 * g) / mu2 - d1(g) - g * s1(g)))
     slack = mu2 - lam
 
     def delta(g):
@@ -107,7 +115,10 @@ def delay_gap(cfg: SystemConfig) -> tuple:
     def delta_slope(g):
         s = slack + g
         return (-math.inf if s == 0.0 else -1.0 / s ** 2) - s1(g)
-    return delta, delta_slope
+
+    def flow_slope(g):
+        return slack / (slack + g) ** 2 - d1(g) - g * s1(g)
+    return delta, delta_slope, flow_slope
 
 
 def delay_gap_array(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
@@ -122,23 +133,23 @@ def delay_gap_array(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
 
 class Thresholds:
     """g1 bound to one config for one public call by one balanced_load
-    lookup: its rate-space maps, its grid scan and its point solves
-    (equilibria, rate caps and the refinement of scan peaks).
+    lookup: its rate-space maps, its grid scan (for revenue curves) and its
+    point solves (equilibria, rate caps and the optimizers' local maxima).
 
     By the paper's equivalent formulation the rate is lam * (1 - F(beta))
     up to gamma+ and lam * F(beta) above it, so a point solve steps in beta,
-    at one cdf or survival function (and, to refine a peak, one density)
-    per step and no quantile, and reads its rate off its own threshold.
-    Each branch runs from its threshold at gamma+ to the threshold at level
-    1 - P_MIN, or to a bounded law's support end outside saturation mode:
-    :meth:`threshold` inverts each level once per call, and a gamma
-    :meth:`scan` takes the same ends as anchors.
+    at one cdf or survival function (and, for the revenue's slope, one
+    density) per step and no quantile, and reads its rate off its own
+    threshold. Each branch runs from its threshold at gamma+ to the
+    threshold at level 1 - P_MIN, or to a bounded law's support end outside
+    saturation mode: :meth:`threshold` inverts each level once per call,
+    and a gamma :meth:`scan` takes the same ends as anchors.
     """
 
     def __init__(self, cfg: SystemConfig):
         self.cfg, self.lam, self.gp = cfg, cfg.lam, balanced_load(cfg)
         self._levels = cfg.dist.levels
-        self._delta, self._delta_slope = delay_gap(cfg)
+        self._delta, self._delta_slope, self._flow_slope = delay_gap(cfg)
         self._found = {}
 
     def beta1(self, gamma1: float) -> float:
@@ -146,7 +157,7 @@ class Thresholds:
         lam, (lo, hi) = self.lam, self._levels
         if not 0.0 <= gamma1 <= lam:  # NaN fails the check
             raise DomainError(f"rate must lie in [0, {lam}], got {gamma1}")
-        p = (lam - gamma1) / lam if gamma1 <= self.gp else gamma1 / lam
+        p = self._level(gamma1, gamma1 > self.gp)
         return self.cfg.dist._quantile(lo if p < lo else hi if p > hi else p)
 
     def g1(self, gamma1: float) -> float:
@@ -185,8 +196,7 @@ class Thresholds:
     def anchor(self, high: bool) -> tuple:
         """(level, threshold) of a branch's end at gamma+: up to it (high
         False) or above it."""
-        lam, gp = self.lam, self.gp
-        p = gp / lam if high else (lam - gp) / lam
+        p = self._level(self.gp, high)
         return p, self.threshold(p)
 
     def anchors(self, p, low) -> tuple:
@@ -201,8 +211,7 @@ class Thresholds:
 
     def scan(self, lo: float, hi: float, n: int) -> tuple:
         """(rates, g1 at them, thresholds at them) at up to n increasing
-        rates from exactly lo to exactly hi, in one array pass: the grid
-        scan of the optimizers.
+        rates from exactly lo to exactly hi, in one array pass.
 
         Each rate of the n-point uniform grid maps to its level as in
         :meth:`beta1`, and the law's ``_scan_points`` returns a threshold at
@@ -239,18 +248,6 @@ class Thresholds:
         gap *= beta
         return g, gap, beta
 
-    def _on_branch(self, high: bool):
-        """The map beta -> (gamma1, delta) on one branch: the rate a threshold
-        gives, lam * F(beta) above gamma+ or lam * (1 - F(beta)) up to it, and
-        the delay gap there."""
-        lam, delta = self.lam, self._delta
-        share = self.cfg.dist._cdf if high else self.cfg.dist._sf
-
-        def at(beta):
-            gamma = lam * share(beta)
-            return gamma, delta(gamma)
-        return at
-
     def root(self, target: float, high: bool) -> tuple:
         """(gamma1, beta1) with g1(gamma1) = target, above gamma+ (high) or up
         to it. Where the target escapes g1's range on the branch, the rate is
@@ -271,75 +268,137 @@ class Thresholds:
         beta, gamma = _read_root(seen, beta, sign * target)
         return gamma, beta
 
-    def revenue_peaks(self, c: float, lo: float, hi: float, n: int) -> tuple:
-        """:func:`~qpk._solve.local_maxima_scan` of the revenue
-        (g1(gamma) + c) * gamma over [lo, hi] on :meth:`scan`: (best, peaks)
-        of (gamma, revenue, g1(gamma)) tuples. Each peak is refined in beta
-        between its neighbouring samples' thresholds, and its revenue and g1
-        are read off the root."""
-        samples = []
+    def local_maxima(self, c: float, lo: float, hi: float) -> tuple:
+        """(best, peaks): every local maximum of the revenue
+        (g1(gamma) + c) * gamma on [lo, hi] as a (gamma, revenue, g1(gamma))
+        tuple, peaks ascending in gamma, best the largest, where revenues
+        within TIE_REL tie and go to the smaller rate. No branch is taken to
+        be unimodal (:meth:`_branch_maxima`). An end of [lo, hi] is a maximum
+        at exactly its rate where the revenue falls away from it; gamma+
+        inside it, the kink of g1, where it falls away on both sides.
+        """
+        top = min(hi, self.gp)
+        peaks, (at_lo, at_top) = self._branch_maxima(c, False, lo, top)
+        ends = [(lo, False, at_lo), (top, False, at_top)]
+        if hi > top:
+            above, (at_gp, at_hi) = self._branch_maxima(c, True, top, hi)
+            peaks += above
+            ends[1:] = [(top, False, at_top and at_gp), (hi, True, at_hi)]
+        for rate, high, falls in ends:
+            if falls:
+                gap = self.threshold(self._level(rate, high)) * self._delta(rate)
+                peaks.append((rate, (gap + c) * rate, gap))
+        peaks.sort()
+        best = peaks[0]
+        for found in peaks[1:]:
+            if found[1] > best[1] * (1.0 + TIE_REL) + TIE_REL:
+                best = found
+        return best, peaks
 
-        def scan(lo, hi, n):
-            g, gap, beta = self.scan(lo, hi, n)
-            samples[:] = gap, beta
-            return g, (gap + c) * g
+    def _level(self, gamma1: float, high: bool) -> float:
+        """The level of the rate gamma1 on one branch: gamma1 / lam above
+        gamma+ (high), 1 - gamma1 / lam up to it."""
+        return gamma1 / self.lam if high else (self.lam - gamma1) / self.lam
 
-        def refine(xs, fs, i, a, b):
-            return self._refine(c, *samples, xs, fs, i, a, b)
-        return local_maxima_scan(scan, refine, lo, hi, n)
+    def _branch_maxima(self, c: float, high: bool, a: float, b: float) -> tuple:
+        """(peaks, (at_a, at_b)) on one branch's rates [a, b]: the revenue's
+        interior local maxima, and whether it falls away from a and from b.
+
+        The revenue's slope in beta is sampled at the ends' thresholds and at
+        BRANCH_SAMPLES between them, placed by the law's ``_near_quantile``
+        near evenly spaced rates (each sample's rate is read off its own
+        threshold; one off the branch drops). Where :func:`_turn` finds that
+        the slope may change sign unseen between two samples, one more is
+        taken there, and each half is looked at once more. Every fall of the
+        slope through 0 between samples is refined by one root search.
+        """
+        lam, dist, flow, delta_of = self.lam, self.cfg.dist, self._flow_slope, self._delta
+        share, rate = (dist._cdf, lam) if high else (dist._sf, -lam)
+        level = lambda g: self._level(g, high)
+        lo, hi = sorted((self.threshold(level(a)), self.threshold(level(b))))
+        step = (b - a) / (BRANCH_SAMPLES + 1)
+        inner = sorted(dist._near_quantile(level(a + i * step))
+                       for i in range(1, BRANCH_SAMPLES + 1))
+        seen, known = [], {}
+
+        def sample(x):
+            # (beta, slope in beta, rate, revenue, slope in rate): the slope is
+            # (beta (gamma1 delta)' + c) dgamma1/dbeta + gamma1 delta, with
+            # dgamma1/dbeta = +-lam f(beta)
+            gamma = lam * share(x)
+            delta = delta_of(gamma)
+            d = rate * dist._density(x)
+            v = known[x] = (x * flow(gamma) + c) * d + gamma * delta
+            seen.append((x, gamma, v))
+            h = v / d if d else math.copysign(math.inf, v * rate)
+            return x, v, gamma, (x * delta + c) * gamma, h
+
+        pts = [sample(x) for x in (lo, *(x for x in inner if lo < x < hi), hi)]
+        todo = [(i, 2) for i in range(len(pts) - 1)]
+        while todo:  # from the top index down, so an insertion moves no index left to do
+            i, looks = todo.pop()
+            (x0, s0, *_), (x1, s1, *_) = pts[i], pts[i + 1]
+            turn = _turn(pts, i) if (s0 > 0.0) == (s1 > 0.0) else None
+            if turn is not None:
+                x = dist._near_quantile(level(turn))
+                pts.insert(i + 1, sample(x if min(x0, x1) < x < max(x0, x1) else 0.5 * (x0 + x1)))
+                if looks > 1:
+                    todo += [(i, 1), (i + 1, 1)]
+        peaks = []
+        for (x0, s0, *_), (x1, s1, *_) in zip(pts, pts[1:]):
+            if s0 > 0.0 >= s1:
+                x = derivative_root(lambda x: known[x] if x in known else sample(x)[1], x0, x1)
+                beta, gamma = _read_root(seen, x, 0.0)
+                gap = beta * delta_of(gamma)
+                peaks.append((gamma, (gap + c) * gamma, gap))
+        # the low branch's rate falls as beta rises
+        small, large = pts[0][1] <= 0.0, pts[-1][1] > 0.0
+        return peaks, ((small, large) if high else (large, small))
 
     def _recorded(self, high: bool, value) -> tuple:
-        """(f, seen): f(beta) = value(beta, gamma1, delta) with (gamma1, delta)
-        the threshold's rate and delay gap on one branch, and the list of
-        (beta, gamma1, f(beta)) it has evaluated."""
-        at, seen = self._on_branch(high), []
+        """(f, seen): f(beta) = value(beta, gamma1, delta) with gamma1 the rate
+        the threshold gives on one branch, lam * F(beta) above gamma+ or
+        lam * (1 - F(beta)) up to it, and delta the delay gap there; seen is
+        the list of (beta, gamma1, f(beta)) it has evaluated."""
+        lam, delta, seen = self.lam, self._delta, []
+        share = self.cfg.dist._cdf if high else self.cfg.dist._sf
 
         def f(beta):
-            gamma, delta = at(beta)
-            v = value(beta, gamma, delta)
+            gamma = lam * share(beta)
+            v = value(beta, gamma, delta(gamma))
             seen.append((beta, gamma, v))
             return v
         return f, seen
 
-    def _revenue_slope(self, c: float, high: bool):
-        """The revenue's derivative in beta on one branch, as a value of
-        (beta, gamma1, delta): h'(gamma1) dgamma1/dbeta with
-        h' = g1 + c + gamma1 g1' and dgamma1/dbeta = +-lam f(beta), one density
-        on top of the rate's cdf; it falls through 0 at a peak on either
-        branch."""
-        lam, dens, delta_slope = self.lam, self.cfg.dist._density, self._delta_slope
-        rate = lam if high else -lam
 
-        def slope(beta, gamma, delta):
-            h = beta * delta + c + gamma * beta * delta_slope(gamma)
-            return h * rate * dens(beta) + gamma * delta
-        return slope
-
-    def _revenue_slope_at_gp(self, c: float, high: bool) -> float:
-        """:meth:`_revenue_slope` at a branch's threshold at gamma+."""
-        beta = self.anchor(high)[1]
-        return self._revenue_slope(c, high)(beta, *self._on_branch(high)(beta))
-
-    def _refine(self, c, gaps, betas, xs, fs, i, a, b):
-        gp = self.gp
-        high = bool(xs[b] > gp)
-        if bool(xs[a] > gp) == high:
-            lo, hi = sorted((float(betas[a]), float(betas[b])))
-        elif self._revenue_slope_at_gp(c, False) > 0.0:
-            # h' < 0 just below gamma+: the root lies on the low branch
-            lo, hi, high = self.anchor(False)[1], float(betas[a]), False
-        elif self._revenue_slope_at_gp(c, True) > 0.0:
-            lo, hi = self.anchor(True)[1], float(betas[b])  # h' > 0 just above
-        else:  # h' falls from + to - across the kink: the peak is gamma+
-            gap = self.anchor(False)[1] * self._delta(gp)
-            return gp, (gap + c) * gp, gap
-        slope, seen = self._recorded(high, self._revenue_slope(c, high))
-        beta = derivative_root(slope, lo, hi)
-        if beta is None:
-            return float(xs[i]), float(fs[i]), float(gaps[i])
-        beta, gamma = _read_root(seen, beta, 0.0)
-        gap = beta * self._delta(gamma)
-        return gamma, (gap + c) * gamma, gap
+def _turn(pts: list, i: int):
+    """A rate between samples i and i + 1 (each (beta, slope in beta, rate,
+    revenue, slope in rate)), whose slopes share a sign, where the slope in
+    rate may change sign unseen, or None: where the slope of the cubic
+    through their revenues and slopes does, or the parabola through three
+    slopes whose middle one comes closest to 0."""
+    _, _, g0, r0, h0 = pts[i]
+    _, _, g1, r1, h1 = pts[i + 1]
+    w, up = g1 - g0, h0 > 0.0
+    q0, q1 = h0 * w, h1 * w  # the cubic's slope in t = (gamma - g0) / w at 0 and 1
+    k = 6.0 * (r1 - r0) - 3.0 * (q0 + q1)
+    t = 0.5 + (q1 - q0) / (2.0 * k) if k else 0.0
+    if 0.0 < t < 1.0 and (q0 + t * (q1 - q0 + k * (1.0 - t)) > 0.0) != (q0 > 0.0):
+        return g0 + t * w
+    for m in (i, i + 1):
+        if 0 < m < len(pts) - 1:
+            ha, hb, hc = pts[m - 1][4], pts[m][4], pts[m + 1][4]
+            if up == (ha > 0.0) == (hc > 0.0) == (hb < ha) == (hb < hc):
+                ga, gb, gc = pts[m - 1][2], pts[m][2], pts[m + 1][2]
+                ab = (hb - ha) / (gb - ga) if gb != ga else 0.0
+                abc = ((hc - hb) / (gc - gb) - ab) / (gc - ga) if gc != gb else 0.0
+                if not abc:
+                    continue
+                x = 0.5 * (ga + gb) - ab / (2.0 * abc)
+                at_x = ha + (x - ga) * (ab + abc * (x - gb))
+                if min(g0, g1) < x < max(g0, g1) and (at_x > 0.0) != up:
+                    return x
+    return None
 
 
 def _read_root(seen: list, b: float, target: float) -> tuple:

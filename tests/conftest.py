@@ -2,9 +2,21 @@
 malformed config documents."""
 
 import json
+import os
 import random
 
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, so a
+    # property test cannot pass on one run and fail on the next; local
+    # runs stay random
+    settings.register_profile("ci", derandomize=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform)
 from qpk.models import config_to_json

@@ -22,8 +22,7 @@ from qpk import (DelayModel, Exponential, Gamma, Power, PriceVector, SystemConfi
                  rate_cap_2, revenue_curve, solve_equilibrium)
 from qpk import _solve, _special, estimation, models, wardrop
 from conftest import FIXTURES
-from qpk._solve import (bisect_decreasing, derivative_root, grid_argmax, local_maxima_scan,
-                        uniform_grid)
+from qpk._solve import bisect_decreasing, grid_argmax, uniform_grid
 from qpk.models import P_MIN
 
 RTOL = 1e-13
@@ -410,7 +409,7 @@ def test_results_hold_python_floats(ex1_gamma):
 
 
 def test_grid_point_results_hold_python_floats(sat_power):
-    # here revenue peaks at the grid floor lam * P_MIN, so the grid point
+    # here revenue peaks at the floor lam * P_MIN, so that range end
     # itself, not a root of the revenue's derivative, becomes the result
     res = optimize_monopoly(sat_power, 1.0)
     assert res.gamma1_star == sat_power.lam * P_MIN
@@ -423,44 +422,6 @@ def test_grid_point_results_hold_python_floats(sat_power):
 def test_grid_argmax_ties_go_to_the_lowest_index():
     _, _, i = grid_argmax(_on_grid(lambda x: np.minimum(x, 0.5)), 0.0, 1.0, 11)
     assert i == 5
-
-
-def _bumps(h1, h2):
-    # narrow gaussian bumps of heights h1 at 0.3, a point of the 11-point
-    # grid of [0, 1], and h2 at 0.75, between two of its points; the
-    # objective serves as its own array and scalar form. Returns it and
-    # its derivative.
-    bumps = ((h1, 0.3), (h2, 0.75))
-    f = lambda x: sum(h * np.exp(-((x - c) / 0.05) ** 2) for h, c in bumps)
-    df = lambda x: sum(-800.0 * (x - c) * h * math.exp(-((x - c) / 0.05) ** 2)
-                       for h, c in bumps)
-    return f, df
-
-
-def _refine(f, df):
-    """local_maxima_scan's refine for a scalar objective f with derivative df."""
-    def refine(xs, fs, i, a, b):
-        x = derivative_root(df, float(xs[a]), float(xs[b]))
-        return (float(xs[i]), float(fs[i])) if x is None else (x, f(x))
-    return refine
-
-
-def test_local_maxima_scan_returns_the_higher_refined_peak():
-    # the best grid point is the bump at 0.3, but refined, the bump at
-    # 0.75 is higher: the scan must refine both and return the latter
-    f, df = _bumps(1.0, 1.05)
-    assert grid_argmax(_on_grid(f), 0.0, 1.0, 11)[2] == 3
-    (x, fx), peaks = local_maxima_scan(_on_grid(f), _refine(f, df), 0.0, 1.0, 11)
-    assert len(peaks) == 2
-    assert x == pytest.approx(0.75, abs=1e-8)
-    assert fx == pytest.approx(1.05, rel=1e-12)
-
-
-def test_local_maxima_scan_ties_go_to_the_smaller_argument():
-    f, df = _bumps(1.0, 1.0 + 1e-10)
-    (x, _), peaks = local_maxima_scan(_on_grid(f), _refine(f, df), 0.0, 1.0, 11)
-    assert len(peaks) == 2
-    assert x == pytest.approx(0.3, abs=1e-8)
 
 
 @pytest.mark.parametrize("dist", LAWS, ids=repr)
@@ -597,9 +558,10 @@ def test_gamma_monopoly_scan_makes_no_per_point_quantile_calls(ex1_gamma, monkey
 def test_gamma_inverses_evaluate_p_few_times_per_quantile(ex1_gamma, monkeypatch):
     # cost guard: Halley steps from the Wilson-Hilferty start take about 3
     # evaluations of P per quantile here; a bracket expansion pass followed
-    # by Newton steps took 10. The scan inverts nothing: it reads P and Q
-    # once where its closed-form points land, and its spacing needs no
-    # Halley step. On this config nothing else evaluates P.
+    # by Newton steps took 10. The optimizer's search inverts nothing and
+    # runs no array: on its one branch, below gamma+, it reads Q once at
+    # each threshold it samples or steps to, where a 4,096-point scan read
+    # P and Q at every point. On this config nothing else evaluates P.
     counts = dict.fromkeys(["gamma_p_inverse", "gamma_p", "gamma_pq_array"], 0)
     for name in counts:
         def counted(k, v, name=name, fn=getattr(_special, name)):
@@ -609,7 +571,7 @@ def test_gamma_inverses_evaluate_p_few_times_per_quantile(ex1_gamma, monkeypatch
     balanced_load.cache_clear()
     optimize_monopoly(ex1_gamma, 1.0)
     assert counts["gamma_p_inverse"] > 0
-    assert counts["gamma_pq_array"] == 4096
+    assert counts["gamma_pq_array"] == 0
     assert counts["gamma_p"] <= 4 * counts["gamma_p_inverse"]
 
 
@@ -620,18 +582,29 @@ def test_point_solves_invert_only_their_bracket_ends(ex1_uniform, dist, monkeypa
     # the survival function, and inverts only the ends of its brackets:
     # once at gamma+ on its branch and once at level 1 - P_MIN (a bounded
     # law's bracket ends at its support's top), each once per call; a best
-    # response also inverts its scan's top and gamma+ on the other branch.
+    # response also inverts its range's top and gamma+ on the other branch.
     # Stepping in rate inverted once per step: on a gamma law that made 10
     # inversions per monopoly, 23-24 per best response and 12-16 per
     # equilibrium, nearly all inside root searches.
-    calls, searching = [], []
-    inverse = type(dist)._quantile
+    calls, searching, placing = [], [], []
+    inverse, place = type(dist)._quantile, type(dist)._near_quantile
 
     def counted(self, p):
-        if np.ndim(p) == 0:  # a scan's array of quantiles is not a solve's
+        # a scan's array of quantiles is not a solve's, nor are the
+        # thresholds an optimizer's search samples, placed at or near
+        # quantiles: a closed-form law places them at its quantiles
+        if np.ndim(p) == 0 and not placing:
             calls.append(bool(searching))
         return inverse(self, p)
+
+    def placed(self, p):
+        placing.append(None)
+        try:
+            return place(self, p)
+        finally:
+            placing.pop()
     monkeypatch.setattr(type(dist), "_quantile", counted)
+    monkeypatch.setattr(type(dist), "_near_quantile", placed)
     for module in (wardrop, _solve):
         def search(*args, _search=module.bisect_decreasing, **kwargs):
             searching.append(None)

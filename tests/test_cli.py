@@ -278,8 +278,7 @@ def test_classes_json_dict(tmp_path, capsys):
 
 
 def test_machine_output_deterministic(ex1_path, capsys):
-    args = ["monopoly", "--config", ex1_path, "--c2", "1", "--format", "json",
-            "--grid", "512"]
+    args = ["monopoly", "--config", ex1_path, "--c2", "1", "--format", "json"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0

@@ -37,15 +37,15 @@ CASES = [
     ('ex1', 'equilibrium --c1 2 --c2 1 --format csv',
      'beta1,gamma1,gamma2,r1,r2,rt\n'
      '4.7042836939703205,0.9717872295222598,2.02821277047774,1.9435744590445196,2.02821277047774,3.97178722952226\n'),
-    ('ex1', 'monopoly --c2 1 --grid 64 --format json',
+    ('ex1', 'monopoly --c2 1 --format json',
      '{\n'
      '  "c1_star": 3.1086027751895946,\n'
      '  "gamma1_star": 0.6192864930261761,\n'
      '  "rt_star": 4.305829217832427\n'
      '}\n'),
-    ('ex2', 'monopoly --c2 1 --grid 64 --format csv',
+    ('ex2', 'monopoly --c2 1 --format csv',
      'c1_star,gamma1_star,rt_star\n'
-     '2.708591691456304,0.4834789162671859,3.8260680593284118\n'),
+     '2.708591691456304,0.483478916267186,3.8260680593284118\n'),
     ('ex1', 'duopoly-best-response --server 2 --other-price 2 --format json',
      '{\n'
      '  "gamma_star": 1.1400814761964473,\n'
@@ -174,11 +174,11 @@ CASES = [
      'r2 = 2.028\n'
      'regime = HIGH_BETA_TO_SERVER_1\n'
      'rt = 3.972\n'),
-    ('ex1', 'monopoly --c2 1 --grid 64 --format summary',
+    ('ex1', 'monopoly --c2 1 --format summary',
      'c1_star = 3.109\n'
      'gamma1_star = 0.6193\n'
      'rt_star = 4.306\n'),
-    ('ex2', 'monopoly --c2 1 --grid 64 --format summary',
+    ('ex2', 'monopoly --c2 1 --format summary',
      'c1_star = 2.709\n'
      'gamma1_star = 0.4835\n'
      'rt_star = 3.826\n'),

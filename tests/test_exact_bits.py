@@ -31,16 +31,16 @@ PINNED = {
         '0x1.5b2d96cb65b2cp+0', '0x1.d5987155ec506p+0', '0x1.052c7856a1c22p+1',
         '0x1.5b2d96cb65b2cp+0', '0x1.9680dc5ba9befp+1', '0x1.717a0d2b83145p-1',
         '0x1.6cc2e879ed326p+2', '0x1.fba5de9adde22p+0', '0x1.14ede3876b0b4p+2',
-        '0x1.c201930f52fddp-2', '0x1.394a65a33e4e8p+2', '0x1.2d8d93c9ff6ccp+2',
+        '0x1.c201930f52fdcp-2', '0x1.394a65a33e4eap+2', '0x1.2d8d93c9ff6ccp+2',
         '0x1.289eb61df672ep-1', '0x1.e9b8a3046d663p+1', '0x1.1bb68c6a283e4p+1',
-        '0x1.289eb61df672ep-1', '0x1.49ad07cb854a8p-1', '0x1.19d8d0bc961e9p+2',
-        '0x1.6af6245c6bc11p+1', '0x1.49ad07cb854a8p-1',
+        '0x1.289eb61df672ep-1', '0x1.49ad07cb854a8p-1', '0x1.19d8d0bc961eap+2',
+        '0x1.6af6245c6bc12p+1', '0x1.49ad07cb854a8p-1',
     ),
     'ex1_gamma': (
         '0x1.5b2d96cb65b2cp+0', '0x1.cd72e22a44e19p+0', '0x1.03fb5d97da643p+1',
         '0x1.5b2d96cb65b2cp+0', '0x1.d6272b680adb8p+1', '0x1.68fab90534989p-1',
         '0x1.6376ca6eadc29p+2', '0x1.f66c5176614c0p+0', '0x1.1e3fd70eefe89p+2',
-        '0x1.0290d8bba577dp-1', '0x1.022325f0949d8p+2', '0x1.220aa22ee122cp+2',
+        '0x1.0290d8bba577dp-1', '0x1.022325f0949d7p+2', '0x1.220aa22ee122cp+2',
         '0x1.59a0f715af718p-1', '0x1.9178a0837d0c4p+1', '0x1.0f03ff99754d9p+1',
         '0x1.59a0f715af718p-1', '0x1.878f9c7927751p-1', '0x1.cbc7553f13753p+1',
         '0x1.5f9fb049827dap+1', '0x1.878f9c7927751p-1',
@@ -49,7 +49,7 @@ PINNED = {
         '0x1.2666666666666p+0', '0x1.aa7defe8d6478p+0', '0x1.24ee1a68d61f9p+1',
         '0x1.2666666666666p+0', '0x1.1dddddddddddep+2', '0x1.9ebfbed65ba64p-2',
         '0x1.5d70056e23078p+2', '0x1.d883eb72b7b3ep+0', '0x1.1d814e7b92915p+2',
-        '0x1.ef1518d6b13d7p-2', '0x1.5ab321ee82d5cp+1', '0x1.e9bc99218af8cp+1',
+        '0x1.ef1518d6b13d8p-2', '0x1.5ab321ee82d5cp+1', '0x1.e9bc99218af8cp+1',
         '0x1.736ba6302e832p-1', '0x1.f646bb604d75cp+0', '0x1.6c5ddb96a3c3dp+0',
         '0x1.736ba6302e832p-1', '0x1.677d478244fefp-1', '0x1.212044e548b10p+2',
         '0x1.9601be22404fdp+1', '0x1.677d478244fefp-1',
@@ -58,25 +58,25 @@ PINNED = {
         '0x1.2666666666666p+0', '0x1.c146a3e22bb3cp+0', '0x1.203560e41243bp+1',
         '0x1.2666666666666p+0', '0x1.eaee6ebe2c49bp+1', '0x1.11ccc25876d2bp-1',
         '0x1.b97b6d17afcd7p+2', '0x1.e789e00552ca1p+0', '0x1.01e1ebe660797p+2',
-        '0x1.54f5c3dc457acp-2', '0x1.2884b1efafb3cp+2', '0x1.0d6bdd4d711afp+2',
-        '0x1.f0056a1609f68p-2', '0x1.a95de153451c9p+1', '0x1.9c1771d61d39bp+0',
-        '0x1.f0056a1609f68p-2', '0x1.28e7da4e3d9eep+0', '0x1.468217e232c10p-2',
-        '0x1.a1b2bfd537b9dp+3', '0x1.0a5ef203888b2p+2', '0x1.468217e232c10p-2',
+        '0x1.54f5c3dc457abp-2', '0x1.2884b1efafb3cp+2', '0x1.0d6bdd4d711aep+2',
+        '0x1.f0056a1609f6bp-2', '0x1.a95de153451c7p+1', '0x1.9c1771d61d39cp+0',
+        '0x1.f0056a1609f6bp-2', '0x1.28e7da4e3d9eep+0', '0x1.468217e232c12p-2',
+        '0x1.a1b2bfd537b9ap+3', '0x1.0a5ef203888b2p+2', '0x1.468217e232c12p-2',
     ),
     'ex2_gamma': (
         '0x1.2666666666666p+0', '0x1.b647e71221319p+0', '0x1.215a378eed773p+1',
         '0x1.2666666666666p+0', '0x1.0af4c51643c2fp+2', '0x1.0043650f3b144p-1',
         '0x1.9dee8345e7e3cp+2', '0x1.e00db71c7d4f3p+0', '0x1.0f249ccbb07c3p+2',
-        '0x1.873bf905454c1p-2', '0x1.dd58fa2a067c7p+1', '0x1.02bc97ad52870p+2',
-        '0x1.2ba2c18018f13p-1', '0x1.4b6d16cfa31dfp+1', '0x1.83eb1f3007f1ap+0',
-        '0x1.2ba2c18018f13p-1', '0x1.ac82f87c0f612p-2', '0x1.16d57ec290530p+3',
-        '0x1.d2bb96fd9b0e4p+1', '0x1.ac82f87c0f612p-2',
+        '0x1.873bf905454c0p-2', '0x1.dd58fa2a067c8p+1', '0x1.02bc97ad52870p+2',
+        '0x1.2ba2c18018f13p-1', '0x1.4b6d16cfa31dep+1', '0x1.83eb1f3007f19p+0',
+        '0x1.2ba2c18018f13p-1', '0x1.ac82f87c0f611p-2', '0x1.16d57ec290530p+3',
+        '0x1.d2bb96fd9b0e3p+1', '0x1.ac82f87c0f611p-2',
     ),
     'ex3': (
         '0x1.8000000000000p+0', '0x1.efbdeb14f4edap+0', '0x1.efbdeb14f4edap+0',
         '0x1.8000000000000p+0', '0x1.0000000000000p+2', '0x1.6adc51bab85ecp-1',
         '0x1.4385f260e1459p+2', '0x1.0f876ccdf6cd9p+1', '0x1.3504f333f9de6p+2',
-        '0x1.5ab00ac5a0e2dp-1', '0x1.8c6ffc68ca5f2p+1', '0x1.1ae1fcdbb1134p+2',
+        '0x1.5ab00ac5a0e2cp-1', '0x1.8c6ffc68ca5f2p+1', '0x1.1ae1fcdbb1133p+2',
         '0x1.c3910c8d016b0p-1', '0x1.3ecfa67baa31bp+1', '0x1.192e3ac53f68cp+1',
         '0x1.c3910c8d016b0p-1', '0x1.c3910c8d016b0p-1', '0x1.3ecfa67baa31bp+1',
         '0x1.192e3ac53f68cp+1', '0x1.c3910c8d016b0p-1',
@@ -85,7 +85,7 @@ PINNED = {
         '0x1.8000000000000p+0', '0x1.f7e84dd7ca370p+0', '0x1.f7e84dd7ca370p+0',
         '0x1.8000000000000p+0', '0x1.62e42fefa39efp+1', '0x1.88a4a9d98d965p-1',
         '0x1.5d316f3794777p+2', '0x1.0eaafaceac250p+1', '0x1.3866e474da09cp+2',
-        '0x1.e3658de47ca6cp-2', '0x1.3350bbde85441p+2', '0x1.32dc760ae5852p+2',
+        '0x1.e3658de47ca6ap-2', '0x1.3350bbde85442p+2', '0x1.32dc760ae5852p+2',
         '0x1.437e96aa11687p-1', '0x1.da371e71f07f2p+1', '0x1.2b9f04d1099a7p+1',
         '0x1.437e96aa11687p-1', '0x1.437e96aa11687p-1', '0x1.da371e71f07f2p+1',
         '0x1.2b9f04d1099a7p+1', '0x1.437e96aa11687p-1',
@@ -103,10 +103,10 @@ PINNED = {
         '0x1.5b2d96cb65b2cp+0', '0x1.7cf45a25fd9c0p+0', '0x1.bf52c7af7f1f9p+0',
         '0x1.5b2d96cb65b2cp+0', '0x1.fc211372942ebp+3', '0x1.2a3d5e5c7601fp+0',
         '0x1.2eaf7bdd9fb20p+4', '0x1.8b363aeba6171p+0', '0x1.ce942d568eefcp+3',
-        '0x1.c201930f52fdep-2', '0x1.479cff0c0de22p+4', '0x1.71e1f178fe8fep+3',
-        '0x1.da69265813044p-2', '0x1.372abec191103p+4', '0x1.20527a2b050e1p+3',
-        '0x1.da69265813044p-2', '0x1.0dbd04070d161p-1', '0x1.67da905405a3ap+4',
-        '0x1.7b2a5bae2b957p+3', '0x1.0dbd04070d161p-1',
+        '0x1.c201930f52fdcp-2', '0x1.479cff0c0de24p+4', '0x1.71e1f178fe8fep+3',
+        '0x1.da69265813043p-2', '0x1.372abec191104p+4', '0x1.20527a2b050e1p+3',
+        '0x1.da69265813043p-2', '0x1.0dbd04070d160p-1', '0x1.67da905405a3ap+4',
+        '0x1.7b2a5bae2b956p+3', '0x1.0dbd04070d160p-1',
     ),
 }
 

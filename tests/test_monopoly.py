@@ -126,26 +126,9 @@ def test_first_order_condition_at_optimum(name, request):
 def test_optimize_rejects_bad_inputs(ex1_uniform):
     with pytest.raises(DomainError):
         optimize_monopoly(ex1_uniform, -1.0)
-    with pytest.raises(DomainError):
-        optimize_monopoly(ex1_uniform, 1.0, grid_size=32)
     # an unstable system cannot be built, so it never reaches the solver
     with pytest.raises(ConfigError):
         SystemConfig(3.0, DelayModel.mm1(2.0), DelayModel.mm1(4.0), Uniform(2.0, 6.0))
-
-
-@pytest.mark.parametrize("grid_size", [1, 10])
-def test_optimize_rejects_small_grids(ex1_uniform, grid_size):
-    with pytest.raises(DomainError, match="grid_size must be at least 64"):
-        optimize_monopoly(ex1_uniform, 1.0, grid_size=grid_size)
-
-
-def test_optimize_takes_integer_grid_sizes_only(ex1_uniform):
-    # unchecked, 100.5 points run on a 101-point grid spaced (hi - lo) / 99.5
-    for grid_size in (100.5, math.nan):
-        with pytest.raises(DomainError, match="an integer"):
-            optimize_monopoly(ex1_uniform, 1.0, grid_size=grid_size)
-    want = optimize_monopoly(ex1_uniform, 1.0, grid_size=4096)
-    assert optimize_monopoly(ex1_uniform, 1.0, grid_size=np.int64(4096)) == want
 
 
 @pytest.mark.parametrize("c2", [np.nan, np.inf, -1.0])
