@@ -95,15 +95,6 @@ def check_count(name: str, value, least: int) -> None:
     raise DomainError(f"{name} must be at least {least} and an integer, got {value}")
 
 
-def derivative_root(df, lo: float, hi: float):
-    """The root of a peak's derivative df, falling through 0 on [lo, hi],
-    or None where df keeps its sign there."""
-    try:
-        return bisect_decreasing(df, lo, hi)
-    except NoRootError:
-        return None
-
-
 # no solver scans for its optimum any more; perfbench's tracer still wraps
 # this name, so it stays with the tracer's span
 def grid_argmax(scan, lo: float, hi: float, n: int):
@@ -118,6 +109,15 @@ def grid_argmax(scan, lo: float, hi: float, n: int):
         raise ValueError("grid_argmax needs n >= 2")
     xs, fs = scan(lo, hi, n)
     return xs, fs, int(np.argmax(fs))
+
+
+def derivative_root(df, lo: float, hi: float):
+    """The root of a peak's derivative df, falling through 0 on [lo, hi],
+    or None where df keeps its sign there."""
+    try:
+        return bisect_decreasing(df, lo, hi)
+    except NoRootError:
+        return None
 
 
 # perfbench's tracer still wraps this name; it goes with the tracer's span

@@ -319,7 +319,7 @@ class Thresholds:
         step = (b - a) / (BRANCH_SAMPLES + 1)
         inner = sorted(dist._near_quantile(level(a + i * step))
                        for i in range(1, BRANCH_SAMPLES + 1))
-        seen, known = [], {}
+        seen = []
 
         def sample(x):
             # (beta, slope in beta, rate, revenue, slope in rate): the slope is
@@ -328,7 +328,7 @@ class Thresholds:
             gamma = lam * share(x)
             delta = delta_of(gamma)
             d = rate * dist._density(x)
-            v = known[x] = (x * flow(gamma) + c) * d + gamma * delta
+            v = (x * flow(gamma) + c) * d + gamma * delta
             seen.append((x, gamma, v))
             h = v / d if d else math.copysign(math.inf, v * rate)
             return x, v, gamma, (x * delta + c) * gamma, h
@@ -347,7 +347,9 @@ class Thresholds:
         peaks = []
         for (x0, s0, *_), (x1, s1, *_) in zip(pts, pts[1:]):
             if s0 > 0.0 >= s1:
-                x = derivative_root(lambda x: known[x] if x in known else sample(x)[1], x0, x1)
+                # the bracket's ends are samples: their slopes are known
+                x = derivative_root(lambda x: s0 if x == x0 else s1 if x == x1 else sample(x)[1],
+                                    x0, x1)
                 beta, gamma = _read_root(seen, x, 0.0)
                 gap = beta * delta_of(gamma)
                 peaks.append((gamma, (gap + c) * gamma, gap))
