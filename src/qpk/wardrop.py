@@ -337,11 +337,10 @@ class Thresholds:
         todo = [(i, 2) for i in range(len(pts) - 1)]
         while todo:  # from the top index down, so an insertion moves no index left to do
             i, looks = todo.pop()
-            (x0, s0, *_), (x1, s1, *_) = pts[i], pts[i + 1]
+            (x0, s0, g0, *_), (x1, s1, g1, *_) = pts[i], pts[i + 1]
             turn = _turn(pts, i) if (s0 > 0.0) == (s1 > 0.0) else None
-            if turn is not None:
-                x = dist._near_quantile(level(turn))
-                pts.insert(i + 1, sample(x if min(x0, x1) < x < max(x0, x1) else 0.5 * (x0 + x1)))
+            if turn is not None:  # its threshold, linear between the two samples'
+                pts.insert(i + 1, sample(x0 + (turn - g0) / (g1 - g0) * (x1 - x0)))
                 if looks > 1:
                     todo += [(i, 1), (i + 1, 1)]
         peaks = []
