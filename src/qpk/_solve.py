@@ -7,12 +7,13 @@ root of the objective's derivative (``wardrop.Thresholds.local_maxima``),
 so there is no separate maximizer.
 """
 
+from __future__ import annotations
+
 import math
 import operator
 import sys
 
-import numpy as np
-
+from . import _np as np
 from .errors import DomainError, NoRootError
 
 _EPS = sys.float_info.epsilon

@@ -45,9 +45,12 @@ inverse: ``gamma_scan_points`` places its points in closed form and reads
 P and Q once where they land.
 """
 
+from __future__ import annotations
+
+import functools
 import math
 
-import numpy as np
+from . import _np as np
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
@@ -75,6 +78,7 @@ _HANDOFF = 16  # at this many active elements or fewer, the array loops go scala
 _SCAN_GAP = 1.5
 
 
+@functools.lru_cache(maxsize=256)  # a gamma law asks for the same log Gamma(k) in every cdf
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if x <= 0.0:

@@ -8,13 +8,14 @@ Estimation never touches the underlying distribution object; only prices,
 rates, and delays enter the formulas.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
+from . import _np as np
 from . import models
 from ._solve import bisect_decreasing, check_count
 from .errors import (DegenerateError, DomainError, InsufficientDataError,

@@ -4,6 +4,8 @@ Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely across threads.
 """
 
+from __future__ import annotations
+
 import functools
 import json
 import math
@@ -11,8 +13,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from typing import ClassVar
 
-import numpy as np
-
+from . import _np as np
 from . import _special
 from .errors import DomainError, ValidationError
 

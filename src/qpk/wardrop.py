@@ -8,13 +8,14 @@ server-1 twin on ``cfg.swapped()``. Everything downstream (monopoly and
 duopoly optimization, estimation oracles) is built from these.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from . import _np as np
 from ._solve import TIE_REL, bisect_decreasing, derivative_root, uniform_grid
 from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
