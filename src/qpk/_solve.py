@@ -1,10 +1,8 @@
-"""The package's one bracketed root-finder, and the grid helpers of the
-array scans.
+"""The package's one bracketed root-finder, and the uniform grid of the
+curves.
 
-Grid scans take an array objective and evaluate the whole grid in one
-call; root finding takes scalar functions. Every optimum is found as a
-root of the objective's derivative (``wardrop.Thresholds.local_maxima``),
-so there is no separate maximizer.
+Every optimum is found as a root of the objective's derivative
+(``wardrop.Thresholds.local_maxima``), so there is no separate maximizer.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import math
 import operator
 import sys
 
-from . import _np as np
 from .errors import DomainError, NoRootError
 
 _EPS = sys.float_info.epsilon
@@ -78,11 +75,10 @@ def bisect_decreasing(f, lo: float, hi: float, target: float = 0.0) -> float:
     return b
 
 
-def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
+def uniform_grid(lo: float, hi: float, n: int) -> list:
     """n uniformly spaced points from lo to exactly hi."""
-    xs = lo + np.arange(n) * ((hi - lo) / (n - 1))
-    xs[-1] = hi
-    return xs
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def check_count(name: str, value, least: int) -> None:
@@ -103,13 +99,13 @@ def grid_argmax(scan, lo: float, hi: float, n: int):
 
     scan(lo, hi, n) samples at up to n points and returns (xs, fs): the
     points it sampled, increasing from exactly lo to exactly hi, and the
-    objective's values there. Returns (xs, fs, i_best), two arrays and an
-    int, with the lowest-index tie-break so results are deterministic.
+    objective's values there. Returns (xs, fs, i_best), with the
+    lowest-index tie-break so results are deterministic.
     """
     if n < 2:
         raise ValueError("grid_argmax needs n >= 2")
     xs, fs = scan(lo, hi, n)
-    return xs, fs, int(np.argmax(fs))
+    return xs, fs, max(range(len(fs)), key=fs.__getitem__)
 
 
 def derivative_root(df, lo: float, hi: float):

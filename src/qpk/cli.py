@@ -239,7 +239,7 @@ def _cmd_sweep(args, cfg):
         rate, own = ("gamma2", cfg.swapped()) if what == "g2" else ("gamma1", cfg)
         solves = wardrop.Thresholds(own)
         fn = solves.beta1 if what == "beta1" else solves.g1
-        grid = _solve.uniform_grid(*solves.bracket, n).tolist()
+        grid = _solve.uniform_grid(*solves.bracket, n)
         return None, {CSV_FMT: _csv((rate, what), [(g, fn(g)) for g in grid])}
     if what == "revenue":
         return None, {CSV_FMT: _csv(("gamma1", "revenue"), monopoly.revenue_curve(cfg, c2, n))}
@@ -247,7 +247,7 @@ def _cmd_sweep(args, cfg):
     solves = wardrop.Thresholds(cfg)
     cap, g1 = solves.root(-c2, True)[0], solves.g1
     rows = []
-    for g in _solve.uniform_grid(cfg.lam * P_MIN, cap * (1.0 - P_MIN), n).tolist():
+    for g in _solve.uniform_grid(cfg.lam * P_MIN, cap * (1.0 - P_MIN), n):
         gap = g1(g)
         rows.append((g, (gap + c2) * g, c2 + gap))
     return None, {CSV_FMT: _csv(("gamma1", "r1", "c1"), rows)}

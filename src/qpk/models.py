@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from typing import ClassVar
 
-from . import _np as np
 from . import _special
 from .errors import DomainError, ValidationError
 
@@ -33,8 +32,7 @@ class DelayModel:
 
     Two families: ``linear`` has D(g) = g/mu, ``mm1`` has D(g) = 1/(mu - g)
     for g < mu. The family set is closed in v1; evaluation dispatches
-    through :func:`delay_formula` and its array twin, the derivative
-    through :func:`delay_deriv`.
+    through :func:`delay_formula`, the derivative through :func:`delay_deriv`.
     """
 
     family: DelayFamily
@@ -92,14 +90,6 @@ def delay_eval(model: DelayModel, gamma: float, saturation: bool = False) -> flo
     return delay_formula(model)(gamma)
 
 
-def delay_formula_array(model: DelayModel, gamma: np.ndarray) -> np.ndarray:
-    """:func:`delay_formula` elementwise over an array, with no checks."""
-    if model.family is DelayFamily.LINEAR:
-        return gamma / model.mu
-    with np.errstate(divide="ignore"):
-        return 1.0 / (model.mu - gamma)
-
-
 def delay_deriv(model: DelayModel, gamma: float, saturation: bool = False) -> float:
     """Derivative of the mean delay; strictly positive on the domain."""
     _check_rate(model, gamma, saturation, "delay derivative")
@@ -121,26 +111,13 @@ class SensitivityDistribution:
     :func:`density` entry points, which own the domain checks and the
     quantile clamp for unbounded families. Point solves run in threshold
     space on every law (``wardrop.Thresholds``) and read each rate off
-    ``_cdf`` or ``_sf``. ``_scan_points(p, low, anchors)`` is the grid
-    scans' hook: for a numpy array of levels p it returns thresholds at or
-    near their quantiles and each one's rate as a share of lam, 1 - F where
-    ``low`` and F elsewhere, or None when the thresholds are the quantiles.
-    It defaults to (``_quantile``(p), None), which serves as is wherever
-    the scalar quantile is plain arithmetic. ``_near_quantile(p)`` is the
-    optimizers' scalar twin, a threshold at or near one level's quantile;
-    it defaults to ``_quantile``(p).
-
-    A law whose quantile is a numerical inverse sets ``numeric_quantile``:
-    its scan places its thresholds near the quantiles, must return shares,
-    and gets as ``anchors`` (level, threshold) pairs of scalar quantiles:
-    the low branch's end at gamma+ (the top, if every level is low), the
-    upper branch's start at gamma+ and the top, its last level; a pair for
-    a branch with no levels is None. The scan's ends take the scalar
-    thresholds. Other laws get None.
+    ``_cdf`` or ``_sf``. ``_near_quantile(p)`` is where the optimizers
+    sample: a threshold at or near one level's quantile, which a law whose
+    quantile is a numerical inverse places in closed form; it defaults to
+    ``_quantile``(p).
     """
 
     family: ClassVar[str]
-    numeric_quantile: ClassVar[bool] = False
 
     @classmethod
     def param_names(cls) -> tuple:
@@ -173,9 +150,6 @@ class SensitivityDistribution:
 
     def _quantile(self, p: float) -> float:
         raise NotImplementedError
-
-    def _scan_points(self, p: np.ndarray, low: np.ndarray, anchors) -> tuple:
-        return self._quantile(p), None
 
     def _near_quantile(self, p: float) -> float:
         return self._quantile(p)
@@ -249,9 +223,6 @@ class Exponential(SensitivityDistribution):
     def _quantile(self, p):
         return -self.tau * math.log1p(-p)
 
-    def _scan_points(self, p, low, anchors):
-        return -self.tau * np.log1p(-p), None
-
     def _density(self, x):
         return math.exp(-x / self.tau) / self.tau
 
@@ -261,7 +232,6 @@ class Gamma(SensitivityDistribution):
     """Gamma law with shape k and scale theta."""
 
     family: ClassVar[str] = "gamma"
-    numeric_quantile: ClassVar[bool] = True
     k: float
     theta: float
 
@@ -288,13 +258,6 @@ class Gamma(SensitivityDistribution):
 
     def _quantile(self, p):
         return _special.gamma_p_inverse(self.k, p) * self.theta
-
-    def _scan_points(self, p, low, anchors):
-        # no inversion: points placed in closed form, and the rates they give
-        theta = self.theta
-        x, share = _special.gamma_scan_points(
-            self.k, p, low, tuple(None if a is None else (a[0], a[1] / theta) for a in anchors))
-        return x * theta, share
 
     def _near_quantile(self, p):
         return _special.gamma_start(self.k, p) * self.theta
@@ -377,10 +340,9 @@ def quantile(dist: SensitivityDistribution, p: float) -> float:
     Below shape k ~ 0.1 the stop is not reached (the ``_special`` docstring
     has the measured limits). p is clamped to the law's ``levels``, which
     for unbounded-support families is [P_MIN, 1 - P_MIN], so the result
-    stays finite. ``wardrop.Thresholds`` applies the same clamp: its
-    rate-space maps past their own rate check, its grid scan to the levels
-    it samples; its point solves invert only the ends of their brackets and
-    read each rate off its threshold.
+    stays finite. ``wardrop.Thresholds`` applies the same clamp to its
+    rate-space maps past their own rate check; its point solves invert only
+    the ends of their brackets and read each rate off its threshold.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"quantile probability must lie in [0, 1], got {p}")

@@ -10,7 +10,7 @@ price and revenue read off the root.
 
 from dataclasses import dataclass
 
-from ._solve import check_count
+from ._solve import check_count, uniform_grid
 from .models import P_MIN, SystemConfig
 from .wardrop import Thresholds, check_price
 
@@ -39,18 +39,14 @@ def optimize_monopoly(cfg: SystemConfig, c2: float) -> MonopolyResult:
 
 
 def revenue_curve(cfg: SystemConfig, c2: float, n: int) -> tuple:
-    """(gamma1, RT) samples on [lam * P_MIN, gamma+], from one array scan
-    (wardrop.Thresholds.scan).
+    """(gamma1, RT) at n evenly spaced rates from lam * P_MIN to exactly
+    gamma+, RT = c2*lam + g1(gamma1)*gamma1 as the solvers evaluate it.
 
     Plot-ready data for the revenue-vs-rate figure; RT(gamma+) = c2*lam
-    since the price gap vanishes at the balanced load. Closed-form laws give
-    n evenly spaced samples; a gamma law's are the scan's exact points on
-    the curve, at most n of them, each at the rate its threshold gives,
-    with no gap over 1.5 uniform spacings from shape 0.2 up.
+    since the price gap vanishes at the balanced load.
     """
     check_price("c2", c2)
     check_count("n", n, 2)
     solves = Thresholds(cfg)
-    xs, g, _ = solves.scan(cfg.lam * P_MIN, solves.gp, n)
-    rt = c2 * cfg.lam + g * xs
-    return tuple(zip(xs.tolist(), rt.tolist()))
+    base, g1 = c2 * cfg.lam, solves.g1
+    return tuple((g, base + g1(g) * g) for g in uniform_grid(cfg.lam * P_MIN, solves.gp, n))

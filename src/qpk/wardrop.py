@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import _np as np
-from ._solve import TIE_REL, bisect_decreasing, derivative_root, uniform_grid
+from ._solve import TIE_REL, bisect_decreasing, derivative_root
 from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
-from .models import (P_MIN, DelayFamily, SystemConfig, delay_formula, delay_formula_array,
-                     delay_slope, quantile)
+from .models import P_MIN, DelayFamily, SystemConfig, delay_formula, delay_slope, quantile
 
 #: Thresholds between a branch's ends at which :meth:`Thresholds.local_maxima`
 #: samples the revenue's slope.
@@ -122,20 +120,10 @@ def delay_gap(cfg: SystemConfig) -> tuple:
     return delta, delta_slope, flow_slope
 
 
-def delay_gap_array(cfg: SystemConfig, g: np.ndarray) -> np.ndarray:
-    """:func:`delay_gap`'s delta elementwise over an array of rates."""
-    if cfg.d2.family is DelayFamily.LINEAR:
-        d2 = (cfg.lam - g) / cfg.d2.mu
-    else:
-        with np.errstate(divide="ignore"):
-            d2 = 1.0 / ((cfg.d2.mu - cfg.lam) + g)
-    return d2 - delay_formula_array(cfg.d1, g)
-
-
 class Thresholds:
     """g1 bound to one config for one public call by one balanced_load
-    lookup: its rate-space maps, its grid scan (for revenue curves) and its
-    point solves (equilibria, rate caps and the optimizers' local maxima).
+    lookup: its rate-space maps (for curves) and its point solves
+    (equilibria, rate caps and the optimizers' local maxima).
 
     By the paper's equivalent formulation the rate is lam * (1 - F(beta))
     up to gamma+ and lam * F(beta) above it, so a point solve steps in beta,
@@ -143,8 +131,7 @@ class Thresholds:
     density) per step and no quantile, and reads its rate off its own
     threshold. Each branch runs from its threshold at gamma+ to the
     threshold at level 1 - P_MIN, or to a bounded law's support end outside
-    saturation mode: :meth:`threshold` inverts each level once per call,
-    and a gamma :meth:`scan` takes the same ends as anchors.
+    saturation mode: :meth:`threshold` inverts each level once per call.
     """
 
     def __init__(self, cfg: SystemConfig):
@@ -187,7 +174,6 @@ class Thresholds:
         """The law's quantile at the level p, clamped as the rate-space
         maps clamp it; each level is inverted once per call."""
         lo, hi = self._levels
-        p = float(p)
         p = lo if p < lo else hi if p > hi else p
         beta = self._found.get(p)
         if beta is None:
@@ -199,55 +185,6 @@ class Thresholds:
         False) or above it."""
         p = self._level(self.gp, high)
         return p, self.threshold(p)
-
-    def anchors(self, p, low) -> tuple:
-        """The anchors of a scan at the levels p (see the ``_scan_points``
-        hook): the low branch's end at gamma+, or the top if every level is
-        low; the upper branch's start at gamma+; the top, the last level.
-        None stands for a branch with no levels."""
-        n, edge = p.size, int(np.count_nonzero(low))
-        top = (float(p[-1]), self.threshold(p[-1]))
-        return (top if edge == n else self.anchor(False) if edge else None,
-                self.anchor(True) if edge < n else None, top)
-
-    def scan(self, lo: float, hi: float, n: int) -> tuple:
-        """(rates, g1 at them, thresholds at them) at up to n increasing
-        rates from exactly lo to exactly hi, in one array pass.
-
-        Each rate of the n-point uniform grid maps to its level as in
-        :meth:`beta1`, and the law's ``_scan_points`` returns a threshold at
-        or near each level's quantile. A closed-form law's thresholds are
-        the quantiles: its scan is the grid. Otherwise each point takes the
-        rate its threshold gives, lam * (1 - F) up to gamma+ and lam * F
-        above, and drops if that leaves (lo, hi) or its branch; the ends
-        take the scalar threshold, as point solves do, and the anchors are
-        this call's, so that a scan and the point solves of one call invert
-        each level once.
-        """
-        lam, dist, gp = self.lam, self.cfg.dist, self.gp
-        if not 0.0 <= lo < hi <= lam:  # NaN fails the check
-            raise DomainError(f"rates must satisfy 0 <= lo < hi <= {lam}, got [{lo}, {hi}]")
-        g = uniform_grid(lo, hi, n)
-        low = g <= gp
-        p = (lam - g) / lam if hi <= gp else np.where(low, (lam - g) / lam, g / lam)
-        if not dist.bounded:
-            np.clip(p, *self._levels, out=p)
-        if not dist.numeric_quantile:
-            beta = dist._scan_points(p, low, None)[0]
-        else:  # the thresholds are near the quantiles, not on them
-            beta, share = dist._scan_points(p, low, self.anchors(p, low))
-            g = lam * share
-            keep = (g > lo) & (g < hi) & ((g <= gp) == low)
-            keep[[0, -1]] = True
-            g[[0, -1]] = lo, hi
-            beta[[0, -1]] = self.threshold(p[0]), self.threshold(p[-1])
-            g, first = np.unique(g[keep], return_index=True)
-            beta = beta[keep][first]
-        if g[0] == 0.0 or g[-1] == lam:
-            beta[(g == 0.0) | (g == lam)] = dist.support[1]
-        gap = delay_gap_array(self.cfg, g)
-        gap *= beta
-        return g, gap, beta
 
     def root(self, target: float, high: bool) -> tuple:
         """(gamma1, beta1) with g1(gamma1) = target, above gamma+ (high) or up

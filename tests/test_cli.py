@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import MALFORMED, MALFORMED_IDS, malformed_config
-from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform,
+from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform, balanced_load,
                  discover_classes, discrete_class_oracle, estimate_density,
                  exact_oracle, price_gap_1, price_gap_2, rate_cap_1, threshold_of_rate)
 from qpk._solve import uniform_grid
@@ -140,8 +140,8 @@ SWEEP_LAWS = [Exponential(4.0), Power(2.0, 4.0), Power(0.5, 7.0), Gamma(2.0, 2.0
 @pytest.mark.parametrize("dist", SWEEP_LAWS, ids=repr)
 def test_point_sweeps_are_the_public_functions(dist, delays, tmp_path, capsys):
     # each row of a point sweep is the public function at the row's rate, to
-    # the bit, on every law: the grid is g1's root bracket, or the best
-    # response's range for r1-and-c1
+    # the bit, on every law: the grid is g1's root bracket, the monopoly's
+    # range for revenue, or the best response's range for r1-and-c1
     d = getattr(DelayModel, delays)
     cfg = SystemConfig(3.0, d(3.3), d(4.0), dist)
     path = tmp_path / "cfg.json"
@@ -153,6 +153,8 @@ def test_point_sweeps_are_the_public_functions(dist, delays, tmp_path, capsys):
         "beta1": (bracket, lambda g: (threshold_of_rate(cfg, g),)),
         "g1": (bracket, lambda g: (price_gap_1(cfg, g),)),
         "g2": (bracket, lambda g: (price_gap_2(cfg, g),)),
+        "revenue": ((lam * P_MIN, balanced_load(cfg)),
+                    lambda g: (c2 * lam + price_gap_1(cfg, g) * g,)),
         "r1-and-c1": ((lam * P_MIN, cap),
                       lambda g: ((price_gap_1(cfg, g) + c2) * g, c2 + price_gap_1(cfg, g))),
     }
@@ -161,7 +163,7 @@ def test_point_sweeps_are_the_public_functions(dist, delays, tmp_path, capsys):
                      "--c2", str(c2)]) == 0
         rows = [tuple(map(float, ln.split(","))) for ln
                 in capsys.readouterr().out.strip().split("\n")[1:]]
-        assert [r[0] for r in rows] == uniform_grid(lo, hi, n).tolist()
+        assert [r[0] for r in rows] == uniform_grid(lo, hi, n)
         for r in rows:
             assert r[1:] == row(r[0])
 

@@ -13,6 +13,7 @@ import pytest
 
 from qpk import (ConfigError, DelayModel, DomainError, SystemConfig, Uniform,
                  balanced_load, optimize_monopoly, price_gap_1, revenue_curve)
+from qpk.models import P_MIN
 
 
 def _audit_rt(cfg, c2, grid):
@@ -145,16 +146,23 @@ def test_revenue_curve_rejects_nonfinite_and_negative_c2(ex1_uniform, c2):
         revenue_curve(ex1_uniform, c2, 5)
 
 
-def test_revenue_curve_shape(ex1_uniform):
+def test_revenue_curve_shape(ex1_uniform, request):
     c2 = 1.0
+    # exactly n rows from exactly lam * P_MIN to exactly gamma+, on every family
+    for name in ("ex1_uniform", "ex1_expo", "ex1_gamma", "sat_power"):
+        cfg = request.getfixturevalue(name)
+        curve = revenue_curve(cfg, c2, 400)
+        gammas = [g for g, _ in curve]
+        assert len(curve) == 400
+        assert (gammas[0], gammas[-1]) == (cfg.lam * P_MIN, balanced_load(cfg))
+        assert all(a < b for a, b in zip(gammas, gammas[1:]))
+        # the price gap vanishes at the balanced load: RT(gamma+) = c2 * lam
+        assert curve[-1][1] == pytest.approx(c2 * cfg.lam, abs=1e-8)
     curve = revenue_curve(ex1_uniform, c2, 400)
     gammas = [g for g, _ in curve]
     rts = [rt for _, rt in curve]
-    assert len(curve) == 400
-    assert all(a < b for a, b in zip(gammas, gammas[1:]))
     # endpoints: zero rate and balanced load both earn just c2 * lam
     assert rts[0] == pytest.approx(c2 * 3.0, abs=1e-6)
-    assert rts[-1] == pytest.approx(c2 * 3.0, abs=1e-8)
     # peak within one grid cell of the known optimum
     peak_gamma = gammas[int(np.argmax(rts))]
     cell = gammas[1] - gammas[0]

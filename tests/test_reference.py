@@ -6,7 +6,7 @@ both best responses at a rival price of 1), lies within 1e-13 relative of
 the reference's 40-digit value. sat_power's optima sit at the grid floor,
 a boundary, and have no interior reference. The same holds for the
 optima of gamma laws of shapes 0.2, 30 and 1000 on the ex1 and ex2
-servers, which the scans place on points near their quantiles. The
+servers, whose searches sample thresholds near their quantiles. The
 balanced load is within 1e-14 relative on 1,000 seeded configs.
 """
 

@@ -25,6 +25,10 @@ SCALAR_COMMANDS = [
     ["estimate-density", "--c2", "1", "--c1-start", "3", "--delta", "0.2", "--steps", "3"],
 ]
 
+#: Every sweep curve, each a point-by-point sweep of the scalar maps.
+SWEEPS = {what: ["sweep", "--what", what, "--n", "20", "--c2", "1"]
+          for what in ("revenue", "beta1", "g1", "g2", "r1-and-c1")}
+
 # runs the CLI as `python -m qpk.cli` does, then reports whether numpy was loaded
 CLI_PROBE = ("import sys\n"
              "from qpk.cli import main\n"
@@ -43,13 +47,14 @@ def _python(tmp_path, *args):
     return proc
 
 
-def test_import_loads_no_test_only_module(tmp_path, ex1_uniform):
-    # importing loads no numpy, an array call does; neither loads a test-only module
+def test_import_loads_no_test_only_module(tmp_path, ex2_uniform):
+    # importing loads no numpy, an array call (the DES oracle's simulation)
+    # does; neither loads a test-only module
     code = ("import sys, qpk, qpk.cli\n"
             "roots = lambda: ' '.join(sorted({m.split('.')[0] for m in sys.modules}))\n"
             "print(roots())\n"
-            f"cfg = qpk.config_from_json({config_to_json(ex1_uniform)!r})\n"
-            "qpk.revenue_curve(cfg, 1.0, 8)\n"
+            f"cfg = qpk.config_from_json({config_to_json(ex2_uniform)!r})\n"
+            "qpk.des_oracle(cfg, 50.0, 0).measure(3.0, 1.0)\n"
             "print(roots())")
     imported, called = (set(line.split()) for line in
                         _python(tmp_path, "-c", code).stdout.splitlines())
@@ -58,17 +63,16 @@ def test_import_loads_no_test_only_module(tmp_path, ex1_uniform):
     assert called.isdisjoint(TEST_ONLY), sorted(called & set(TEST_ONLY))
 
 
-@pytest.mark.parametrize("config, argv, numpy_loaded", [
-    *[pytest.param(name, argv, False, id=f"{name}-{argv[0]}")
+@pytest.mark.parametrize("config, argv", [
+    *[pytest.param(name, argv, id=f"{name}-{argv[0]}")
       for name in ("ex1_uniform", "ex1_gamma") for argv in SCALAR_COMMANDS],
-    pytest.param("ex3", ["duopoly-symmetric"], False, id="ex3-duopoly-symmetric"),
-    # the revenue curve is an array scan: the stand-in still imports numpy
-    pytest.param("ex1_uniform", ["sweep", "--what", "revenue", "--n", "20", "--c2", "1"],
-                 True, id="ex1_uniform-sweep"),
+    pytest.param("ex3", ["duopoly-symmetric"], id="ex3-duopoly-symmetric"),
+    *[pytest.param(name, argv, id=f"{name}-sweep" + ("" if what == "revenue" else f"-{what}"))
+      for name in ("ex1_uniform", "ex1_gamma") for what, argv in SWEEPS.items()],
 ])
-def test_scalar_commands_run_without_numpy(tmp_path, request, config, argv, numpy_loaded):
+def test_scalar_commands_run_without_numpy(tmp_path, request, config, argv):
     path = tmp_path / f"{config}.json"
     path.write_text(config_to_json(request.getfixturevalue(config)))
     proc = _python(tmp_path, "-c", CLI_PROBE, argv[0], "--config", str(path), *argv[1:])
     assert proc.stdout
-    assert proc.stderr.splitlines()[-1] == str(numpy_loaded)
+    assert proc.stderr.splitlines()[-1] == "False"

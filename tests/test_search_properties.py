@@ -3,9 +3,10 @@ it replaced, kept here as a reference, on all four families, both delay
 families, shapes and exponents below 1 and saturation mode (hypothesis;
 skipped when it is absent).
 
-The reference samples the revenue on a uniform grid of rates
-(wardrop.Thresholds.scan), takes every grid peak and refines it in the
-threshold between its grid neighbours; a peak whose neighbours straddle
+The reference samples the revenue on a uniform grid of rates with the
+scalar maps, one threshold per rate (wardrop.Thresholds.beta1), takes
+every grid peak and refines it in the threshold between its grid
+neighbours; a peak whose neighbours straddle
 gamma+ is the kink, or refined on the branch its slope points into. It
 takes the revenue's slope as the search does, with (gamma1 delta)' in
 closed form, so the two differ only in how they find the peaks.
@@ -17,10 +18,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
 from qpk import (DelayModel, Exponential, Gamma, Power, SystemConfig, Uniform, best_response,
-                 check_symmetric_nash, optimize_monopoly, wardrop)
-from qpk._solve import TIE_REL, bisect_decreasing
+                 optimize_monopoly, wardrop)
+from qpk._solve import TIE_REL, bisect_decreasing, uniform_grid
 from qpk.errors import ConfigError, NoRootError
 from qpk.models import P_MIN
 
@@ -68,7 +68,9 @@ def grid_local_maxima(cfg, c, lo, hi):
     """(best, peaks) as Thresholds.local_maxima returns them, from the
     4,096-point scan and the refinement of every grid peak."""
     solves = wardrop.Thresholds(cfg)
-    xs, gaps, betas = solves.scan(lo, hi, GRID)
+    xs = np.array(uniform_grid(lo, hi, GRID))
+    betas = np.array([solves.beta1(x) for x in xs.tolist()])
+    gaps = betas * np.array([solves._delta(x) for x in xs.tolist()])
     fs = (gaps + c) * xs
     last = xs.size - 1
     peak = np.ones(xs.size, dtype=bool)
@@ -186,30 +188,14 @@ def test_the_optimizers_find_the_maxima_of_the_4096_point_scan(cfg, server, pric
     # rate there is a maximum. Near it (a power law of exponent 1 + 1e-10)
     # the revenue varies by less than TIE_REL there, rounding makes local
     # maxima that all tie, and no argument is the one to agree on.
-    xs, gaps, _ = solves.scan(lo, min(hi, solves.gp), 64)
-    low = (gaps + price) * xs
+    low = np.array([(solves.g1(x) + price) * x
+                    for x in uniform_grid(lo, min(hi, solves.gp), 64)])
     assume(np.ptp(low) > TIE_REL * low.max())
     (g, r, gap), peaks = grid_local_maxima(own, price, lo, hi)
     br = best_response(cfg, server, price)
     _assert_agree((br.gamma_star, br.price_star, br.revenue_star), (g, price + gap, r), lo,
                   _slack(solves, price, g))
     _assert_same_peaks(solves, price, br.stationary_points, peaks, lo, hi)
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_the_optimizers_scan_nothing(name, request, monkeypatch):
-    # the optimizers sample the slope at a few thresholds per branch; the
-    # array scan is left to revenue_curve and the sweeps
-    cfg = request.getfixturevalue(name)
-
-    def scan(*args):
-        raise AssertionError("an optimizer ran the array scan")
-    monkeypatch.setattr(wardrop.Thresholds, "scan", scan)
-    optimize_monopoly(cfg, 1.0)
-    for server in (1, 2):
-        best_response(cfg, server, 1.0)
-    if cfg.identical_servers():
-        check_symmetric_nash(cfg)
 
 
 def _two_peaks(cfg, monkeypatch, low, high):

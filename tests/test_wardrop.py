@@ -19,7 +19,6 @@ from qpk import (DelayModel, DomainError, Exponential, PriceVector, Regime,
                  quantile, rate_cap_1, rate_cap_2, revenue_rates,
                  solve_equilibrium, threshold_of_rate)
 from qpk import duopoly, monopoly, wardrop
-from qpk.models import P_MIN
 from conftest import FIXTURES, random_config
 
 
@@ -283,12 +282,11 @@ def test_server_2_errors_name_no_server_1_argument(ex1_uniform):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_resolved_maps_are_the_point_functions(name, request):
     # one Thresholds bound to cfg answers every point as a fresh public call
-    # does, whatever its earlier scan and solves have cached
+    # does, whatever its earlier solves have cached
     cfg = request.getfixturevalue(name)
     solves = wardrop.Thresholds(cfg)
     gp = solves.gp
     assert gp == balanced_load(cfg)
-    solves.scan(cfg.lam * P_MIN, gp, 64)
     split = solve_equilibrium(cfg, PriceVector(2.0, 1.0))
     assert solves.root(1.0, False) == (split.gamma1, split.beta1)
     assert solves.anchor(False)[1] == threshold_of_rate(cfg, gp)
@@ -305,7 +303,7 @@ def test_resolved_maps_are_the_point_functions(name, request):
 
 def test_point_solves_resolve_the_config_once(ex1_uniform, monkeypatch):
     # one gamma+ lookup per public call: none per g1 evaluation, and the
-    # optimizers' array scans read the call's own
+    # revenue curve's points read the call's own
     calls = []
     lookup = wardrop.balanced_load
 
