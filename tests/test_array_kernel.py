@@ -1,8 +1,9 @@
 """The numerical kernel under the solvers: the incomplete gamma and its
-inverse, the root finder's stop, the DES sampler, extreme shapes and large
-rates, and results held as Python floats. References: scipy.special and
-mpmath for the incomplete gamma (tests only; skipped when absent), and the
-checked scalar functions.
+inverse, the price-gap curves and the revenue curve, the root finder's
+stop, the DES sampler, extreme shapes and large rates, and results held as
+Python floats. References: scipy.special and mpmath for the incomplete
+gamma (tests only; skipped when absent), g1 assembled from the public model
+functions, and the checked scalar functions.
 """
 
 import contextlib
@@ -15,18 +16,28 @@ import numpy as np
 import pytest
 
 from qpk import (DelayModel, Exponential, Gamma, Power, PriceVector, SystemConfig, Uniform,
-                 balanced_load, best_response, optimize_monopoly, revenue_curve,
+                 balanced_load, best_response, optimize_monopoly, rate_cap_1, revenue_curve,
                  solve_equilibrium)
 from qpk import _solve, _special, estimation, models, wardrop
+from conftest import FIXTURES
 from qpk._solve import bisect_decreasing, grid_argmax, uniform_grid
 from qpk.models import P_MIN
 
+RTOL = 1e-13
+# a gamma threshold solves F(beta) = p only to the inverse's 1e-13 stop
+GAMMA_RTOL = 1e-12
 LAWS = [Uniform(2.0, 6.0), Exponential(4.0), Gamma(2.0, 2.0), Gamma(0.7, 1.5),
         Power(2.0, 4.0)]
+SCAN_CONFIGS = ["ex1_uniform", "ex1_expo", "ex1_gamma", "ex2_uniform", "ex2_expo",
+                "ex2_gamma", "ex3", "ex4", "sat_power"]
 
 
 def _scalar(fn, xs):
     return np.array([fn(float(x)) for x in xs])
+
+
+def _bits(xs):
+    return [float(x).hex() for x in xs]
 
 
 def _on_grid(f):
@@ -69,12 +80,182 @@ def test_price_gaps_array_at_unbounded_endpoints(ex1_expo):
         assert ends == (np.inf, -np.inf)
 
 
+def _defined_g1(cfg, x):
+    """g1(x) as the paper defines it, from the public model functions: the
+    threshold on x's branch (the law's quantile at level 1 - x/lam up to
+    gamma+, x/lam above it, the support's top at 0 and lam) times the delay
+    gap D2(lam - x) - D1(x). An mm1 server 2 is read off its slack
+    (mu2 - lam) + x: mu2 - (lam - x) loses a small rate's digits when
+    server 2 saturates, which no tolerance here would cover."""
+    lam = cfg.lam
+    if x in (0.0, lam):
+        beta = cfg.dist.support[1]
+    else:
+        beta = models.quantile(cfg.dist, (lam - x) / lam if x <= balanced_load(cfg) else x / lam)
+    if cfg.d2.family is models.DelayFamily.LINEAR:
+        d2 = models.delay_eval(cfg.d2, lam - x, saturation=True)
+    else:
+        slack = (cfg.d2.mu - lam) + x
+        d2 = math.inf if slack == 0.0 else 1.0 / slack
+    return beta * (d2 - models.delay_eval(cfg.d1, x, saturation=True))
+
+
+def _assert_matches(got, want):
+    # near a zero crossing both sides carry the rounding of the delay gap's
+    # cancellation, so the absolute slack follows the size of the curve
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], want[~finite])
+    scale = np.max(np.abs(want[finite]))
+    np.testing.assert_allclose(got[finite], want[finite], rtol=RTOL, atol=RTOL * scale)
+
+
+def _scan_ranges(cfg):
+    """The grids the curves and searches span: the bracket of g1's root
+    searches (the g1 sweep's), the monopoly range (the revenue curve's) and
+    a best response's range past gamma+ (the r1-and-c1 sweep's)."""
+    lam = cfg.lam
+    return [wardrop.Thresholds(cfg).bracket, (lam * P_MIN, balanced_load(cfg)),
+            (lam * P_MIN, rate_cap_1(cfg, 1.5) * (1.0 - P_MIN))]
+
+
+@pytest.mark.parametrize("name", SCAN_CONFIGS + ["fig_threshold"])
+def test_price_gaps_array_match_scalar(name, request):
+    # g1 over each curve's grid, for server 1 and, on the swapped system,
+    # server 2, is g1 assembled from the model's definitions
+    cfg = request.getfixturevalue(name)
+    for own in (cfg, cfg.swapped()):
+        g1 = wardrop.Thresholds(own).g1
+        for lo, hi in _scan_ranges(own):
+            xs = uniform_grid(lo, hi, 301)
+            _assert_matches([g1(x) for x in xs], [_defined_g1(own, x) for x in xs])
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=repr)
+def test_price_gap_scan_ends_are_the_scalar_g1(dist):
+    # at a grid's ends, on both branches, at the tie gamma+ (which takes the
+    # low-rate branch) and at the domain's ends, for every law, g1 is its
+    # definition, and the grid starts and ends at exactly the rates asked for
+    cfg = SystemConfig(3.0, DelayModel.linear(3.3), DelayModel.linear(4.0), dist)
+    gp, g1 = balanced_load(cfg), wardrop.Thresholds(cfg).g1
+    for lo, hi in ((0.0, 0.5), (0.5, gp), (gp, 2.5), (2.5, cfg.lam), (0.0, cfg.lam)):
+        for n in (2, 17):
+            xs = uniform_grid(lo, hi, n)
+            assert (len(xs), xs[0], xs[-1]) == (n, lo, hi)
+            for x in (lo, hi):
+                assert g1(x) == pytest.approx(_defined_g1(cfg, x), rel=GAMMA_RTOL, abs=1e-15)
+
+
+def test_scan_tie_takes_the_low_branch(fig_threshold):
+    # the threshold jumps at gamma+ for non-identical servers; the revenue
+    # curve, which ends at the tie, and g1 there take the low-rate branch
+    cfg, c2 = fig_threshold, 1.0
+    gp, lam = balanced_load(cfg), cfg.lam
+    low, high = (models.quantile(cfg.dist, p) for p in ((lam - gp) / lam, gp / lam))
+    assert low != high
+    g_tie = wardrop.price_gap_1(cfg, gp)
+    assert g_tie == low * wardrop.delay_gap(cfg)[0](gp)
+    assert revenue_curve(cfg, c2, 9)[-1] == (gp, c2 * lam + g_tie * gp)
+
+
+def test_price_gaps_array_at_bounded_endpoints(ex1_uniform):
+    # a bounded law's threshold at rates 0 and lam is its support's top
+    cfg = ex1_uniform
+    for own, scalar in ((cfg, wardrop.price_gap_1), (cfg.swapped(), wardrop.price_gap_2)):
+        for x in (0.0, cfg.lam):
+            assert scalar(cfg, x) == pytest.approx(_defined_g1(own, x), rel=RTOL, abs=0.0)
+
+
+def test_price_gap_array_rejects_rates_outside_domain(ex1_uniform):
+    g1 = wardrop.Thresholds(ex1_uniform).g1
+    for x in (3.5, -1.0, -1e-300, math.inf, math.nan):
+        with pytest.raises(models.DomainError):
+            g1(x)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_price_gap_array_is_the_scalar_g1_on_uniform_laws(name, request):
+    # a uniform law's quantile and both delay curves are + - * / only, so
+    # the revenue curve's rows and g1 on the best response's range past
+    # gamma+ must be g1's definition to the bit on any CPU
+    cfg = request.getfixturevalue(name)
+    if not isinstance(cfg.dist, Uniform):
+        cfg = replace(cfg, dist=Uniform(2.0, 6.0))
+    for own in (cfg, cfg.swapped()):
+        lo, gp, c2 = own.lam * P_MIN, balanced_load(own), 1.5
+        curve = revenue_curve(own, c2, 4096)
+        xs = [g for g, _ in curve]
+        assert _bits(xs) == _bits(uniform_grid(lo, gp, 4096))
+        assert _bits(rt for _, rt in curve) == _bits(
+            c2 * own.lam + _defined_g1(own, x) * x for x in xs)
+        g1 = wardrop.Thresholds(own).g1
+        xs = uniform_grid(lo, rate_cap_1(own, c2) * (1.0 - P_MIN), 4096)
+        assert _bits(g1(x) for x in xs) == _bits(_defined_g1(own, x) for x in xs)
+
+
+def _scalar_scan_index(f, xs):
+    """The index the point-by-point scan of f over xs picks: the first
+    strict maximum."""
+    best, i_best = f(xs[0]), 0
+    for i, x in enumerate(xs):
+        v = f(x)
+        if v > best:
+            best, i_best = v, i
+    return i_best
+
+
+@pytest.mark.parametrize("name", SCAN_CONFIGS)
+def test_monopoly_scan_picks_the_scalar_grid_point(name, request):
+    # the revenue curve at c2 = 0 is the monopoly's objective on the uniform
+    # grid: grid_argmax over its rows picks the sample a point-by-point scan
+    # of price_gap_1(g) * g picks, and the optimizer earns at least as much
+    cfg = request.getfixturevalue(name)
+    lo, gp, n = cfg.lam * P_MIN, balanced_load(cfg), 4096
+    curve = revenue_curve(cfg, 0.0, n)
+    xs, rts = [g for g, _ in curve], [rt for _, rt in curve]
+    assert xs == uniform_grid(lo, gp, n)
+    _, _, i = grid_argmax(lambda lo, hi, n: (xs, rts), lo, gp, n)
+    assert i == _scalar_scan_index(lambda g: wardrop.price_gap_1(cfg, g) * g, xs)
+    assert optimize_monopoly(cfg, 0.0).rt_star >= rts[i] * (1.0 - 1e-12)
+
+
+def _gamma_config(k, delays):
+    """The ex1 (linear) or ex2 (mm1) servers with a Gamma(k, 2) law."""
+    model = DelayModel.linear if delays == "linear" else DelayModel.mm1
+    return SystemConfig(3.0, model(3.3), model(4.0), Gamma(k, 2.0))
+
+
+@pytest.mark.parametrize("k", [0.05, 0.1, 0.2, 0.8, 2.0, 30.0, 1e3])
+@pytest.mark.parametrize("delays", ["linear", "mm1"])
+def test_gamma_scan_covers_its_range_on_exact_pairs(k, delays):
+    # a gamma revenue curve is exactly n evenly spaced rates from lam * P_MIN
+    # to gamma+, each row the exact (rate, revenue) pair of the scalar g1;
+    # g1 on a best response's range past gamma+ crosses the kink and falls
+    # strictly, on every shape, the small ones whose inverse is off
+    # (ROADMAP item 1) included
+    cfg, c2 = _gamma_config(k, delays), 1.0
+    lo, gp, n = cfg.lam * P_MIN, balanced_load(cfg), 4096
+    curve = revenue_curve(cfg, c2, n)
+    xs = [g for g, _ in curve]
+    assert (len(xs), xs[0], xs[-1]) == (n, lo, gp)
+    spacing = np.diff(xs)
+    assert np.all(spacing > 0.0)
+    assert spacing.max() <= 1.5 * (gp - lo) / (n - 1)
+    for g, rt in curve:
+        assert rt == c2 * cfg.lam + wardrop.price_gap_1(cfg, g) * g
+    g1 = wardrop.Thresholds(cfg).g1
+    gaps = [g1(x) for x in uniform_grid(lo, rate_cap_1(cfg, c2) * (1.0 - P_MIN), 1025)]
+    assert all(math.isfinite(v) for v in gaps)
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
 @pytest.mark.parametrize("k, rtol_p, rtol_q", [
     *(pytest.param(k, 1e-13, 1e-13, id=repr(k)) for k in (0.7, 1.0, 1.7, 2.0, 3.1, 4.0)),
     # the _special docstring's large shapes: P within 9.3e-13 and Q within
     # 1.1e-12 at k = 1e4, where a series cut at 500 terms left P 6.8e-7 off
     *(pytest.param(k, 1e-12, 2e-12, id=repr(k)) for k in (5e3, 1e4))])
-def test_gamma_p_matches_scipy(k, rtol_p, rtol_q):
+def test_gamma_p_array_matches_scipy(k, rtol_p, rtol_q):
     sp = pytest.importorskip("scipy.special")
     x = np.concatenate([[0.0, k + 1.0], np.geomspace(1e-8, 60.0, 400),
                         k + math.sqrt(k) * np.linspace(-5.0, 5.0, 41)])
