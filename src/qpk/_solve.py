@@ -108,14 +108,5 @@ def grid_argmax(scan, lo: float, hi: float, n: int):
     return xs, fs, max(range(len(fs)), key=fs.__getitem__)
 
 
-def derivative_root(df, lo: float, hi: float):
-    """The root of a peak's derivative df, falling through 0 on [lo, hi],
-    or None where df keeps its sign there."""
-    try:
-        return bisect_decreasing(df, lo, hi)
-    except NoRootError:
-        return None
-
-
 # perfbench's tracer still wraps this name; it goes with the tracer's span
 golden_max = bisect_decreasing

@@ -21,7 +21,7 @@ from ._solve import bisect_decreasing, check_count
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      NoRootError, PreconditionError, StabilityError)
 from .models import DelayFamily, DelayModel, SystemConfig
-from .wardrop import PriceVector, Regime, solve_equilibrium
+from .wardrop import PriceVector, Regime, delay_gap, delay_gap_root, solve_equilibrium
 
 _D_TOL = 1e-12
 # Levenberg-Marquardt: trial cap, convergence step, least damping, and the
@@ -258,13 +258,12 @@ class DiscreteClassOracle:
 
     classes are (beta, rate) point masses with finite positive entries. At
     prices (c1, c2) a class prefers server 1 iff beta * gap(gamma1) exceeds
-    c1 - c2, where gap(gamma1) = D2(total - gamma1) - D1(gamma1) falls as
-    gamma1 rises. The classes therefore leave server 1 in a fixed order --
-    beta increasing when c1 >= c2, decreasing otherwise -- and measure()
-    walks their cumulative rates in that order: the equilibrium rate is
-    either such a sum exactly (a plateau), or inside one class's step,
-    where that class splits and the rate is the root of
-    beta * gap(gamma1) = c1 - c2.
+    c1 - c2, where gap is ``wardrop.delay_gap``'s, falling in gamma1. The
+    classes therefore leave server 1 in a fixed order -- beta increasing
+    when c1 >= c2, decreasing otherwise -- and measure() walks their
+    cumulative rates in that order: the equilibrium rate is either such a
+    sum exactly (a plateau), or, where one class splits, the root of
+    gap = (c1 - c2) / beta (``wardrop.delay_gap_root``) clamped to its step.
     """
 
     def __init__(self, classes, d1: DelayModel, d2: DelayModel):
@@ -278,37 +277,32 @@ class DiscreteClassOracle:
         self.classes = tuple(cl)
         # correctly rounded, so the total is the same on every Python version
         self.lam = math.fsum(r for _, r in cl)
-        self.d1 = d1
-        self.d2 = d2
+        self.d1, self.d2 = d1, d2
         # every rate measure() evaluates lies in [0, total], below an mm1 mu
         self._delay1, self._delay2 = models.delay_formula(d1), models.delay_formula(d2)
+        self._gap = delay_gap(d1, d2, self.lam)[0]
         for name, model in (("server 1", d1), ("server 2", d2)):
             if model.family is DelayFamily.MM1 and model.mu <= self.lam:
                 raise DomainError(f"{name}: mm1 needs mu > total rate "
                                   f"(mu={model.mu}, total={self.lam})")
 
-    def _delay_gap(self, gamma1: float) -> float:
-        return self._delay2(self.lam - gamma1) - self._delay1(gamma1)
-
     def measure(self, c1: float, c2: float) -> Measurement:
         delta = c1 - c2
-        gamma1, gap = 0.0, self._delay_gap(0.0)
+        gamma1, gap = 0.0, self._gap(0.0)
         for b, r in self.classes if delta >= 0.0 else self.classes[::-1]:
             if not b * gap > delta:
                 break  # a plateau: this class and every later one prefer server 2
             top = min(gamma1 + r, self.lam)
-            gap = self._delay_gap(top)
+            gap = self._gap(top)
             if not b * gap > delta:  # the class splits inside its own step
-                gamma1 = bisect_decreasing(lambda g: b * self._delay_gap(g), gamma1, top, delta)
+                root = delay_gap_root(self.d1, self.d2, self.lam, delta / b)
+                gamma1 = min(max(root, gamma1), top)
                 break
             gamma1 = top
         else:
             gamma1 = self.lam
-        return Measurement(
-            c1=c1, c2=c2, gamma1=gamma1, gamma2=self.lam - gamma1,
-            d1=self._delay1(gamma1),
-            d2=self._delay2(self.lam - gamma1),
-        )
+        return Measurement(c1=c1, c2=c2, gamma1=gamma1, gamma2=self.lam - gamma1,
+                           d1=self._delay1(gamma1), d2=self._delay2(self.lam - gamma1))
 
 
 def discrete_class_oracle(classes, d1: DelayModel, d2: DelayModel) -> DiscreteClassOracle:

@@ -33,12 +33,17 @@ class DelayModel:
     Two families: ``linear`` has D(g) = g/mu, ``mm1`` has D(g) = 1/(mu - g)
     for g < mu. The family set is closed in v1; evaluation dispatches
     through :func:`delay_formula`, the derivative through :func:`delay_deriv`.
+    A family given by name is coerced to its :class:`DelayFamily`.
     """
 
     family: DelayFamily
     mu: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "family", DelayFamily(self.family))
+        except ValueError:
+            raise DomainError(f"delay family must be linear or mm1, got {self.family!r}") from None
         if not (math.isfinite(self.mu) and self.mu > 0.0):
             raise DomainError(f"service rate mu must be positive, got {self.mu}")
 
@@ -507,7 +512,7 @@ def _dist_from_dict(obj) -> SensitivityDistribution:
 def _delay_from_dict(obj, where: str) -> DelayModel:
     delay = _object(_object(obj, where, ("delay",))["delay"], f"{where}.delay", ("family", "mu"))
     family = _name(delay["family"], f"{where}.delay.family", [f.value for f in DelayFamily])
-    return DelayModel(DelayFamily(family), _number(delay["mu"], f"{where}.delay.mu"))
+    return DelayModel(family, _number(delay["mu"], f"{where}.delay.mu"))
 
 
 def config_to_json(cfg: SystemConfig) -> str:

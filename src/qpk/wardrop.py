@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._solve import TIE_REL, bisect_decreasing, derivative_root
+from ._solve import TIE_REL, bisect_decreasing
 from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
-from .models import P_MIN, DelayFamily, SystemConfig, delay_formula, delay_slope, quantile
+from .models import (P_MIN, DelayFamily, DelayModel, SystemConfig, delay_formula, delay_slope,
+                     quantile)
 
 #: Thresholds between a branch's ends at which :meth:`Thresholds.local_maxima`
 #: samples the revenue's slope.
@@ -69,55 +70,65 @@ class EquilibriumSplit:
 
 @functools.lru_cache(maxsize=256)
 def balanced_load(cfg: SystemConfig) -> float:
-    """The rate gamma+ in (0, lam) with D1(gamma+) = D2(lam - gamma+).
-
-    Bisection on the strictly increasing delay difference; the gap
-    conditions every config meets guarantee the sign change, so this
-    never fails. For identical servers the first midpoint lam/2 is exact.
-    The stop is relative to the smaller rate, gamma+ or lam - gamma+, so a
-    small share keeps its digits; a bracket with no double inside stops too.
-    """
-    d1, d2 = delay_formula(cfg.d1), delay_formula(cfg.d2)
-    lo, hi = 0.0, cfg.lam
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        diff = d1(mid) - d2(cfg.lam - mid)
-        if diff == 0.0 or hi - lo < 8e-16 * min(mid, cfg.lam - mid) or not lo < mid < hi:
-            return mid
-        if diff < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """The rate gamma+ in (0, lam) with D1(gamma+) = D2(lam - gamma+):
+    :func:`delay_gap_root` at 0, exactly lam/2 for identical servers."""
+    return delay_gap_root(cfg.d1, cfg.d2, cfg.lam, 0.0)
 
 
-def delay_gap(cfg: SystemConfig) -> tuple:
+def _exact_product(x: float, y: float) -> list:
+    """[p, e] with p + e = x * y exactly: Dekker's two-product (Dekker 1971,
+    Numer. Math. 18:224-242) on Veltkamp's split into 26-bit halves."""
+    cx, cy = 134217729.0 * x, 134217729.0 * y  # 2**27 + 1
+    xh, yh, p = cx - (cx - x), cy - (cy - y), x * y
+    xl, yl = x - xh, y - yh
+    return [p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl]
+
+
+def delay_gap_root(d1: DelayModel, d2: DelayModel, lam: float, t: float) -> float:
+    """The server-1 rate g where the falling delay gap D2(lam - g) - D1(g) is t.
+
+    With each delay N/M, N and M linear in g (g/mu1, (lam - g)/mu2 linear;
+    1/(mu1 - g), 1/((mu2 - lam) + g) mm1), g is where a g**2 + b g + c =
+    N2 M1 - N1 M2 - t M1 M2 falls: 2c/(sqrt(disc) - b), or -(b + sqrt(disc))/2a
+    where b > 0, with disc = p**2 + 4r and r >= 0, so that it does not cancel.
+    c is exact (Dekker's products of the inputs, lam and mu2 apart, fsum-ed)
+    and the quotient takes its rounding back: identical servers give lam/2."""
+    mu1, mu2, tm, fsum = d1.mu, d2.mu, t * d1.mu, math.fsum
+    if d1.family is DelayFamily.LINEAR and d2.family is DelayFamily.LINEAR:
+        a, b, p, r, c = 0.0, -(mu1 + mu2), mu1 + mu2, 0.0, [(lam, mu1), (-tm, mu2)]
+    elif d1.family is DelayFamily.LINEAR:
+        a, b, p, r = -1.0, fsum((lam, -mu2, -tm)), fsum((lam, -mu2, tm)), mu1
+        c = [(1.0, mu1), (tm, lam), (-tm, mu2)]
+    elif d2.family is DelayFamily.LINEAR:
+        a, b, p, r = 1.0, fsum((-lam, -mu1, t * mu2)), fsum((lam, -mu1, -t * mu2)), mu2
+        c = [(lam, mu1), (-1.0, mu2), (-tm, mu2)]
+    else:
+        a, b, p, r = t, -2.0 - t * fsum((lam, mu1, -mu2)), t * fsum((mu1, mu2, -lam)), 1.0
+        c = [(1.0, mu1), (-1.0, mu2), (1.0, lam), (tm, lam), (-tm, mu2)]
+    sqrt_disc = math.sqrt(p * p + 4.0 * r)
+    if b > 0.0:
+        return -(b + sqrt_disc) / (2.0 * a)
+    den, terms = 0.5 * (sqrt_disc - b), [v for x, y in c for v in _exact_product(x, y)]
+    g = fsum(terms) / den
+    return g + fsum(terms + _exact_product(-g, den)) / den
+
+
+def delay_gap(d1: DelayModel, d2: DelayModel, lam: float) -> tuple:
     """(delta, delta_slope, flow_slope): the delay gap
     D2(lam - gamma1) - D1(gamma1) as a map of the server-1 rate, its
     derivative, and the derivative of gamma1 * delta, plain arithmetic for
     rates in [0, lam]. An mm1 server 2 is read off its slack
-    (mu2 - lam) + gamma1, which keeps a small rate's digits where
-    mu2 - (lam - gamma1) would lose them, as when server 2 saturates.
-    flow_slope is server 2's term in closed form, slack / s**2 for mm1, where
+    s = (mu2 - lam) + gamma1, which keeps a small s's digits, and
+    flow_slope takes its term as (mu2 - lam) / s**2, where
     delta + gamma1 delta_slope would cancel 1/s against gamma1 / s**2."""
-    lam, mu2 = cfg.lam, cfg.d2.mu
-    d1, s1 = delay_formula(cfg.d1), delay_slope(cfg.d1)
-    if cfg.d2.family is DelayFamily.LINEAR:
+    mu2, d1, s1 = d2.mu, delay_formula(d1), delay_slope(d1)
+    if d2.family is DelayFamily.LINEAR:
         return ((lambda g: (lam - g) / mu2 - d1(g)), (lambda g: -1.0 / mu2 - s1(g)),
                 (lambda g: (lam - 2.0 * g) / mu2 - d1(g) - g * s1(g)))
-    slack = mu2 - lam
-
-    def delta(g):
-        s = slack + g
-        return (math.inf if s == 0.0 else 1.0 / s) - d1(g)
-
-    def delta_slope(g):
-        s = slack + g
-        return (-math.inf if s == 0.0 else -1.0 / s ** 2) - s1(g)
-
-    def flow_slope(g):
-        return slack / (slack + g) ** 2 - d1(g) - g * s1(g)
-    return delta, delta_slope, flow_slope
+    slack = mu2 - lam  # slack + g is 0 only where server 2 saturates
+    return ((lambda g: (math.inf if slack + g == 0.0 else 1.0 / (slack + g)) - d1(g)),
+            (lambda g: (-math.inf if slack + g == 0.0 else -1.0 / (slack + g) ** 2) - s1(g)),
+            (lambda g: slack / (slack + g) ** 2 - d1(g) - g * s1(g)))
 
 
 class Thresholds:
@@ -136,9 +147,8 @@ class Thresholds:
 
     def __init__(self, cfg: SystemConfig):
         self.cfg, self.lam, self.gp = cfg, cfg.lam, balanced_load(cfg)
-        self._levels = cfg.dist.levels
-        self._delta, self._delta_slope, self._flow_slope = delay_gap(cfg)
-        self._found = {}
+        self._delta, self._delta_slope, self._flow_slope = delay_gap(cfg.d1, cfg.d2, cfg.lam)
+        self._levels, self._found = cfg.dist.levels, {}
 
     def beta1(self, gamma1: float) -> float:
         """:func:`threshold_of_rate` at gamma1."""
@@ -285,8 +295,8 @@ class Thresholds:
         for (x0, s0, *_), (x1, s1, *_) in zip(pts, pts[1:]):
             if s0 > 0.0 >= s1:
                 # the bracket's ends are samples: their slopes are known
-                x = derivative_root(lambda x: s0 if x == x0 else s1 if x == x1 else sample(x)[1],
-                                    x0, x1)
+                x = bisect_decreasing(lambda x: s0 if x == x0 else s1 if x == x1 else sample(x)[1],
+                                      x0, x1)
                 beta, gamma = _read_root(seen, x, 0.0)
                 gap = beta * delta_of(gamma)
                 peaks.append((gamma, (gap + c) * gamma, gap))

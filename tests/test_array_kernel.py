@@ -155,7 +155,7 @@ def test_scan_tie_takes_the_low_branch(fig_threshold):
     low, high = (models.quantile(cfg.dist, p) for p in ((lam - gp) / lam, gp / lam))
     assert low != high
     g_tie = wardrop.price_gap_1(cfg, gp)
-    assert g_tie == low * wardrop.delay_gap(cfg)[0](gp)
+    assert g_tie == low * wardrop.delay_gap(cfg.d1, cfg.d2, lam)[0](gp)
     assert revenue_curve(cfg, c2, 9)[-1] == (gp, c2 * lam + g_tie * gp)
 
 

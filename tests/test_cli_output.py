@@ -153,10 +153,10 @@ CASES = [
     ('ex1', 'sweep --what revenue --n 5 --c2 1',
      'gamma1,revenue\n'
      '3e-12,3.0000000000135\n'
-     '0.33904109589266085,4.058052050107317\n'
-     '0.6780821917823218,4.295787202101199\n'
+     '0.3390410958926609,4.058052050107317\n'
+     '0.6780821917823219,4.295787202101199\n'
      '1.0171232876719827,3.885628753047856\n'
-     '1.3561643835616435,3.000000000000001\n'),
+     '1.3561643835616437,3.0000000000000004\n'),
     ('ex2', 'sweep --what r1-and-c1 --n 5 --c2 1',
      'gamma1,r1,c1\n'
      '3e-12,1.554545454538722e-11,5.18181818179574\n'

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qpk import DelayModel, discrete_class_oracle  # noqa: E402
 from qpk.models import delay_formula, delay_slope  # noqa: E402
+from qpk.wardrop import delay_gap  # noqa: E402
 
 EPS = 2.0 ** -52
 
@@ -45,7 +46,7 @@ def _system(classes, s1, s2, share):
     lam = sum(r for _, r in classes)
     d1, d2 = _model(s1, lam), _model(s2, lam)
     oracle = discrete_class_oracle(classes, d1, d2)
-    gap = oracle._delay_gap
+    gap = delay_gap(d1, d2, oracle.lam)[0]
     spread = max(b for b, _ in classes) * max(abs(gap(0.0)), abs(gap(oracle.lam)))
     return oracle, d1, d2, share * spread
 
@@ -57,7 +58,7 @@ def test_every_class_is_on_its_preferred_server_but_one(classes, s1, s2, share):
     g = oracle.measure(c1, 0.0).gamma1
     lam = oracle.lam
     assert 0.0 <= g <= lam
-    gap = oracle._delay_gap(g)
+    gap = delay_gap(d1, d2, lam)[0](g)
     delays = delay_formula(d1)(g) + delay_formula(d2)(lam - g)
     slopes = delay_slope(d1)(g) + delay_slope(d2)(lam - g)
     walk = oracle.classes if c1 >= 0.0 else oracle.classes[::-1]

@@ -20,9 +20,9 @@ from qpk import (DegenerateError, DelayModel, DomainError, Gamma,
                  estimate_density, estimate_exponential, estimate_parametric,
                  exact_oracle, infer_threshold, noisy_oracle,
                  solve_equilibrium, threshold_of_rate)
-from qpk import _special, models
+from qpk import _special, estimation, models
 from qpk.estimation import Measurement, _sample_sensitivities
-from qpk.wardrop import Regime, price_of_rate_1
+from qpk.wardrop import Regime, delay_gap, price_of_rate_1
 
 from conftest import random_config
 from test_array_kernel import _wall_bound
@@ -448,8 +448,8 @@ def test_discrete_oracle_equilibrium():
 def _rate_by_200_halvings(oracle, c1, c2):
     """The equilibrium rate by a 200-step bisection of the excess demand:
     the accuracy the oracle's walk must match."""
-    delta = c1 - c2
-    demand = lambda g: sum(r for b, r in oracle.classes if b * oracle._delay_gap(g) > delta)
+    delta, gap = c1 - c2, delay_gap(oracle.d1, oracle.d2, oracle.lam)[0]
+    demand = lambda g: sum(r for b, r in oracle.classes if b * gap(g) > delta)
     lo, hi = 0.0, oracle.lam
     if demand(0.0) <= 0.0:
         return 0.0
@@ -464,16 +464,23 @@ def _rate_by_200_halvings(oracle, c1, c2):
     return 0.5 * (lo + hi)
 
 
-def test_discrete_oracle_walk_matches_the_reference():
+def test_discrete_oracle_walk_matches_the_reference(monkeypatch):
     # every rate within 4 eps * lam of the 40-digit fixed point, the
-    # sample's worst no worse than the bisection's, in a few evaluations
-    # of the delay gap where the bisection took about 52
+    # sample's worst no worse than the bisection's, and no delay-gap
+    # evaluation beyond the walk's own: one at 0 and one at each step's top,
+    # with a split class's rate in closed form
     pytest.importorskip("mpmath")
     import reference_mp
     rng = np.random.default_rng(5)
     eps = np.finfo(float).eps
     worst_walk = worst_bisection = 0.0
-    evaluations, split = [], 0
+    split = 0
+    calls = []
+
+    def counted_gap(d1, d2, lam):
+        delta, *slopes = delay_gap(d1, d2, lam)
+        return (lambda g: calls.append(g) or delta(g)), *slopes
+    monkeypatch.setattr(estimation, "delay_gap", counted_gap)
     for _ in range(100):
         n = int(rng.integers(1, 5))
         betas = rng.choice(np.arange(1, 20), n, replace=False) * rng.uniform(0.1, 2.0)
@@ -482,19 +489,17 @@ def test_discrete_oracle_walk_matches_the_reference():
         d1, d2 = (DelayModel.mm1(lam * rng.uniform(1.1, 3.0)) if rng.random() < 0.5
                   else DelayModel.linear(rng.uniform(0.5, 3.0)) for _ in range(2))
         oracle = discrete_class_oracle(classes, d1, d2)
-        gap = oracle._delay_gap
+        gap = delay_gap(d1, d2, oracle.lam)[0]
         spread = max(betas) * max(abs(gap(0.0)), abs(gap(oracle.lam)))
         c1 = float(rng.uniform(-spread, spread))
-        calls = []
-
-        def counted(g):
-            calls.append(g)
-            return gap(g)
-        oracle._delay_gap = counted
+        calls.clear()
         gamma1 = oracle.measure(c1, 0.0).gamma1
-        evaluations.append(len(calls))
-        split += len(calls) > n + 1  # more than the walk's own steps
-        oracle._delay_gap = gap
+        # the walk's own points: 0, then each class's step top in walk order
+        tops = [0.0]
+        for _, r in oracle.classes if c1 >= 0.0 else oracle.classes[::-1]:
+            tops.append(min(tops[-1] + r, oracle.lam))
+        assert calls == tops[:len(calls)]
+        split += gamma1 not in tops + [oracle.lam]
         want = reference_mp.discrete_equilibrium_rate(classes, d1, d2, c1, 0.0)
         err = float(abs(gamma1 - want)) / oracle.lam
         assert err <= 4.0 * eps
@@ -503,7 +508,6 @@ def test_discrete_oracle_walk_matches_the_reference():
             abs(_rate_by_200_halvings(oracle, c1, 0.0) - want)) / oracle.lam)
     assert worst_walk <= worst_bisection
     assert split > 30
-    assert np.mean(evaluations) < 10 and max(evaluations) <= 30
 
 
 def test_discover_two_classes():

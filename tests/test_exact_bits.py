@@ -19,8 +19,8 @@ from qpk.wardrop import PriceVector, balanced_load, rate_cap_1, rate_cap_2
 
 PINNED = {
     'ex1_uniform': (
-        '0x1.5b2d96cb65b2cp+0', '0x1.c552b0af82d2ep+0', '0x1.039c79df44068p+1',
-        '0x1.5b2d96cb65b2cp+0', '0x1.0c46231188c46p+2', '0x1.4d851735e668cp-1',
+        '0x1.5b2d96cb65b2dp+0', '0x1.c552b0af82d2ep+0', '0x1.039c79df44068p+1',
+        '0x1.5b2d96cb65b2dp+0', '0x1.0c46231188c46p+2', '0x1.4d851735e668cp-1',
         '0x1.4869d1770443ep+2', '0x1.f248388e5ea4ap+0', '0x1.261812da1f8c3p+2',
         '0x1.3d131e84cdcd8p-1', '0x1.8de6b21bd8d9ep+1', '0x1.1392b4b630192p+2',
         '0x1.9a45229f3e044p-1', '0x1.41b2c216364a1p+1', '0x1.01c795c3de55bp+1',
@@ -28,8 +28,8 @@ PINNED = {
         '0x1.56c64193a6d94p+1', '0x1.d62160d1a2778p-1',
     ),
     'ex1_expo': (
-        '0x1.5b2d96cb65b2cp+0', '0x1.d5987155ec506p+0', '0x1.052c7856a1c22p+1',
-        '0x1.5b2d96cb65b2cp+0', '0x1.9680dc5ba9befp+1', '0x1.717a0d2b83145p-1',
+        '0x1.5b2d96cb65b2dp+0', '0x1.d5987155ec506p+0', '0x1.052c7856a1c22p+1',
+        '0x1.5b2d96cb65b2dp+0', '0x1.9680dc5ba9befp+1', '0x1.717a0d2b83145p-1',
         '0x1.6cc2e879ed326p+2', '0x1.fba5de9adde22p+0', '0x1.14ede3876b0b4p+2',
         '0x1.c201930f52fdcp-2', '0x1.394a65a33e4eap+2', '0x1.2d8d93c9ff6ccp+2',
         '0x1.289eb61df672ep-1', '0x1.e9b8a3046d663p+1', '0x1.1bb68c6a283e4p+1',
@@ -37,8 +37,8 @@ PINNED = {
         '0x1.6af6245c6bc12p+1', '0x1.49ad07cb854a8p-1',
     ),
     'ex1_gamma': (
-        '0x1.5b2d96cb65b2cp+0', '0x1.cd72e22a44e19p+0', '0x1.03fb5d97da643p+1',
-        '0x1.5b2d96cb65b2cp+0', '0x1.d6272b680adb8p+1', '0x1.68fab90534989p-1',
+        '0x1.5b2d96cb65b2dp+0', '0x1.cd72e22a44e19p+0', '0x1.03fb5d97da643p+1',
+        '0x1.5b2d96cb65b2dp+0', '0x1.d6272b680adb8p+1', '0x1.68fab90534989p-1',
         '0x1.6376ca6eadc29p+2', '0x1.f66c5176614c0p+0', '0x1.1e3fd70eefe89p+2',
         '0x1.0290d8bba577dp-1', '0x1.022325f0949d7p+2', '0x1.220aa22ee122cp+2',
         '0x1.59a0f715af718p-1', '0x1.9178a0837d0c4p+1', '0x1.0f03ff99754d9p+1',
@@ -100,8 +100,8 @@ PINNED = {
         '0x1.ffffffffff734p+1', '0x1.5fd7fe1796495p-38',
     ),
     'fig_threshold': (
-        '0x1.5b2d96cb65b2cp+0', '0x1.7cf45a25fd9c0p+0', '0x1.bf52c7af7f1f9p+0',
-        '0x1.5b2d96cb65b2cp+0', '0x1.fc211372942ebp+3', '0x1.2a3d5e5c7601fp+0',
+        '0x1.5b2d96cb65b2dp+0', '0x1.7cf45a25fd9c0p+0', '0x1.bf52c7af7f1f9p+0',
+        '0x1.5b2d96cb65b2dp+0', '0x1.fc211372942ebp+3', '0x1.2a3d5e5c7601fp+0',
         '0x1.2eaf7bdd9fb20p+4', '0x1.8b363aeba6171p+0', '0x1.ce942d568eefcp+3',
         '0x1.c201930f52fdcp-2', '0x1.479cff0c0de24p+4', '0x1.71e1f178fe8fep+3',
         '0x1.da69265813043p-2', '0x1.372abec191104p+4', '0x1.20527a2b050e1p+3',

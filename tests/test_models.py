@@ -72,6 +72,23 @@ def test_delay_domain_errors():
         DelayModel.mm1(0.0)
 
 
+def test_delay_models_take_their_family_by_name():
+    # a family given as a string used to evaluate as mm1 (a linear D(1)
+    # read 0.25), skip every mm1 rate and stability check, accept any name
+    # and break config_to_json
+    assert DelayModel("linear", 5.0) == DelayModel.linear(5.0)
+    assert delay_eval(DelayModel("linear", 5.0), 1.0) == 0.2
+    with pytest.raises(DomainError):
+        delay_eval(DelayModel("mm1", 5.0), 7.0)
+    with pytest.raises(ValidationError, match="mm1 needs mu > lam"):
+        SystemConfig(6.0, DelayModel("mm1", 5.0), DelayModel.mm1(8.0), Uniform(2, 6))
+    for family in ("foo", "LINEAR", None):
+        with pytest.raises(DomainError, match="linear or mm1"):
+            DelayModel(family, 5.0)
+    cfg = SystemConfig(2.0, DelayModel("linear", 3.0), DelayModel("mm1", 4.0), Uniform(2, 6))
+    assert config_from_json(config_to_json(cfg)) == cfg
+
+
 # --- sensitivity distributions ------------------------------------------------
 
 

@@ -7,7 +7,8 @@ the reference's 40-digit value. sat_power's optima sit at the grid floor,
 a boundary, and have no interior reference. The same holds for the
 optima of gamma laws of shapes 0.2, 30 and 1000 on the ex1 and ex2
 servers, whose searches sample thresholds near their quantiles. The
-balanced load is within 1e-14 relative on 1,000 seeded configs.
+balanced load is within 4 eps relative on 1,000 seeded configs and where
+its delay gap's constant cancels, and exactly lam/2 for identical servers.
 """
 
 import random
@@ -23,6 +24,7 @@ from qpk import (DelayModel, Gamma, PriceVector, SystemConfig, Uniform,  # noqa:
 from qpk.wardrop import rate_cap_1, rate_cap_2  # noqa: E402
 
 REL = 1e-13
+EPS = 2.0 ** -52
 
 
 def _close(got, want):
@@ -87,17 +89,53 @@ def _servers(rng, lam):
     return (lin, mm1) if rng.random() < 0.5 else (mm1, lin)
 
 
+def _assert_gp_within_4_eps(cfg):
+    want = ref.System(cfg).gp
+    assert abs(ref.mp.mpf(balanced_load(cfg)) - want) <= 4 * EPS * want, cfg
+    return want / ref.mp.mpf(cfg.lam)
+
+
 def test_balanced_load_is_relative_to_the_smaller_rate():
-    # A bisection stopped at a width relative to lam leaves a small gamma+
-    # with few digits: on these configs such a stop was up to 4.2e-13 off
-    # relative (38 of 1,000 past 1e-14); the stop relative to the smaller
-    # rate is within 1.6e-15.
-    # mm1 pairs stay in the range of conftest.random_config: past it, as
-    # mu1 - mu2 + lam cancels, gamma+ is ill-conditioned in the service
-    # rates themselves.
+    # gamma+ is the closed-form root of the delay gap, relative to itself:
+    # a bisection stopped at a width relative to lam was up to 4.2e-13 off
+    # relative here, and one stopped relative to the smaller rate 6.9 eps
     rng = random.Random(20261020)
     for _ in range(1000):
         lam = 10 ** rng.uniform(-3, 3)
-        cfg = SystemConfig(lam, *_servers(rng, lam), Uniform(1.0, 2.0))
-        want = ref.System(cfg).gp
-        assert abs(ref.mp.mpf(balanced_load(cfg)) - want) <= 1e-14 * want, cfg
+        _assert_gp_within_4_eps(SystemConfig(lam, *_servers(rng, lam), Uniform(1.0, 2.0)))
+
+
+def test_balanced_load_keeps_its_digits_where_the_gap_cancels():
+    # an mm1 server 1 with a linear server 2 of rate lam * mu1 * (1 - s):
+    # the constant lam * mu1 - mu2 cancels, and gamma+ / lam falls to about
+    # s (the bisection was 9e-7 off relative at 1.5e-10); two mm1 servers
+    # with mu1 just above mu2 - lam, where gamma+ = (mu1 - mu2 + lam) / 2;
+    # an mm1 server 1 with mu1 just above lam and a slow linear server 2,
+    # where the discriminant b**2 - 4ac would cancel (up to 7,170 eps off)
+    rng = random.Random(20261021)
+    shares = []
+    for _ in range(200):
+        lam = 10 ** rng.uniform(-3, 3)
+        mu1 = lam * rng.uniform(1.1, 3.0)
+        lin = DelayModel.linear(lam * mu1 * (1.0 - 10 ** rng.uniform(-10, -1)))
+        shares.append(_assert_gp_within_4_eps(
+            SystemConfig(lam, DelayModel.mm1(mu1), lin, Uniform(1.0, 2.0))))
+        mu2 = lam * rng.uniform(2.1, 4.0)
+        mm1 = DelayModel.mm1((mu2 - lam) * (1.0 + 10 ** rng.uniform(-10, -1)))
+        shares.append(_assert_gp_within_4_eps(
+            SystemConfig(lam, mm1, DelayModel.mm1(mu2), Uniform(1.0, 2.0))))
+        mu1 = lam * (1.0 + 10 ** rng.uniform(-6, -1))
+        lin = DelayModel.linear(lam * mu1 * 10 ** rng.uniform(-8, -1))
+        _assert_gp_within_4_eps(SystemConfig(lam, DelayModel.mm1(mu1), lin, Uniform(1.0, 2.0)))
+    assert min(shares) < 1e-9
+
+
+def test_identical_servers_balance_at_exactly_half():
+    rng = random.Random(20261022)
+    for _ in range(1000):
+        lam = 10 ** rng.uniform(-9, 12)
+        for model in (DelayModel.linear(lam * 10 ** rng.uniform(-2, 2)),
+                      DelayModel.mm1(lam * (1.0 + 10 ** rng.uniform(-3, 2)))):
+            assert balanced_load(SystemConfig(lam, model, model, Uniform(1.0, 2.0))) == lam / 2
+    sat = DelayModel.mm1(2.0)
+    assert balanced_load(SystemConfig(2.0, sat, sat, Uniform(1.0, 2.0), saturation_ok=True)) == 1.0

@@ -87,9 +87,10 @@ def test_interior_refinements_take_few_derivative_evaluations(name, request, mon
     # refined as a root of the revenue's derivative, bracketed by two of the
     # search's samples, whose values it already has; golden section took
     # 32 evaluations of the revenue for the same peak. Counted are the
-    # evaluations beyond the bracket's ends. The rate caps search through
-    # wardrop and are not counted here. sat_power's optima all sit at the
-    # floor lam * P_MIN, a range end, so it refines nothing.
+    # evaluations beyond the bracket's ends. The rate caps search for
+    # g1 = -1, not for a root at 0, and are not counted here. sat_power's
+    # optima all sit at the floor lam * P_MIN, a range end, so it refines
+    # nothing.
     cfg = request.getfixturevalue(name)
     counts = []
 
@@ -98,8 +99,9 @@ def test_interior_refinements_take_few_derivative_evaluations(name, request, mon
         try:
             return bisect_decreasing(f, lo, hi, target)
         finally:
-            counts.append(len([x for x in calls if x not in (lo, hi)]))
-    monkeypatch.setattr(_solve, "bisect_decreasing", counted)
+            if target == 0.0:
+                counts.append(len([x for x in calls if x not in (lo, hi)]))
+    monkeypatch.setattr(wardrop, "bisect_decreasing", counted)
     optimize_monopoly(cfg, 1.0)
     for server in (1, 2):
         best_response(cfg, server, 1.0)
