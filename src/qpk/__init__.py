@@ -9,48 +9,46 @@ monopoly and duopoly settings, and nonparametric / parametric estimates
 of the coefficient distribution from price sweeps.
 """
 
-from .duopoly import (BestResponse, NashOutcome, NashVerdict, best_response,
-                      check_symmetric_nash, nash_iterate, symmetric_alpha)
-from .errors import (ConfigError, DegenerateError, DomainError,
-                     InsufficientDataError, NoRootError, PreconditionError,
-                     QpkError, StabilityError, ValidationError)
-from .estimation import (DensityEstimate, DiscreteClasses, ExponentialFit,
-                         Measurement, ParametricFit, des_oracle,
-                         discover_classes, discrete_class_oracle,
-                         estimate_density, estimate_exponential,
-                         estimate_parametric, exact_oracle, infer_threshold,
-                         noisy_oracle)
-from .models import (DelayFamily, DelayModel, Exponential, Gamma, Power,
-                     SensitivityDistribution, SystemConfig, Uniform, cdf,
-                     config_from_json, config_to_json, delay_deriv,
-                     delay_eval, density, quantile, validate_config)
-from .monopoly import MonopolyResult, optimize_monopoly, revenue_curve
-from .wardrop import (EquilibriumSplit, PriceVector, Regime, balanced_load,
-                      choke_price_1, kernel_choice, price_gap_1,
-                      price_gap_1_deriv, price_gap_2, price_gap_2_deriv,
-                      price_of_rate_1, price_of_rate_2, rate_cap_1,
-                      rate_cap_2, revenue_rates, solve_equilibrium,
-                      threshold_of_rate)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BestResponse", "ConfigError", "DegenerateError", "DelayFamily",
-    "DelayModel", "DensityEstimate", "DiscreteClasses", "DomainError",
-    "EquilibriumSplit", "Exponential", "ExponentialFit", "Gamma",
-    "InsufficientDataError", "Measurement", "MonopolyResult", "NashOutcome",
-    "NashVerdict", "NoRootError", "ParametricFit", "Power",
-    "PreconditionError", "PriceVector", "QpkError", "Regime",
-    "SensitivityDistribution", "StabilityError", "SystemConfig",
-    "Uniform", "ValidationError", "balanced_load",
-    "best_response", "cdf", "check_symmetric_nash", "choke_price_1",
-    "config_from_json", "config_to_json", "delay_deriv", "delay_eval",
-    "density", "des_oracle", "discover_classes", "discrete_class_oracle",
-    "estimate_density", "estimate_exponential", "estimate_parametric",
-    "exact_oracle", "infer_threshold", "kernel_choice", "nash_iterate",
-    "noisy_oracle", "optimize_monopoly", "price_gap_1", "price_gap_1_deriv",
-    "price_gap_2", "price_gap_2_deriv", "price_of_rate_1", "price_of_rate_2",
-    "quantile", "rate_cap_1", "rate_cap_2", "revenue_curve", "revenue_rates",
-    "solve_equilibrium", "symmetric_alpha", "threshold_of_rate",
-    "validate_config",
-]
+#: Each public name by the submodule that defines it; a name is imported on
+#: its first lookup, and each lookup reads the submodule's current binding.
+_NAMES = {name: module for module, names in {
+    "duopoly": "BestResponse NashOutcome NashVerdict best_response check_symmetric_nash "
+               "nash_iterate symmetric_alpha",
+    "errors": "ConfigError DegenerateError DomainError InsufficientDataError NoRootError "
+              "PreconditionError QpkError StabilityError ValidationError",
+    "estimation": "DensityEstimate DiscreteClasses ExponentialFit Measurement ParametricFit "
+                  "des_oracle discover_classes discrete_class_oracle estimate_density "
+                  "estimate_exponential estimate_parametric exact_oracle infer_threshold "
+                  "noisy_oracle",
+    "models": "DelayFamily DelayModel Exponential Gamma Power SensitivityDistribution "
+              "SystemConfig Uniform cdf config_from_json config_to_json delay_deriv "
+              "delay_eval density quantile validate_config",
+    "monopoly": "MonopolyResult optimize_monopoly revenue_curve",
+    "wardrop": "EquilibriumSplit PriceVector Regime balanced_load choke_price_1 kernel_choice "
+               "price_gap_1 price_gap_1_deriv price_gap_2 price_gap_2_deriv price_of_rate_1 "
+               "price_of_rate_2 rate_cap_1 rate_cap_2 revenue_rates solve_equilibrium "
+               "threshold_of_rate",
+}.items() for name in names.split()}
+
+__all__ = sorted(_NAMES)
+
+
+def __getattr__(name: str):
+    """A public name, or a submodule, imported on first use (PEP 562) by
+    the import statement's path, which ``python -X importtime`` lists."""
+    module = f"{__name__}.{_NAMES.get(name, name)}"
+    try:
+        __import__(module)
+    except ModuleNotFoundError as exc:
+        if exc.name != module:
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(sys.modules[module], name) if name in _NAMES else sys.modules[module]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -20,8 +20,9 @@ import argparse
 import json
 import sys
 
-from . import _solve, estimation, models, monopoly, wardrop
-from . import duopoly as duopoly_mod
+# estimation and duopoly are imported by the handlers that call them, so a
+# command loads only the solvers it runs
+from . import _solve, models, monopoly, wardrop
 from .errors import DomainError, QpkError, ValidationError
 from .models import P_MIN
 
@@ -94,6 +95,7 @@ def _render(out, fmt: str) -> str:
 
 
 def _make_oracle(args: argparse.Namespace, cfg):
+    from . import estimation
     base = estimation.exact_oracle(cfg)
     if args.oracle == "exact":
         return base
@@ -119,7 +121,8 @@ def _cmd_monopoly(args, cfg):
 
 
 def _cmd_best_response(args, cfg):
-    br = duopoly_mod.best_response(cfg, args.server, args.other_price)
+    from . import duopoly
+    br = duopoly.best_response(cfg, args.server, args.other_price)
     return {"server": br.server, "given_price": br.given_price,
             "gamma_star": br.gamma_star, "price_star": br.price_star,
             "revenue_star": br.revenue_star,
@@ -127,27 +130,31 @@ def _cmd_best_response(args, cfg):
 
 
 def _cmd_nash(args, cfg):
+    from . import duopoly
     init = wardrop.PriceVector(args.c1_init, args.c2_init)
-    out = duopoly_mod.nash_iterate(cfg, init, tol=args.tol, max_iter=args.max_iter,
-                                   damping=args.damping)
+    out = duopoly.nash_iterate(cfg, init, tol=args.tol, max_iter=args.max_iter,
+                               damping=args.damping)
     return {"c1": out.prices.c1, "c2": out.prices.c2, "converged": out.converged,
             "iterations": out.iterations, "residual": out.residual,
             "symmetric_alpha": out.symmetric_alpha}
 
 
 def _cmd_symmetric(args, cfg):
-    a1, a2 = duopoly_mod.symmetric_alpha(cfg)
-    verdict = duopoly_mod.check_symmetric_nash(cfg, tol=args.tol)
+    from . import duopoly
+    a1, a2 = duopoly.symmetric_alpha(cfg)
+    verdict = duopoly.check_symmetric_nash(cfg, tol=args.tol)
     return {"alpha1": a1, "alpha2": a2, "verdict": verdict.value}
 
 
 def _cmd_estimate_exp(args, cfg):
+    from . import estimation
     fit = estimation.estimate_exponential(_make_oracle(args, cfg), args.c1, args.c2,
                                           args.delta)
     return {"rate": fit.rate, "tau": fit.tau}
 
 
 def _cmd_estimate_param(args, cfg):
+    from . import estimation
     # parsed here rather than by an argparse type=, whose usage error
     # would read differently
     try:
@@ -175,6 +182,7 @@ class _LoggingOracle:
 
 
 def _cmd_estimate_density(args, cfg):
+    from . import estimation
     oracle = _make_oracle(args, cfg)
     if args.measurements:
         oracle = _LoggingOracle(oracle)
@@ -210,6 +218,7 @@ def _cmd_discover_classes(args, cfg):
     # The config supplies the two delay models; its sensitivity law is
     # replaced by the discrete classes under discovery, and the total rate
     # is the sum of the class rates.
+    from . import estimation
     classes = _parse_classes(args.classes)
     try:
         oracle = estimation.discrete_class_oracle(classes, cfg.d1, cfg.d2)

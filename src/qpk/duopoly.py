@@ -11,32 +11,24 @@ check_symmetric_nash tests it by running the best response at that price.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from ._solve import check_count
 from .errors import DomainError, PreconditionError
 from .models import P_MIN, SystemConfig
 from .wardrop import PriceVector, Thresholds, balanced_load, check_price
 
 
-@dataclass(frozen=True)
-class BestResponse:
-    server: int
-    given_price: float
-    gamma_star: float
-    price_star: float
-    revenue_star: float
-    stationary_points: tuple  # rates of all local maxima, ascending
+class BestResponse(record("server given_price gamma_star price_star revenue_star "
+                          "stationary_points")):
+    """stationary_points: the rates of all local maxima, ascending."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NashOutcome:
-    prices: PriceVector
-    converged: bool
-    iterations: int
-    residual: float
-    symmetric_alpha: float = None
+class NashOutcome(record("prices converged iterations residual symmetric_alpha", None)):
+    __slots__ = ()
 
 
 class NashVerdict(Enum):

@@ -1,9 +1,9 @@
 """Inference of the delay-sensitivity law from price sweeps.
 
-All estimators consume an oracle: any object mapping a price pair to one
-Measurement of the resulting equilibrium (rates and mean delays). Three
-backends are provided -- analytic, noisy, and discrete-event simulation --
-plus a discrete-class analytic oracle used to drive class discovery.
+All estimators consume an oracle: any object whose measure(c1, c2) returns
+one Measurement of the equilibrium at that price pair (rates and mean
+delays). Three backends are provided -- analytic, noisy, and discrete-event
+simulation -- plus a discrete-class analytic oracle for class discovery.
 Estimation never touches the underlying distribution object; only prices,
 rates, and delays enter the formulas.
 """
@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Protocol
 
 from . import _np as np
 from . import models
+from ._record import record
 from ._solve import bisect_decreasing, check_count
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      NoRootError, PreconditionError, StabilityError)
@@ -32,28 +31,17 @@ _LM_MU_MIN = 1e-12
 _FD_STEP = 1.5e-8
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(record("c1 c2 gamma1 gamma2 d1 d2")):
     """One oracle observation at a fixed price pair."""
 
-    c1: float
-    c2: float
-    gamma1: float
-    gamma2: float
-    d1: float
-    d2: float
+    __slots__ = ()
 
     @property
     def lam(self) -> float:
         return self.gamma1 + self.gamma2
 
 
-class Oracle(Protocol):
-    def measure(self, c1: float, c2: float) -> Measurement: ...
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(record("bins covered_mass gaps", ())):
     """Piecewise-constant density estimate over inferred threshold bins.
 
     bins are (beta_lo, beta_hi, z) triples, disjoint and increasing;
@@ -61,13 +49,10 @@ class DensityEstimate:
     records (c1_lo, c1_hi) price pairs that produced no information.
     """
 
-    bins: tuple
-    covered_mass: float
-    gaps: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiscreteClasses:
+class DiscreteClasses(record("classes complete residual_rate")):
     """Discovered point masses of a discrete sensitivity law.
 
     classes are (beta_i, rate_i) in discovery order (beta decreasing).
@@ -78,26 +63,19 @@ class DiscreteClasses:
     residual_rate sum to the total).
     """
 
-    classes: tuple
-    complete: bool
-    residual_rate: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
-    tau: float
+class ExponentialFit(record("tau")):
+    __slots__ = ()
 
     @property
     def rate(self) -> float:
         return 1.0 / self.tau
 
 
-@dataclass(frozen=True)
-class ParametricFit:
-    family: str
-    params: tuple
-    residual_norm: float
-    converged: bool
+class ParametricFit(record("family params residual_norm converged")):
+    __slots__ = ()
 
 
 # --- oracle backends --------------------------------------------------------
@@ -332,7 +310,8 @@ def _interior(m: Measurement) -> bool:
 def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> ExponentialFit:
     """Fit an exponential sensitivity law from two measurements.
 
-    Measures at (c1, c2) and (c1 + delta, c2), infers both thresholds, and
+    Calls oracle.measure(c1, c2) -> Measurement at (c1, c2) and
+    (c1 + delta, c2), infers both thresholds, and
     solves exp(-b/tau) - exp(-b_d/tau) = (g - g_d)/lam for tau on
     [1e-6, 1e6]. The interval equation alone admits up to two roots, one on
     each side of the residual's peak at tau = (b_d - b)/ln(b_d/b), and each
@@ -413,9 +392,10 @@ def _levenberg_marquardt(residuals, u):
 def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFit:
     """Fit a parametric sensitivity law from a sweep of price points.
 
-    Builds the interval-mass residuals from consecutive measurement pairs
-    plus the rate-level residual of the first measurement (intervals alone
-    cannot identify location parameters), and minimizes their sum of
+    Calls oracle.measure(c1, c2) -> Measurement at each point, builds the
+    interval-mass residuals from consecutive pairs plus the rate-level
+    residual of the first measurement (intervals alone cannot identify
+    location parameters), and minimizes their sum of
     squares by one Levenberg-Marquardt solve in log-parameters (a location
     parameter ``a`` stays linear) from the family's ``initial_guess``.
     converged means a step fell below tolerance before the iteration cap;
@@ -485,8 +465,9 @@ def estimate_density(oracle, c2: float, c1_start: float, delta: float,
                      steps: int) -> DensityEstimate:
     """Piecewise-constant density estimate from an increasing price sweep.
 
-    Measures at c1 = c1_start + i * delta for i = 0..steps; each
-    informative consecutive pair becomes one bin between the two inferred
+    Calls oracle.measure(c1, c2) -> Measurement at c1 = c1_start + i * delta
+    for i = 0..steps; each informative consecutive pair becomes one bin
+    between the two inferred
     thresholds with height z = moved mass / (lam * bin width). A sweep that
     starts at c1_start == c2 opens with a degenerate balanced measurement;
     its threshold is recovered by quadratic extrapolation of the next
@@ -532,8 +513,9 @@ def discover_classes(oracle, lam: float, delta: float, eps: float,
                      c1_init: float) -> DiscreteClasses:
     """Discover discrete sensitivity classes by descending server 1's price.
 
-    With c2 fixed at zero, c1 descends from c1_init (which must choke
-    server 1) in steps of delta. A rise of the server-1 rate by eps above
+    Calls oracle.measure(c1, 0.0) -> Measurement as c1 descends from
+    c1_init (which must choke server 1) in steps of delta. A rise of the
+    server-1 rate by eps above
     the previous plateau marks a class entry, whose sensitivity is
     c1 / (d2 - d1); a plateau (two consecutive sub-eps changes) confirms
     the class's rate as the level jump. The walk stops at c1 <= 0 or full

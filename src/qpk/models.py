@@ -9,11 +9,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
-from typing import ClassVar
 
 from . import _special
+from ._record import record
 from .errors import DomainError, ValidationError
 
 #: Probability clamp applied to quantile queries on unbounded-support
@@ -26,8 +25,7 @@ class DelayFamily(str, Enum):
     MM1 = "mm1"
 
 
-@dataclass(frozen=True)
-class DelayModel:
+class DelayModel(record("family mu")):
     """A server's mean-delay curve D(rate).
 
     Two families: ``linear`` has D(g) = g/mu, ``mm1`` has D(g) = 1/(mu - g)
@@ -36,16 +34,16 @@ class DelayModel:
     A family given by name is coerced to its :class:`DelayFamily`.
     """
 
-    family: DelayFamily
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, family: DelayFamily, mu: float):
         try:
-            object.__setattr__(self, "family", DelayFamily(self.family))
+            family = DelayFamily(family)
         except ValueError:
-            raise DomainError(f"delay family must be linear or mm1, got {self.family!r}") from None
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise DomainError(f"service rate mu must be positive, got {self.mu}")
+            raise DomainError(f"delay family must be linear or mm1, got {family!r}") from None
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise DomainError(f"service rate mu must be positive, got {mu}")
+        return super().__new__(cls, family, mu)
 
     @classmethod
     def linear(cls, mu: float) -> "DelayModel":
@@ -101,14 +99,13 @@ def delay_deriv(model: DelayModel, gamma: float, saturation: bool = False) -> fl
     return delay_slope(model)(gamma)
 
 
-@dataclass(frozen=True)
 class SensitivityDistribution:
     """Law of the per-customer delay-cost coefficient.
 
     Each family is a subclass with a ``family`` name, its key in
-    :data:`FAMILIES`, in JSON and in the parametric fitter. Its dataclass
-    fields are its parameters, in constructor order, and its
-    ``__post_init__`` raises DomainError outside their domain.
+    :data:`FAMILIES`, in JSON and in the parametric fitter. Its record
+    fields are its parameters, in constructor order, and its ``__new__``
+    raises DomainError outside their domain.
 
     Subclasses implement ``_cdf``, ``_sf`` = 1 - F (to its relative accuracy
     where it is small), ``_quantile`` and ``_density`` on the support
@@ -122,11 +119,12 @@ class SensitivityDistribution:
     ``_quantile``(p).
     """
 
-    family: ClassVar[str]
+    __slots__ = ()
+    family: str
 
     @classmethod
     def param_names(cls) -> tuple:
-        return tuple(f.name for f in fields(cls))
+        return cls._fields
 
     @classmethod
     def initial_guess(cls, betas, levels, lam, gammas) -> tuple:
@@ -163,15 +161,14 @@ class SensitivityDistribution:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Uniform(SensitivityDistribution):
-    family: ClassVar[str] = "uniform"
-    a: float
-    b: float
+class Uniform(SensitivityDistribution, record("a b")):
+    __slots__ = ()
+    family = "uniform"
 
-    def __post_init__(self):
-        if not (0.0 <= self.a < self.b < math.inf):
-            raise DomainError(f"uniform support needs 0 <= a < b, got [{self.a}, {self.b}]")
+    def __new__(cls, a: float, b: float):
+        if not (0.0 <= a < b < math.inf):
+            raise DomainError(f"uniform support needs 0 <= a < b, got [{a}, {b}]")
+        return super().__new__(cls, a, b)
 
     @property
     def support(self):
@@ -199,16 +196,16 @@ class Uniform(SensitivityDistribution):
         return 0.0 if x > self.b else 1.0 / (self.b - self.a)
 
 
-@dataclass(frozen=True)
-class Exponential(SensitivityDistribution):
+class Exponential(SensitivityDistribution, record("tau")):
     """Exponential law parameterized by its mean tau (rate is 1/tau)."""
 
-    family: ClassVar[str] = "exponential"
-    tau: float
+    __slots__ = ()
+    family = "exponential"
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise DomainError(f"exponential mean must be positive, got {self.tau}")
+    def __new__(cls, tau: float):
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise DomainError(f"exponential mean must be positive, got {tau}")
+        return super().__new__(cls, tau)
 
     @property
     def support(self):
@@ -232,19 +229,18 @@ class Exponential(SensitivityDistribution):
         return math.exp(-x / self.tau) / self.tau
 
 
-@dataclass(frozen=True)
-class Gamma(SensitivityDistribution):
+class Gamma(SensitivityDistribution, record("k theta")):
     """Gamma law with shape k and scale theta."""
 
-    family: ClassVar[str] = "gamma"
-    k: float
-    theta: float
+    __slots__ = ()
+    family = "gamma"
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"gamma shape must be positive, got {self.k}")
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise DomainError(f"gamma scale must be positive, got {self.theta}")
+    def __new__(cls, k: float, theta: float):
+        if not (math.isfinite(k) and k > 0.0):
+            raise DomainError(f"gamma shape must be positive, got {k}")
+        if not (math.isfinite(theta) and theta > 0.0):
+            raise DomainError(f"gamma scale must be positive, got {theta}")
+        return super().__new__(cls, k, theta)
 
     @property
     def support(self):
@@ -277,19 +273,18 @@ class Gamma(SensitivityDistribution):
         return math.exp(log_pdf)
 
 
-@dataclass(frozen=True)
-class Power(SensitivityDistribution):
+class Power(SensitivityDistribution, record("n b")):
     """Power law with CDF (x/b)**n on [0, b]."""
 
-    family: ClassVar[str] = "power"
-    n: float
-    b: float
+    __slots__ = ()
+    family = "power"
 
-    def __post_init__(self):
-        if not (math.isfinite(self.n) and self.n > 0.0):
-            raise DomainError(f"power exponent must be positive, got {self.n}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise DomainError(f"power upper bound must be positive, got {self.b}")
+    def __new__(cls, n: float, b: float):
+        if not (math.isfinite(n) and n > 0.0):
+            raise DomainError(f"power exponent must be positive, got {n}")
+        if not (math.isfinite(b) and b > 0.0):
+            raise DomainError(f"power upper bound must be positive, got {b}")
+        return super().__new__(cls, n, b)
 
     @property
     def support(self):
@@ -362,12 +357,11 @@ def density(dist: SensitivityDistribution, x: float) -> float:
     return dist._density(x)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(record("lam d1 d2 dist saturation_ok", False)):
     """Total arrival rate plus the two servers' delay models and the
     sensitivity law.
 
-    Valid by construction: ``__post_init__`` runs :func:`validate_config`,
+    Valid by construction: ``__new__`` runs :func:`validate_config`,
     so building a config that breaks a joint regularity condition raises
     ValidationError with the complete list, and solvers never check a
     config again. ``saturation_ok`` opts into mm1 models with mu == lam,
@@ -375,14 +369,9 @@ class SystemConfig:
     inside (0, lam).
     """
 
-    lam: float
-    d1: DelayModel
-    d2: DelayModel
-    dist: SensitivityDistribution
-    saturation_ok: bool = False
-
-    def __post_init__(self):
-        validate_config(self)
+    def __new__(cls, lam: float, d1: DelayModel, d2: DelayModel,
+                dist: SensitivityDistribution, saturation_ok: bool = False):
+        return validate_config(super().__new__(cls, lam, d1, d2, dist, saturation_ok))
 
     def delay1(self, gamma: float) -> float:
         return delay_eval(self.d1, gamma, self.saturation_ok)
@@ -409,7 +398,7 @@ class SystemConfig:
     def _mirror(self) -> "SystemConfig":
         if self.identical_servers():
             return self
-        return replace(self, d1=self.d2, d2=self.d1)
+        return self._replace(d1=self.d2, d2=self.d1)
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -466,7 +455,7 @@ SCHEMA_ID = "qpk/1"
 def _dist_to_dict(dist: SensitivityDistribution) -> dict:
     if type(dist) not in FAMILIES.values():
         raise DomainError(f"unknown sensitivity distribution {dist!r}")
-    return {"family": dist.family, **asdict(dist)}
+    return {"family": dist.family, **dist._asdict()}
 
 
 def _object(value, where: str, required, optional=()) -> dict:

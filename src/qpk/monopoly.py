@@ -8,18 +8,14 @@ samples of dh/dbeta, one root for each fall through 0, and the reported
 price and revenue read off the root.
 """
 
-from dataclasses import dataclass
-
+from ._record import record
 from ._solve import check_count, uniform_grid
 from .models import P_MIN, SystemConfig
 from .wardrop import Thresholds, check_price
 
 
-@dataclass(frozen=True)
-class MonopolyResult:
-    gamma1_star: float
-    c1_star: float
-    rt_star: float
+class MonopolyResult(record("gamma1_star c1_star rt_star")):
+    __slots__ = ()
 
 
 def optimize_monopoly(cfg: SystemConfig, c2: float) -> MonopolyResult:

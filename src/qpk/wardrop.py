@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from ._solve import TIE_REL, bisect_decreasing
 from .errors import DomainError, NoRootError
 # perfbench/selftest.py checks that its tracer restores wardrop.quantile
@@ -37,31 +37,26 @@ class Regime(Enum):
     HIGH_BETA_TO_SERVER_2 = 2
 
 
-@dataclass(frozen=True)
-class PriceVector:
-    c1: float
-    c2: float
+class PriceVector(record("c1 c2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
-            raise DomainError(f"prices must be finite, got ({self.c1}, {self.c2})")
+    def __new__(cls, c1: float, c2: float):
+        if not (math.isfinite(c1) and math.isfinite(c2)):
+            raise DomainError(f"prices must be finite, got ({c1}, {c2})")
+        return super().__new__(cls, c1, c2)
 
     @property
     def gap(self) -> float:
         return self.c1 - self.c2
 
 
-@dataclass(frozen=True)
-class EquilibriumSplit:
+class EquilibriumSplit(record("gamma1 lam beta1 regime")):
     """Equilibrium rates plus the threshold and regime describing the kernel.
 
     gamma2 is derived as lam - gamma1 so the rates always sum exactly.
     """
 
-    gamma1: float
-    lam: float
-    beta1: float
-    regime: Regime
+    __slots__ = ()
 
     @property
     def gamma2(self) -> float:

@@ -10,7 +10,6 @@ import contextlib
 import math
 import signal
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,7 +180,7 @@ def test_price_gap_array_is_the_scalar_g1_on_uniform_laws(name, request):
     # gamma+ must be g1's definition to the bit on any CPU
     cfg = request.getfixturevalue(name)
     if not isinstance(cfg.dist, Uniform):
-        cfg = replace(cfg, dist=Uniform(2.0, 6.0))
+        cfg = cfg._replace(dist=Uniform(2.0, 6.0))
     for own in (cfg, cfg.swapped()):
         lo, gp, c2 = own.lam * P_MIN, balanced_load(own), 1.5
         curve = revenue_curve(own, c2, 4096)
@@ -447,7 +446,7 @@ def test_point_solves_invert_only_their_bracket_ends(ex1_uniform, dist, monkeypa
             finally:
                 searching.pop()
         monkeypatch.setattr(module, "bisect_decreasing", search)
-    cfg, total = replace(ex1_uniform, dist=dist), 0
+    cfg, total = ex1_uniform._replace(dist=dist), 0
     for solve, most in ((lambda: optimize_monopoly(cfg, 1.0), 2),
                         (lambda: best_response(cfg, 1, 1.0), 6),
                         (lambda: best_response(cfg, 2, 1.0), 6),

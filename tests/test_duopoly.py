@@ -5,7 +5,6 @@ sensitivity laws is 1.5 * (4 ln 2) * 0.5 in the exponential case and 3 in
 the uniform case; brute-force grids confirm the optimizer output.
 """
 
-import dataclasses
 import math
 import random
 
@@ -109,7 +108,7 @@ def test_best_response_2_is_server_1_on_the_swapped_system(request):
         for c in (0.5, 2.0):
             br = best_response(cfg, 2, c)
             assert br.server == 2
-            assert dataclasses.replace(br, server=1) == best_response(cfg.swapped(), 1, c)
+            assert br._replace(server=1) == best_response(cfg.swapped(), 1, c)
 
 
 def test_best_response_input_checks(ex1_uniform):

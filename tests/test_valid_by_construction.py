@@ -2,7 +2,7 @@
 again.
 
 The guards count calls of ``models.validate_config`` (which
-``SystemConfig.__post_init__`` looks up at call time) made by solvers on
+``SystemConfig.__new__`` looks up at call time) made by solvers on
 configs that already exist.
 """
 
