@@ -1,7 +1,6 @@
-"""Gamma special functions implemented in-repo.
+"""Gamma special functions implemented in-repo, on ``math.lgamma`` for log Gamma.
 
-Log-gamma uses the Lanczos approximation (g = 7, 9 coefficients); the
-regularized lower incomplete gamma uses the power series for x < k + 1
+The regularized lower incomplete gamma uses the power series for x < k + 1
 and a modified Lentz continued fraction for the upper tail otherwise,
 run without Lentz's zero guards, which cannot fire there (``_contfrac``).
 ``gamma_q`` takes the fraction from max(k, 1) up, so that Q keeps its
@@ -29,21 +28,7 @@ The inverse stops once |P(x) - p| < 1e-13 p, or for p > 0.5 once
 
 from __future__ import annotations
 
-import functools
 import math
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _EPS = 1e-16
 #: from this shape up the incomplete gamma's front factor takes Stirling's
@@ -56,20 +41,11 @@ _MAX_ITER = 500
 _LONG_SERIES_K = (_MAX_ITER / 12.0) ** 2
 
 
-@functools.lru_cache(maxsize=256)  # a gamma law asks for the same log Gamma(k) in every cdf
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0 (``math.lgamma``)."""
     if x <= 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def _series(k: float, x: float) -> float:

@@ -307,12 +307,31 @@ def _interior(m: Measurement) -> bool:
     return 0.0 < m.gamma1 < lam
 
 
+def _sweep(oracle, c2: float, points):
+    """(lam, betas, gammas): the arrival rate, and the inferred threshold and
+    server-1 rate of oracle.measure(p, c2) at each price point p."""
+    ms = [oracle.measure(p, c2) for p in points]
+    if not all(_interior(m) for m in ms):
+        raise DegenerateError("every measurement must yield an interior split")
+    betas = [infer_threshold(m) for m in ms]
+    lam = ms[0].lam
+    gammas = [m.gamma1 for m in ms]
+    if betas[0] <= 0.0:
+        raise DegenerateError(f"inferred threshold {betas[0]} is not positive")
+    for i in range(len(ms) - 1):
+        if betas[i + 1] <= betas[i] or gammas[i + 1] >= gammas[i]:
+            raise DegenerateError(
+                f"price step {points[i]} -> {points[i + 1]} moved no probability mass")
+    return lam, betas, gammas
+
+
 def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> ExponentialFit:
     """Fit an exponential sensitivity law from two measurements.
 
-    Calls oracle.measure(c1, c2) -> Measurement at (c1, c2) and
-    (c1 + delta, c2), infers both thresholds, and
-    solves exp(-b/tau) - exp(-b_d/tau) = (g - g_d)/lam for tau on
+    Measures at (c1, c2) and (c1 + delta, c2) through the parametric fit's
+    sweep checks (both splits interior, the first threshold positive, the
+    step raising the threshold and lowering the rate, or DegenerateError),
+    and solves exp(-b/tau) - exp(-b_d/tau) = (g - g_d)/lam for tau on
     [1e-6, 1e6]. The interval equation alone admits up to two roots, one on
     each side of the residual's peak at tau = (b_d - b)/ln(b_d/b), and each
     side gets its own root search; the root consistent with the observed
@@ -322,15 +341,8 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
         raise DomainError(f"need c1 > c2, got ({c1}, {c2})")
     if delta <= 0.0:
         raise DomainError(f"price step must be positive, got {delta}")
-    m0 = oracle.measure(c1, c2)
-    m1 = oracle.measure(c1 + delta, c2)
-    if not (_interior(m0) and _interior(m1)):
-        raise DegenerateError("both measurements must yield an interior split")
-    b0, b1 = infer_threshold(m0), infer_threshold(m1)
-    if b1 <= b0 or m1.gamma1 >= m0.gamma1:
-        raise DegenerateError("price step moved no probability mass")
-    lam = m0.lam
-    mass = (m0.gamma1 - m1.gamma1) / lam
+    lam, (b0, b1), (rate0, rate1) = _sweep(oracle, c2, [c1, c1 + delta])
+    mass = (rate0 - rate1) / lam
 
     def resid(tau):
         return math.exp(-b0 / tau) - math.exp(-b1 / tau) - mass
@@ -347,7 +359,7 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
     if not roots:
         raise NoRootError("interval-mass equation has no root in [1e-6, 1e6]")
 
-    level = m0.gamma1 / lam
+    level = rate0 / lam
     tau = min(roots, key=lambda t: abs(math.exp(-b0 / t) - level))
     return ExponentialFit(tau=tau)
 
@@ -419,19 +431,8 @@ def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFi
     if points[0] <= c2:
         raise DomainError("all price points must exceed c2")
 
-    ms = [oracle.measure(p, c2) for p in points]
-    if not all(_interior(m) for m in ms):
-        raise DegenerateError("every measurement must yield an interior split")
-    betas = [infer_threshold(m) for m in ms]
-    lam = ms[0].lam
-    gammas = [m.gamma1 for m in ms]
-    if betas[0] <= 0.0:
-        raise DegenerateError(f"inferred threshold {betas[0]} is not positive")
-    for i in range(len(ms) - 1):
-        if betas[i + 1] <= betas[i] or gammas[i + 1] >= gammas[i]:
-            raise DegenerateError(
-                f"price step {points[i]} -> {points[i + 1]} moved no probability mass")
-    masses = [(gammas[i] - gammas[i + 1]) / lam for i in range(len(ms) - 1)]
+    lam, betas, gammas = _sweep(oracle, c2, points)
+    masses = [(gammas[i] - gammas[i + 1]) / lam for i in range(len(points) - 1)]
     levels = [1.0 - g / lam for g in gammas]
 
     log_mask = [name != "a" for name in names]

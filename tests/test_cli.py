@@ -355,6 +355,16 @@ def test_runtime_error_exits_3(ex1_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_noisy_estimate_exp_with_a_nonpositive_threshold_exits_3(tmp_path, capsys):
+    cfg = SystemConfig(3.0, DelayModel.linear(3.3), DelayModel.linear(4.0), Exponential(4.0))
+    path = tmp_path / "ex1_expo.json"
+    path.write_text(config_to_json(cfg))
+    assert main(["estimate-exp", "--config", str(path), "--oracle", "noisy", "--noise", "0.5",
+                 "--seed", "13", "--c1", "3", "--c2", "1", "--delta", "0.2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["duopoly-nash", "--max-iter", "0", "--format", "json"],
     ["estimate-exp", "--c1", "3", "--c2", "1", "--delta", "0.2", "--oracle", "des",

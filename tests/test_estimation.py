@@ -263,6 +263,15 @@ def test_estimate_exponential_input_checks(ex1_expo, ex1_uniform):
         estimate_exponential(exact_oracle(ex1_uniform), 20.0, 1.0, 0.2)
 
 
+@pytest.mark.parametrize("sigma_rel, seed", [(0.5, 13), (1.0, 49)])
+def test_estimate_exponential_rejects_a_nonpositive_threshold(ex1_expo, sigma_rel, seed):
+    # noisy rates that put the first threshold at or below 0 fail the
+    # sweep's check, where the fit's log and exp used to fail on them
+    oracle = noisy_oracle(exact_oracle(ex1_expo), sigma_rel, seed=seed)
+    with pytest.raises(DegenerateError, match="not positive"):
+        estimate_exponential(oracle, 3.0, 1.0, 0.2)
+
+
 # --- parametric fits ----------------------------------------------------------------
 
 

@@ -103,6 +103,10 @@ def _cli_modules(tmp_path, cfg, argv) -> set:
     *[pytest.param(name, argv, id=f"{name}-{argv[0]}")
       for name in ("ex1_uniform", "ex1_gamma") for argv in SCALAR_COMMANDS],
     pytest.param("ex3", ["duopoly-symmetric"], id="ex3-duopoly-symmetric"),
+    pytest.param("ex1_expo", ["estimate-exp", "--c1", "3", "--c2", "1", "--delta", "0.2"],
+                 id="ex1_expo-estimate-exp"),
+    pytest.param("ex3", ["discover-classes", "--classes", "2:0.1,3:0.7,4:0.3", "--c1-init", "2"],
+                 id="ex3-discover-classes"),
     *[pytest.param(name, argv, id=f"{name}-sweep" + ("" if what == "revenue" else f"-{what}"))
       for name in ("ex1_uniform", "ex1_gamma") for what, argv in SWEEPS.items()],
 ])
