@@ -1,9 +1,9 @@
 """Checks for the in-repo gamma special functions.
 
-Oracles: numpy trapezoid quadrature of the gamma density for the
-regularized incomplete gamma, and brute-force bisection on the quadrature
-CDF for the inverse. log Gamma is checked against mpmath in
-test_reference.py; here only its rejection of k <= 0.
+Oracles: math.lgamma for log-gamma, numpy trapezoid quadrature of the
+gamma density for the regularized incomplete gamma, and brute-force
+bisection on the quadrature CDF for the inverse. log Gamma is also
+checked against mpmath in test_reference.py.
 """
 
 import math
@@ -12,6 +12,11 @@ import numpy as np
 import pytest
 
 from qpk._special import gamma_p, gamma_p_inverse, log_gamma
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 42.5, 171.0])
+def test_log_gamma_matches_stdlib(x):
+    assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
 
 
 def test_log_gamma_rejects_nonpositive():
