@@ -4,8 +4,9 @@ All estimators consume an oracle: any object whose measure(c1, c2) returns
 one Measurement of the equilibrium at that price pair (rates and mean
 delays). Three backends are provided -- analytic, noisy, and discrete-event
 simulation -- plus a discrete-class analytic oracle for class discovery.
-Estimation never touches the underlying distribution object; only prices,
-rates, and delays enter the formulas.
+Estimation never touches the distribution object, and runs on Python floats:
+only prices, rates and delays enter the formulas. numpy is imported only
+where random arrays are drawn, in the noisy and simulation oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from . import _np as np
 from . import models
 from ._record import record
 from ._solve import bisect_decreasing, check_count
@@ -115,6 +115,7 @@ class NoisyOracle:
         self.inner = inner
         self.sigma_rel = sigma_rel
         self.seed = seed
+        import numpy as np
         self._rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     def _factor(self) -> float:
@@ -139,15 +140,10 @@ def noisy_oracle(inner, sigma_rel: float, seed: int) -> NoisyOracle:
     return NoisyOracle(inner, sigma_rel, seed)
 
 
-def _fcfs_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    # d_i = max_{j<=i}(a_j + sum_{k=j..i} s_k), vectorized via running max
-    cs = np.cumsum(services)
-    return cs + np.maximum.accumulate(arrivals - (cs - services))
-
-
-def _sample_sensitivities(dist, u: np.ndarray) -> np.ndarray:
-    """Inverse-transform samples at uniforms u by the scalar quantile: the
-    reference DesOracle's routing must match, and the bench tracer's hook."""
+def _sample_sensitivities(dist, u):
+    """Inverse-transform samples at an array u of uniforms by the scalar quantile:
+    the reference DesOracle's routing must match, and the bench tracer's hook."""
+    import numpy as np
     return np.array([models.quantile(dist, v) for v in u.tolist()])
 
 
@@ -176,6 +172,7 @@ class DesOracle:
         self._calls = 0
 
     def measure(self, c1: float, c2: float) -> Measurement:
+        import numpy as np
         cfg = self.cfg
         split = solve_equilibrium(cfg, PriceVector(c1, c2))
         # utilization within 1e-9 of one never mixes over a finite horizon
@@ -215,7 +212,9 @@ class DesOracle:
                 raise InsufficientDataError(
                     f"server {server} received no arrivals within the horizon")
             services = -np.log1p(-rng.random(arr.size)) / mu
-            sojourn = _fcfs_departures(arr, services) - arr
+            # FCFS departures d_i = max_{j<=i}(a_j + sum_{k=j..i} s_k), by a running max
+            cs = np.cumsum(services)
+            sojourn = cs + np.maximum.accumulate(arr - (cs - services)) - arr
             in_window = arr >= warmup
             if not np.any(in_window):
                 raise InsufficientDataError(
@@ -302,16 +301,11 @@ def infer_threshold(m: Measurement) -> float:
     return (m.c1 - m.c2) / (m.d2 - m.d1)
 
 
-def _interior(m: Measurement) -> bool:
-    lam = m.lam
-    return 0.0 < m.gamma1 < lam
-
-
 def _sweep(oracle, c2: float, points):
     """(lam, betas, gammas): the arrival rate, and the inferred threshold and
     server-1 rate of oracle.measure(p, c2) at each price point p."""
     ms = [oracle.measure(p, c2) for p in points]
-    if not all(_interior(m) for m in ms):
+    if not all(0.0 < m.gamma1 < m.lam for m in ms):
         raise DegenerateError("every measurement must yield an interior split")
     betas = [infer_threshold(m) for m in ms]
     lam = ms[0].lam
@@ -364,39 +358,53 @@ def estimate_exponential(oracle, c1: float, c2: float, delta: float) -> Exponent
     return ExponentialFit(tau=tau)
 
 
+def _dot(x, y) -> float:
+    # correctly rounded, so the same on every Python version
+    return math.fsum(a * b for a, b in zip(x, y))
+
+
 def _levenberg_marquardt(residuals, u):
     """Minimize |residuals(u)|^2 by Levenberg-Marquardt (Moré 1978).
 
-    residuals returns None off the family's domain, which rejects the
-    trial. Returns (u, r, converged): whether a step fell below
-    _LM_STEP_TOL before _LM_MAX_ITER trials.
+    u lists one or two parameters; residuals returns a list, or None off the
+    family's domain, which rejects the trial. Returns (u, r, converged):
+    whether a step fell below _LM_STEP_TOL before _LM_MAX_ITER trials.
     """
     r = residuals(u)
     mu = 1e-3
     scale = None
     for _ in range(_LM_MAX_ITER):
         if scale is None:
-            jac = np.zeros((r.size, u.size))
-            for j in range(u.size):
-                shifted = u.copy()
-                shifted[j] += _FD_STEP * max(1.0, abs(u[j]))
+            cols = []
+            for j, v in enumerate(u):
+                shifted = list(u)
+                shifted[j] += _FD_STEP * max(1.0, abs(v))
                 rj = residuals(shifted)
-                if rj is not None:
-                    jac[:, j] = (rj - r) / (shifted[j] - u[j])
+                h = shifted[j] - v
+                cols.append([0.0] * len(r) if rj is None
+                            else [(a - b) / h for a, b in zip(rj, r)])
             # Moré's scaling: unit columns, so mu damps every parameter alike
-            scale = np.linalg.norm(jac, axis=0)
-            scale[scale == 0.0] = 1.0
-            jac /= scale
-            normal, grad = jac.T @ jac, jac.T @ r
-        # unit columns and mu >= _LM_MU_MIN keep the damped matrix regular
-        step = -np.linalg.solve(normal + mu * np.eye(u.size), grad) / scale
-        trial = residuals(u + step)
-        if trial is not None and trial @ trial < r @ r:
-            u, r, scale = u + step, trial, None
+            scale = [math.sqrt(_dot(c, c)) or 1.0 for c in cols]
+            cols = [[x / s for x in c] for c, s in zip(cols, scale)]
+            normal, grad = [[_dot(a, b) for b in cols] for a in cols], [_dot(c, r) for c in cols]
+        # the damped normal equations (normal + mu I) x = grad by Cramer's
+        # rule; unit columns and mu >= _LM_MU_MIN keep them regular
+        if len(u) == 1:
+            x = [grad[0] / (normal[0][0] + mu)]
+        else:
+            (a, b), (c, d) = normal
+            a, d = a + mu, d + mu
+            det = a * d - b * c
+            x = [(grad[0] * d - b * grad[1]) / det, (a * grad[1] - c * grad[0]) / det]
+        step = [-xi / s for xi, s in zip(x, scale)]
+        moved = [v + dv for v, dv in zip(u, step)]
+        trial = residuals(moved)
+        if trial is not None and _dot(trial, trial) < _dot(r, r):
+            u, r, scale = moved, trial, None
             mu = max(0.1 * mu, _LM_MU_MIN)
         else:
             mu *= 10.0
-        if np.linalg.norm(step) <= _LM_STEP_TOL * (1.0 + np.linalg.norm(u)):
+        if math.sqrt(_dot(step, step)) <= _LM_STEP_TOL * (1.0 + math.sqrt(_dot(u, u))):
             return u, r, True
     return u, r, False
 
@@ -436,7 +444,7 @@ def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFi
     levels = [1.0 - g / lam for g in gammas]
 
     log_mask = [name != "a" for name in names]
-    targets = np.array(levels[:1] + masses)
+    targets = levels[:1] + masses
 
     def params_of(u):
         return [math.exp(v) if lm else float(v) for v, lm in zip(u, log_mask)]
@@ -450,16 +458,15 @@ def estimate_parametric(oracle, family, c2: float, price_points) -> ParametricFi
         lo, hi = dist.support
         if not hi > betas[-1]:
             return None
-        fs = np.array([models.cdf(dist, b) if b > lo else 0.0 for b in betas])
-        r = np.concatenate([fs[:1], np.diff(fs)]) - targets
-        return r if np.all(np.isfinite(r)) else None
+        fs = [models.cdf(dist, b) if b > lo else 0.0 for b in betas]
+        r = [f - prev - t for f, prev, t in zip(fs, [0.0] + fs, targets)]
+        return r if all(map(math.isfinite, r)) else None
 
     guess = law.initial_guess(betas, levels, lam, gammas)
-    u, r, converged = _levenberg_marquardt(residuals, np.array(
-        [math.log(g) if lm else g for g, lm in zip(guess, log_mask)]))
+    u, r, converged = _levenberg_marquardt(
+        residuals, [math.log(g) if lm else float(g) for g, lm in zip(guess, log_mask)])
     return ParametricFit(family=family, params=tuple(params_of(u)),
-                         residual_norm=float(np.linalg.norm(r)),
-                         converged=converged)
+                         residual_norm=math.sqrt(_dot(r, r)), converged=converged)
 
 
 def estimate_density(oracle, c2: float, c1_start: float, delta: float,

@@ -7,13 +7,15 @@ RT* of optimize_monopoly at c2 = 1; then, for server 1 and server 2,
 gamma*, price*, revenue* and the stationary points of best_response
 against a rival price of 1. A change meant to leave the arithmetic alone
 must leave every bit here alone; the CLI output tests pin the same
-property for the uniform laws only.
+property for the uniform laws only. FITS pins the exact-oracle parametric
+fits of an exponential and a power sweep the same way.
 """
 
 import pytest
 
 from conftest import FIXTURES
-from qpk import best_response, optimize_monopoly, solve_equilibrium
+from qpk import (best_response, estimate_parametric, exact_oracle, optimize_monopoly,
+                 solve_equilibrium)
 from qpk.models import P_MIN
 from qpk.wardrop import PriceVector, balanced_load, rate_cap_1, rate_cap_2
 
@@ -179,3 +181,32 @@ def test_sat_power_reports_no_revenue_above_its_supremum(sat_power):
     for server in (1, 2):
         br = best_response(sat_power, server, 1.0)
         assert br.gamma_star == floor and br.revenue_star <= 4.0
+
+
+#: (fixture, family, c2, prices): the float.hex of each fitted parameter,
+#: of residual_norm, and converged
+FITS = {
+    ("ex1_expo", "exponential", 1.0, (3.0, 3.1, 3.2)):
+        (("0x1.0000000000000p+2",), "0x1.e0d526020fb6cp-54", True),
+    ("sat_power", "power", 5.0, (5.2, 5.4, 5.6)):
+        (("0x1.fffffffffffb1p+0", "0x1.000000000000dp+2"), "0x1.61a1f09c746b4p-51", True),
+}
+
+
+@pytest.mark.parametrize("name, family, c2, prices", list(FITS), ids=[key[0] for key in FITS])
+def test_parametric_fits_keep_their_bits(name, family, c2, prices, request):
+    fit = estimate_parametric(exact_oracle(request.getfixturevalue(name)), family, c2, prices)
+    params, residual_norm, converged = FITS[name, family, c2, prices]
+    assert tuple(p.hex() for p in fit.params) == params
+    assert (fit.residual_norm.hex(), fit.converged) == (residual_norm, converged)
+
+
+@pytest.mark.parametrize("name", ["ex1_gamma", "ex2_gamma"])
+def test_gamma_fits_land_within_1e_12_of_the_law(name, request):
+    # the acceptance-criterion-6 sweep on both delay kinds: gamma fits move
+    # with the solve's rounding, and these land within 7.8e-14 relative
+    fit = estimate_parametric(exact_oracle(request.getfixturevalue(name)), "gamma", 1.0,
+                              [3.0, 3.05, 3.1, 3.15])
+    assert fit.converged
+    for got in fit.params:
+        assert abs(got - 2.0) <= 1e-12 * 2.0, fit.params

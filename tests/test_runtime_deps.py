@@ -1,6 +1,6 @@
-"""The runtime needs only numpy, and only where an array runs: the reference
-libraries stay in the tests. A qpk process loads no dataclasses, and only
-the qpk modules its command runs."""
+"""The runtime needs only numpy, and only where an array runs (the noisy and
+simulation oracles): the reference libraries stay in the tests. A qpk
+process loads no dataclasses, and only the qpk modules its command runs."""
 
 import os
 import pathlib
@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qpk.models import config_to_json
+from qpk.models import FAMILIES, config_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -107,11 +107,19 @@ def _cli_modules(tmp_path, cfg, argv) -> set:
                  id="ex1_expo-estimate-exp"),
     pytest.param("ex3", ["discover-classes", "--classes", "2:0.1,3:0.7,4:0.3", "--c1-init", "2"],
                  id="ex3-discover-classes"),
+    *[pytest.param(f"ex1_{family}", ["estimate-param", "--family", family, "--c2", "1",
+                                     "--prices", "3.0,3.05,3.1,3.15"],
+                   id=f"ex1_{family}-estimate-param") for family in ("uniform", "gamma")],
     *[pytest.param(name, argv, id=f"{name}-sweep" + ("" if what == "revenue" else f"-{what}"))
       for name in ("ex1_uniform", "ex1_gamma") for what, argv in SWEEPS.items()],
 ])
 def test_scalar_commands_run_without_numpy(tmp_path, request, config, argv):
     assert "numpy" not in _cli_modules(tmp_path, request.getfixturevalue(config), argv)
+
+
+def test_no_family_has_more_than_two_parameters():
+    # the parametric fit solves its damped normal equations in closed form
+    assert all(len(law.param_names()) <= 2 for law in FAMILIES.values())
 
 
 @pytest.mark.parametrize("config, argv, unused", [
